@@ -10,6 +10,7 @@ import numpy as np
 from . import tape
 
 RECALL_NS = (1, 2, 4, 8, 16, 32, 64)
+SCORE_BLOCK = 1 << 20  # mention-entity scores held at once while ranking
 
 
 @dataclass
@@ -87,15 +88,22 @@ def fused_entity_table(model, snapshot) -> np.ndarray:
 
 def evaluate_mentions(model, mentions, entities, index, table=None):
     """Gold ranks for a mention list against an entity table (text table
-    by default). Mentions with unresolvable gold qids are skipped."""
+    by default). Mentions with unresolvable gold qids are skipped. A rank
+    counts the entities ahead of the gold one in ``gold_rank``'s order,
+    scoring at most ``SCORE_BLOCK`` mention-entity pairs at a time."""
     if table is None:
         table = text_entity_table(model, entities)
+    kept = [m for m in mentions if m.gold_qid in index]
+    y_m = model.encode_mentions(kept).data.astype(np.float64)
+    gold = np.array([index.row(m.gold_qid) for m in kept])[:, None]
+    table = table.astype(np.float64)
+    step = max(1, SCORE_BLOCK // max(1, len(table)))
     ranks = []
-    for m in mentions:
-        if m.gold_qid not in index:
-            continue
-        y_m = model.mention_encoder.encode_ids(model.tokenizer.render_mention(m))
-        ranks.append(gold_rank(y_m, table, index.row(m.gold_qid)))
+    for lo in range(0, len(kept), step):
+        s, g = y_m[lo:lo + step] @ table.T, gold[lo:lo + step]
+        s_gold = np.take_along_axis(s, g, axis=1)
+        ahead = (s > s_gold) | ((s == s_gold) & (np.arange(len(table)) < g))
+        ranks.extend((ahead.sum(axis=1) + 1).tolist())
     return ranks
 
 

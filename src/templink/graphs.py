@@ -143,19 +143,9 @@ def hash_embed_tokens(tokens, dim: int, seed: int) -> np.ndarray:
     return (acc / len(tokens)).astype(np.float32)
 
 
-def embed_descriptions(entities, encoder=None, tokenizer=None,
-                       dim: int = 64, seed: int = 0) -> np.ndarray:
-    """n x d embedding matrix of rendered entity descriptions.
-
-    With an encoder, each entity's rendered title+description sequence is
-    encoded by it (typically in its initialized state). Otherwise a seeded
-    feature-hashing embedder over whitespace/punctuation tokens is used.
-    """
-    if encoder is not None:
-        rows = [encoder.encode_ids(tokenizer.render_entity(e)) for e in entities]
-        if not rows:
-            return np.zeros((0, encoder.dim), dtype=np.float32)
-        return np.stack(rows).astype(np.float32)
+def embed_descriptions(entities, dim: int = 64, seed: int = 0) -> np.ndarray:
+    """n x d seeded feature-hashing embedding of each entity's title and
+    description, over whitespace/punctuation tokens."""
     from .textenc import split_text
     out = np.zeros((len(entities), dim), dtype=np.float32)
     for i, e in enumerate(entities):

@@ -143,17 +143,13 @@ class Model:
         return p
 
     def encode_mentions(self, mentions) -> tape.Tensor:
-        rows = [self.mention_encoder.encode_tensor(self.tokenizer.render_mention(m))
-                for m in mentions]
-        return tape.concat_rows(rows)
+        return self.mention_encoder.encode(
+            [self.tokenizer.render_mention(m) for m in mentions])
 
     def encode_entities(self, entities) -> tape.Tensor:
-        rows = [self.entity_encoder.encode_tensor(self.tokenizer.render_entity(e))
-                for e in entities]
-        return tape.concat_rows(rows)
+        return self.entity_encoder.encode(
+            [self.tokenizer.render_entity(e) for e in entities])
 
     def entity_table(self, entities) -> np.ndarray:
         """Inference-side entity embedding table; text branch only."""
-        if not entities:
-            return np.zeros((0, self.config.dim), dtype=np.float32)
-        return self.encode_entities(entities).data.copy()
+        return self.encode_entities(entities).data

@@ -156,13 +156,6 @@ def save_triples(triples, path):
                      f"\t{escape_field(t.tail_qid)}\n")
 
 
-def split_by_category(mentions):
-    """Order-preserving partition into (continual, new)."""
-    continual = [m for m in mentions if m.category == "continual"]
-    new = [m for m in mentions if m.category == "new"]
-    return continual, new
-
-
 class EntityIndex:
     """Bijective qid <-> row mapping; row i is the i-th entity in input order."""
 
@@ -190,12 +183,6 @@ class EntityIndex:
         with Path(path).open("w", encoding="utf-8") as fh:
             for qid in self.row_to_qid:
                 fh.write(qid + "\n")
-
-    @classmethod
-    def load(cls, path):
-        with Path(path).open("r", encoding="utf-8") as fh:
-            qids = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-        return cls(qids)
 
 
 def build_entity_index(entities) -> EntityIndex:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+BAG_BLOCK = 256  # bags per block in mean_bags; bounds its float64 token array
+
 
 class Tensor:
     """Node in the computation graph.
@@ -54,21 +56,22 @@ class Tensor:
         if grad is None:
             grad = np.ones_like(self.data)
         order = []
-        seen = set()
-
-        def visit(t):
-            if id(t) in seen:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                visit(p)
-            order.append(t)
-
-        visit(self)
+        _post_order(self, set(), order)
         self._accumulate(grad)
         for t in reversed(order):
             if t._backward is not None and t.grad is not None:
                 t._backward(t.grad)
+
+
+def _post_order(t, seen, order):
+    """Append ``t`` after its ancestors. Module level, not a closure in
+    ``backward``: a self-referencing closure would keep the tape alive."""
+    if id(t) in seen:
+        return
+    seen.add(id(t))
+    for p in t._parents:
+        _post_order(p, seen, order)
+    order.append(t)
 
 
 def param(data, name=""):
@@ -218,18 +221,43 @@ def concat_rows(tensors):
     return Tensor(out_data, parents=tuple(tensors), backward=bwd)
 
 
-def mean_rows(a):
-    """Column-wise mean as a 1 x cols matrix."""
-    a = _as_tensor(a)
-    n = a.data.shape[0]
-    out_data = (a.data.mean(axis=0, dtype=np.float64)
-                .astype(a.dtype).reshape(1, -1))
+def mean_bags(table, bags):
+    """Row i is the mean of the table rows listed in the non-empty id list
+    ``bags[i]``, with the arithmetic of one ``mean(axis=0, dtype=float64)``
+    per bag. The backward sums each bag's share per distinct id, then adds
+    the sums into the table gradient later bags first, as one node per bag
+    would. Both directions work on ``BAG_BLOCK`` bags at a time.
+    """
+    table = _as_tensor(table)
+    n_rows, dim = table.data.shape
+    out_data = np.empty((len(bags), dim), dtype=table.dtype)
+    blocks = []  # (first bag, left-aligned ids, mask of real ids, lengths)
+    for lo in range(0, len(bags), BAG_BLOCK):
+        block = bags[lo:lo + BAG_BLOCK]
+        lens = np.fromiter(map(len, block), dtype=np.intp)
+        mask = np.arange(lens.max()) < lens[:, None]
+        ids = np.zeros(mask.shape, dtype=np.intp)
+        ids[mask] = np.concatenate(block)
+        tok = np.where(mask[:, :, None], table.data[ids], 0).astype(np.float64)
+        out_data[lo:lo + len(block)] = tok.sum(axis=1) / lens[:, None]
+        blocks.append((lo, ids, mask, lens))
 
     def bwd(g):
-        if a.requires_grad:
-            a._accumulate(np.broadcast_to(g / n, a.data.shape))
+        if not table.requires_grad:
+            return
+        full = np.zeros_like(table.data)
+        for lo, ids, mask, lens in reversed(blocks):
+            share = g[lo:lo + len(lens)] / lens[:, None].astype(g.dtype)
+            bag = np.nonzero(mask)[0]
+            pairs, pair_of = np.unique(bag * n_rows + ids[mask],
+                                       return_inverse=True)
+            sums = np.zeros((len(pairs), dim), dtype=g.dtype)
+            np.add.at(sums, pair_of, share[bag])
+            later_first = np.argsort(-(pairs // n_rows), kind="stable")
+            np.add.at(full, pairs[later_first] % n_rows, sums[later_first])
+        table._accumulate(full)
 
-    return Tensor(out_data, parents=(a,), backward=bwd)
+    return Tensor(out_data, parents=(table,), backward=bwd)
 
 
 def center_rows(a):
@@ -276,21 +304,6 @@ def softmax_rows(a):
             a._accumulate(p * (g - dot))
 
     return Tensor(p, parents=(a,), backward=bwd)
-
-
-def logsumexp_row(scores):
-    """Stable log-sum-exp of a 1-D score vector, as a scalar tensor."""
-    scores = _as_tensor(scores)
-    x = scores.data.astype(np.float64).ravel()
-    m = x.max()
-    val = m + np.log(np.exp(x - m).sum())
-    soft = np.exp(x - val).astype(scores.dtype).reshape(scores.data.shape)
-
-    def bwd(g):
-        if scores.requires_grad:
-            scores._accumulate(float(g) * soft)
-
-    return Tensor(np.asarray(val, dtype=scores.dtype), parents=(scores,), backward=bwd)
 
 
 def el_loss(score_matrix):

@@ -107,9 +107,9 @@ class TextEncoder:
         self.params = {}
         self.params[f"{prefix}.emb"] = tape.param(
             _uniform_init(rng, vocab_size, dim), name=f"{prefix}.emb")
-        self.params[f"{prefix}.pos"] = tape.param(
-            _uniform_init(rng, max_len, dim), name=f"{prefix}.pos")
         if mode == "attn":
+            self.params[f"{prefix}.pos"] = tape.param(
+                _uniform_init(rng, max_len, dim), name=f"{prefix}.pos")
             for layer in range(n_layers):
                 for w in ("wq", "wk", "wv", "wo"):
                     name = f"{prefix}.l{layer}.{w}"
@@ -117,15 +117,18 @@ class TextEncoder:
                                                    name=name)
         self.prefix = prefix
 
-    def encode_tensor(self, ids) -> tape.Tensor:
-        """Differentiable encoding of one token-id sequence to a 1 x d tensor."""
-        ids = [i for i in ids if i != PAD][:self.max_len]
-        if not ids:
-            ids = [CLS]
+    def encode(self, seqs) -> tape.Tensor:
+        """Differentiable n x d encoding of token-id sequences: PAD ids are
+        dropped, each is cut to ``max_len``, and an empty one is ``[CLS]``."""
+        bags = [[i for i in ids if i != PAD][:self.max_len] or [CLS]
+                for ids in seqs]
         emb = self.params[f"{self.prefix}.emb"]
+        if self.mode == "mean" or not bags:  # no bags: an empty 0 x d result
+            return tape.mean_bags(emb, bags)
+        return tape.concat_rows([self._attend(emb, ids) for ids in bags])
+
+    def _attend(self, emb, ids) -> tape.Tensor:
         h = tape.gather_rows(emb, ids)
-        if self.mode == "mean":
-            return tape.mean_rows(h)
         pos = tape.gather_rows(self.params[f"{self.prefix}.pos"], range(len(ids)))
         h = tape.add(h, pos)
         inv_sqrt_d = 1.0 / np.sqrt(self.dim)
@@ -140,11 +143,10 @@ class TextEncoder:
             h = tape.add(h, tape.relu(mixed))
         return tape.gather_rows(h, [0])
 
+    def encode_tensor(self, ids) -> tape.Tensor:
+        """Differentiable encoding of one token-id sequence to a 1 x d tensor."""
+        return self.encode([ids])
+
     def encode_ids(self, ids) -> np.ndarray:
         """Non-differentiable convenience wrapper: flat d-vector."""
-        return self.encode_tensor(ids).data.reshape(-1).copy()
-
-
-def score(y_m: np.ndarray, y_e: np.ndarray) -> float:
-    """Dot-product mention/entity score."""
-    return float(np.dot(np.asarray(y_m).ravel(), np.asarray(y_e).ravel()))
+        return self.encode([ids]).data.reshape(-1)

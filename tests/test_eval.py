@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from templink import evaluate
 from templink.evaluate import (RECALL_NS, GapMatrix, RecallReport,
                                aggregate_gap, average_boost, boost,
                                degree_bucket_report, evaluate_mentions,
@@ -166,8 +167,11 @@ class TestDegreeBuckets:
         assert rep["slope"] is None
 
 
+WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
+
+
 def year_model(seed):
-    tok = Tokenizer.build(["alpha beta gamma delta epsilon zeta"], max_len=16)
+    tok = Tokenizer.build([" ".join(WORDS)], max_len=16)
     cfg = ModelConfig(dim=6, gcn_hidden=4, gcn_out=3, gcn_layers=1,
                       encoder_layers=1, max_len=16, seed=seed)
     return Model(tok, feature_dim=3, config=cfg)
@@ -206,6 +210,37 @@ class TestTemporalMatrix:
         direct = evaluate_mentions(model, mentions, entities, index, table)
         default = evaluate_mentions(model, mentions, entities, index)
         assert direct == default
+
+
+class TestBatchedRanks:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ranks_match_gold_rank(self, data):
+        # duplicate table rows give exact ties; gold -1 is an unresolvable qid
+        seed = data.draw(st.integers(0, 2 ** 16))
+        n_distinct = data.draw(st.integers(1, 5))
+        rows = data.draw(st.lists(st.integers(0, n_distinct - 1),
+                                  min_size=1, max_size=12))
+        golds = data.draw(st.lists(st.integers(-1, len(rows) - 1), max_size=10))
+        words = data.draw(st.lists(st.sampled_from(WORDS), min_size=len(golds),
+                                   max_size=len(golds)))
+        block = data.draw(st.sampled_from([1, 7, 1 << 20]))
+        rng = np.random.default_rng(seed)
+        table = rng.normal(size=(n_distinct, 6)).astype(np.float32)[rows]
+        model = year_model(seed % 3)
+        entities = [EntityRecord(f"Q{i}", "", "", 2020) for i in range(len(rows))]
+        index = EntityIndex([e.qid for e in entities])
+        mentions = [MentionRecord(w, WORDS[g % len(WORDS)], "",
+                                  f"Q{g}" if g >= 0 else "Q404", "new", 2020)
+                    for g, w in zip(golds, words)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluate, "SCORE_BLOCK", block)
+            got = evaluate_mentions(model, mentions, entities, index, table)
+        encode = model.mention_encoder.encode_ids
+        want = [gold_rank(encode(model.tokenizer.render_mention(m)), table,
+                          index.row(m.gold_qid))
+                for m in mentions if m.gold_qid in index]
+        assert got == want
 
 
 class TestResultsTable:

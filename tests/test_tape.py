@@ -1,8 +1,9 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from templink import tape
 
@@ -143,27 +144,6 @@ class TestFrobSqDiff:
         assert abs(d) < 1e-18
 
 
-class TestLogsumexp:
-    def test_two_zeros(self):
-        assert np.isclose(tape.logsumexp_row(tape.const([0.0, 0.0])).item(),
-                          np.log(2.0))
-
-    def test_overflow_safe(self):
-        v = tape.logsumexp_row(tape.const([1000.0, 1000.0])).item()
-        assert np.isclose(v, 1000.0 + np.log(2.0))
-
-    def test_single_element(self):
-        assert tape.logsumexp_row(tape.const([3.5])).item() == 3.5
-
-    @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8),
-           st.floats(-100, 100))
-    @settings(max_examples=50, deadline=None)
-    def test_shift_property(self, xs, c):
-        base = tape.logsumexp_row(tape.const(np.array(xs))).item()
-        shifted = tape.logsumexp_row(tape.const(np.array(xs) + c)).item()
-        assert np.isclose(shifted, base + c, atol=1e-9)
-
-
 class TestElLoss:
     def test_single_pair_is_zero(self):
         assert tape.el_loss(tape.const([[4.2]])).item() == 0.0
@@ -189,6 +169,43 @@ class TestElLoss:
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
 
+class TestMeanBags:
+    """mean_bags reproduces the per-sequence gather / mean / concat tape
+    bit for bit: forward, and the table gradient that tape accumulated."""
+
+    @staticmethod
+    def per_sequence(table, bags, g):
+        rows = [table[b].mean(axis=0, dtype=np.float64).astype(table.dtype)
+                for b in bags]
+        grad = None
+        for b, g_row in reversed(list(zip(bags, g))):
+            full = np.zeros_like(table)
+            np.add.at(full, b, np.broadcast_to(g_row / len(b),
+                                               (len(b), g.shape[1])))
+            grad = full.copy() if grad is None else grad + full
+        return np.stack(rows), grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block", [2, 5, 256])
+    def test_matches_per_sequence_tape(self, monkeypatch, block, dtype):
+        monkeypatch.setattr(tape, "BAG_BLOCK", block)
+        rng = np.random.default_rng(40)
+        table = rng.uniform(-0.2, 0.2, size=(30, 16)).astype(dtype)
+        bags = [rng.integers(0, 30, size=rng.integers(1, 40)).tolist()
+                for _ in range(13)]
+        g = rng.normal(size=(13, 16)).astype(dtype)
+        want_rows, want_grad = self.per_sequence(table, bags, g)
+        theta = tape.param(table)
+        out = tape.mean_bags(theta, bags)
+        out.backward(g)
+        assert out.data.tobytes() == want_rows.tobytes()
+        assert theta.grad.tobytes() == want_grad.tobytes()
+
+    def test_no_bags(self):
+        out = tape.mean_bags(tape.param(np.ones((4, 3), dtype=np.float32)), [])
+        assert out.shape == (0, 3)
+
+
 class TestGradients:
     def test_quadratic_closed_form(self):
         theta = tape.param(np.array([[1.0, 2.0]]))
@@ -203,6 +220,20 @@ class TestGradients:
         theta = tape.param(np.zeros((2, 2)))
         tape.scale(tape.const(np.array(1.0)), 1.0).backward()
         assert theta.grad is None
+
+    def test_backward_frees_the_tape(self):
+        # the tape must be released by reference counting alone
+        theta = tape.param(rnd((3, 2), 30))
+        gc.disable()
+        try:
+            mid = tape.matmul(theta, tape.transpose(theta))
+            probe = weakref.ref(mid.data)
+            loss = tape.sum_squares(mid)
+            loss.backward()
+            del mid, loss
+            assert probe() is None
+        finally:
+            gc.enable()
 
 def _op_cases():
     s = sp.csr_matrix(np.array([[0.5, 0.5, 0.0],
@@ -221,12 +252,12 @@ def _op_cases():
             tape.softmax_rows(tape.scale(a, 2.0)))),
         "spmm": ([a], lambda: tape.sum_squares(tape.spmm(s, a))),
         "center": ([a], lambda: tape.sum_squares(tape.center_rows(a))),
-        "mean": ([a], lambda: tape.sum_squares(tape.mean_rows(a))),
+        "mean_bags": ([a], lambda: tape.sum_squares(
+            tape.mean_bags(a, [[2, 0, 2], [1], [0, 1, 2, 2]]))),
         "gather": ([a], lambda: tape.sum_squares(
             tape.gather_rows(a, [0, 2, 2]))),
         "concat": ([a, b], lambda: tape.sum_squares(
             tape.concat_cols([a, tape.transpose(b)]))),
-        "logsumexp": ([a], lambda: tape.logsumexp_row(tape.gather_rows(a, [1]))),
         "transpose": ([a], lambda: tape.sum_squares(tape.transpose(a))),
         "add_scale": ([a, b], lambda: tape.sum_squares(
             tape.add(tape.scale(a, 0.7), tape.transpose(b)))),

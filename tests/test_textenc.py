@@ -3,7 +3,7 @@ import pytest
 
 from templink.records import EntityRecord, MentionRecord
 from templink.textenc import (CLS, ENT, M_END, M_START, PAD, SEP, N_SPECIAL,
-                              TextEncoder, Tokenizer, score, split_text)
+                              TextEncoder, Tokenizer, split_text)
 
 
 def mention(left="", span="apple", right=""):
@@ -130,15 +130,27 @@ class TestEncoder:
         report = tape.check_gradients(loss, params, eps=1e-4, tol=1e-4)
         assert report["ok"], report["failures"][:3]
 
+    def test_batch_gradient_check(self):
+        from templink import tape
+        enc = TextEncoder(12, dim=3, max_len=6, seed=4)
+        emb = enc.params["enc.emb"]
+        emb.data = emb.data.astype(np.float64)
+        batch = [[CLS, 8, 8, 9, SEP], [PAD, 10, PAD, 8], [],
+                 [CLS, 9, 9, 9, 10, 11, 11, SEP, 8], [PAD]]
+        weights = np.random.default_rng(0).normal(size=(len(batch), 3))
 
-class TestScore:
-    def test_orthogonal(self):
-        assert score(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 0.0
+        def loss():
+            return tape.sum_squares(tape.sub(enc.encode(batch), weights))
 
-    def test_self_norm(self):
-        y = np.array([1.0, 2.0, 3.0])
-        assert score(y, y) == 14.0
+        report = tape.check_gradients(loss, [emb], eps=1e-4, tol=1e-4)
+        assert report["ok"], report["failures"][:3]
 
-    def test_bilinear(self):
-        ym, ye = np.array([1.0, 2.0]), np.array([0.5, -1.0])
-        assert score(2 * ym, ye) == 2 * score(ym, ye)
+    @pytest.mark.parametrize("mode", ["mean", "attn"])
+    def test_batch_rows_match_single_sequences(self, mode):
+        enc = TextEncoder(40, dim=8, max_len=6, mode=mode, n_layers=1, seed=5)
+        rng = np.random.default_rng(1)
+        seqs = [rng.integers(0, 40, size=rng.integers(0, 12)).tolist()
+                for _ in range(20)]
+        rows = enc.encode(seqs).data
+        for seq, row in zip(seqs, rows):
+            assert row.tobytes() == enc.encode_ids(seq).tobytes()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from templink import tape
+from templink.checkpoint import load_checkpoint, save_checkpoint
 from templink.graphs import AdjacencyMatrix, FeatureMatrix
 from templink.model import Model, ModelConfig
 from templink.records import EntityIndex, EntityRecord, MentionRecord
@@ -244,6 +245,22 @@ class TestCheckpointRoundTrip:
         for name in opt.m:
             assert np.array_equal(opt2.m[name], opt.m[name])
             assert np.array_equal(opt2.v[name], opt.v[name])
+
+    def test_loads_mean_mode_checkpoint_with_pos_tables(self, tmp_path):
+        # mean-mode checkpoints once carried unread positional tables
+        snap = tiny_snapshot()
+        model = tiny_model(snap)
+        assert not any(name.endswith(".pos") for name in model.params)
+        path = tmp_path / "m.ckpt"
+        save_model(path, model, TrainConfig())
+        tensors, meta = load_checkpoint(path)
+        for prefix in ("m_enc", "e_enc"):
+            tensors[f"{prefix}.pos"] = np.ones((16, 6), dtype=np.float32)
+        save_checkpoint(path, tensors, meta)
+        loaded, _, _, _ = load_model(path)
+        assert set(loaded.params) == set(model.params)
+        for name, p in model.params.items():
+            assert np.array_equal(loaded.params[name].data, p.data)
 
     def test_resume_matches_uninterrupted(self, tmp_path):
         cfg1 = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=4, seed=9)
