@@ -169,10 +169,11 @@ def cmd_build_graphs(args) -> int:
     cfg = build_run_config(args)
     with OutputLock(cfg.out_dir):
         pipeline.write_resolved_config(cfg, __version__)
-        tokenizer = pipeline.build_tokenizer(cfg)
+        corpora = pipeline.load_corpora(cfg)
+        tokenizer = pipeline.build_tokenizer(cfg, corpora)
         for year in cfg.years:
             structure, feature_graph, fmat = pipeline.build_year_graphs(
-                cfg, year, tokenizer)
+                cfg, year, corpora[year], tokenizer)
             log.info("year %d: %d entities, %d structure edges, %d knn edges, "
                      "%d feature columns", year, structure.n, structure.nnz,
                      feature_graph.nnz, fmat.m)
@@ -183,11 +184,7 @@ def cmd_train(args) -> int:
     cfg = build_run_config(args)
     with OutputLock(cfg.out_dir):
         pipeline.write_resolved_config(cfg, __version__)
-        tokenizer = pipeline.build_tokenizer(cfg)
-        for category in cfg.categories:
-            for year in cfg.years:
-                path = pipeline.train_year(cfg, year, category, tokenizer)
-                log.info("checkpoint %s", path)
+        pipeline.train_years(cfg, pipeline.load_corpora(cfg))
     return EXIT_OK
 
 
@@ -209,7 +206,9 @@ def _emit_matrices(cfg: RunConfig, matrices: dict) -> None:
 
 def cmd_eval(args) -> int:
     cfg = build_run_config(args)
-    matrices = {c: pipeline.evaluate_category(cfg, c) for c in cfg.categories}
+    corpora = pipeline.load_corpora(cfg)
+    matrices = {c: pipeline.evaluate_category(cfg, c, corpora)
+                for c in cfg.categories}
     _emit_matrices(cfg, matrices)
     return EXIT_OK
 
@@ -223,28 +222,26 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if not args.table:
+        return cmd_eval(args)
     cfg = build_run_config(args)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if args.table:
-        table = reporting.load_results_table(args.table)
-        cells, recomputed_ave = reporting.recompute_boost(table)
-        printed_ave = reporting.printed_average_boost(table)
-        result = {
-            "boost_cells": {f"@{n}|gap{g}|{c}": v
-                            for (n, g, c), v in sorted(cells.items())},
-            "recomputed_average_boost": {f"gap{g}|{c}": v
-                                         for (c, g), v in sorted(recomputed_ave.items())},
-            "printed_average_boost": {f"gap{g}|{c}": v
-                                      for (c, g), v in sorted(printed_ave.items())},
-        }
-        (out / "table_boost.json").write_text(
-            json.dumps(result, indent=1, sort_keys=True) + "\n")
-        for key in sorted(printed_ave):
-            print(f"ave boost {key[0]} gap {key[1]}: {printed_ave[key]:.2f}")
-        return EXIT_OK
-    matrices = {c: pipeline.evaluate_category(cfg, c) for c in cfg.categories}
-    _emit_matrices(cfg, matrices)
+    table = reporting.load_results_table(args.table)
+    cells, recomputed_ave = reporting.recompute_boost(table)
+    printed_ave = reporting.printed_average_boost(table)
+    result = {
+        "boost_cells": {f"@{n}|gap{g}|{c}": v
+                        for (n, g, c), v in sorted(cells.items())},
+        "recomputed_average_boost": {f"gap{g}|{c}": v
+                                     for (c, g), v in sorted(recomputed_ave.items())},
+        "printed_average_boost": {f"gap{g}|{c}": v
+                                  for (c, g), v in sorted(printed_ave.items())},
+    }
+    (out / "table_boost.json").write_text(
+        json.dumps(result, indent=1, sort_keys=True) + "\n")
+    for key in sorted(printed_ave):
+        print(f"ave boost {key[0]} gap {key[1]}: {printed_ave[key]:.2f}")
     return EXIT_OK
 
 

@@ -1,5 +1,4 @@
-"""Candidate ranking, recall@N, temporal gap matrices, boost arithmetic,
-and the degree-bucket improvement analysis."""
+"""Candidate ranking, recall@N, temporal gap matrices and boost arithmetic."""
 
 from __future__ import annotations
 
@@ -111,17 +110,27 @@ def temporal_matrix(models_by_year: dict, test_sets_by_year: dict) -> GapMatrix:
     """Evaluate every (train year, test year) pair.
 
     ``test_sets_by_year[year]`` is (mentions, entities, index). The entity
-    table for each pair comes from the test year's snapshot.
+    table for each pair is the train-year model's text encoding of the test
+    year's entities. Models whose tokenizers have equal vocabulary and
+    ``max_len`` share one rendering of those entities.
     """
     years = sorted(set(models_by_year) & set(test_sets_by_year))
+    groups = {}  # tokenizer -> train years whose tokenizers equal it
+    for t1 in years:
+        tok = models_by_year[t1].tokenizer
+        tok = next((g for g in groups if (g.vocab, g.max_len)
+                    == (tok.vocab, tok.max_len)), tok)
+        groups.setdefault(tok, []).append(t1)
     matrix = GapMatrix(years=years)
     for t2 in years:
         mentions, entities, index = test_sets_by_year[t2]
-        for t1 in years:
-            model = models_by_year[t1]
-            table = text_entity_table(model, entities)
-            ranks = evaluate_mentions(model, mentions, entities, index, table)
-            matrix.cells[(t1, t2)] = recall_report(ranks, t1, t2)
+        for tok, train_years in groups.items():
+            seqs = [tok.render_entity(e) for e in entities]
+            for t1 in train_years:
+                model = models_by_year[t1]
+                table = model.entity_encoder.encode(seqs).data
+                ranks = evaluate_mentions(model, mentions, entities, index, table)
+                matrix.cells[(t1, t2)] = recall_report(ranks, t1, t2)
     return matrix
 
 
@@ -163,28 +172,3 @@ def average_boost(boosts) -> float:
     if not values:
         raise ValueError("no defined boost values to average")
     return float(np.mean(values))
-
-
-def degree_bucket_report(deltas, degrees, cap: int = 10):
-    """Mean per-mention recall delta bucketed by gold-entity degree.
-
-    Degrees >= cap collapse into a single overflow bucket that is excluded
-    from the least-squares slope fit; empty buckets are omitted.
-    """
-    deltas = np.asarray(deltas, dtype=np.float64)
-    degrees = np.asarray(degrees)
-    buckets = {}
-    for d in range(cap):
-        mask = degrees == d
-        if mask.any():
-            buckets[d] = float(deltas[mask].mean())
-    overflow = degrees >= cap
-    if overflow.any():
-        buckets[f"{cap}+"] = float(deltas[overflow].mean())
-    fit_x = [d for d in buckets if isinstance(d, int)]
-    slope = None
-    if len(fit_x) >= 2:
-        xs = np.array(fit_x, dtype=np.float64)
-        ys = np.array([buckets[d] for d in fit_x])
-        slope = float(np.polyfit(xs, ys, 1)[0])
-    return {"buckets": buckets, "slope": slope}

@@ -126,31 +126,31 @@ def build_structure_graph(triples, index) -> AdjacencyMatrix:
     return AdjacencyMatrix(n=len(index), edges=sorted(edges))
 
 
-def hash_embed_tokens(tokens, dim: int, seed: int) -> np.ndarray:
-    """Mean of per-token gaussian vectors keyed by a stable token digest.
-
-    The per-token vector is drawn from a PCG64 generator seeded with
-    CRC32(token) mixed with the global seed, so embeddings are stable
-    across processes and runs.
-    """
-    if not tokens:
-        return np.zeros(dim, dtype=np.float32)
-    acc = np.zeros(dim, dtype=np.float64)
-    for tok in tokens:
-        key = zlib.crc32(tok.encode("utf-8")) ^ (seed * 0x9E3779B1 & 0xFFFFFFFF)
-        rng = np.random.Generator(np.random.PCG64(key))
-        acc += rng.standard_normal(dim)
-    return (acc / len(tokens)).astype(np.float32)
-
-
 def embed_descriptions(entities, dim: int = 64, seed: int = 0) -> np.ndarray:
     """n x d seeded feature-hashing embedding of each entity's title and
-    description, over whitespace/punctuation tokens."""
+    description, over whitespace/punctuation tokens.
+
+    A row is the mean of per-token gaussian vectors, summed per occurrence
+    in float64 in token order; a row without tokens is zero. A token's
+    vector is drawn from a PCG64 generator seeded with CRC32(token) mixed
+    with the global seed, so embeddings are stable across processes and
+    runs, and it is drawn once per call.
+    """
     from .textenc import split_text
+    mix = seed * 0x9E3779B1 & 0xFFFFFFFF
+    drawn = {}
     out = np.zeros((len(entities), dim), dtype=np.float32)
     for i, e in enumerate(entities):
-        out[i] = hash_embed_tokens(split_text(e.title + " " + e.description),
-                                   dim, seed)
+        tokens = split_text(e.title + " " + e.description)
+        acc = np.zeros(dim, dtype=np.float64)
+        for tok in tokens:
+            if tok not in drawn:
+                key = zlib.crc32(tok.encode("utf-8")) ^ mix
+                drawn[tok] = np.random.Generator(
+                    np.random.PCG64(key)).standard_normal(dim)
+            acc += drawn[tok]
+        if tokens:
+            out[i] = acc / len(tokens)
     return out
 
 

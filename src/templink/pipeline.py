@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import records
@@ -61,6 +61,8 @@ def year_dir(cfg: RunConfig, year: int) -> Path:
 
 
 def load_year_corpus(cfg: RunConfig, year: int):
+    """(entities, index, train mentions, test mentions) of one year; the
+    mentions keep only gold qids the year's index resolves."""
     d = year_dir(cfg, year)
     entities = records.load_entities(d / "entities.tsv", year)
     index = records.build_entity_index(entities)
@@ -68,15 +70,18 @@ def load_year_corpus(cfg: RunConfig, year: int):
         records.load_mentions(d / "mentions_train.tsv", year), index)
     test_m, _ = records.filter_mentions(
         records.load_mentions(d / "mentions_test.tsv", year), index)
-    triples = records.load_triples(d / "triples.tsv")
-    return entities, index, train_m, test_m, triples
+    return entities, index, train_m, test_m
 
 
-def build_tokenizer(cfg: RunConfig) -> Tokenizer:
+def load_corpora(cfg: RunConfig) -> dict:
+    """year -> ``load_year_corpus``: each year read once per command."""
+    return {year: load_year_corpus(cfg, year) for year in cfg.years}
+
+
+def build_tokenizer(cfg: RunConfig, corpora: dict) -> Tokenizer:
     """One vocabulary across all years so checkpoints transfer between snapshots."""
     texts = []
-    for year in cfg.years:
-        entities, _, train_m, test_m, _ = load_year_corpus(cfg, year)
+    for entities, _, train_m, test_m in corpora.values():
         for e in entities:
             texts.append(e.title)
             texts.append(e.description)
@@ -89,9 +94,11 @@ def graphs_dir(cfg: RunConfig, year: int) -> Path:
     return Path(cfg.out_dir) / "graphs" / str(year)
 
 
-def build_year_graphs(cfg: RunConfig, year: int, tokenizer: Tokenizer):
-    """Construct and persist structure graph, kNN feature graph, feature matrix."""
-    entities, index, _, _, triples = load_year_corpus(cfg, year)
+def build_year_graphs(cfg: RunConfig, year: int, corpus, tokenizer: Tokenizer):
+    """Construct and persist structure graph, kNN feature graph, feature
+    matrix. The year's ``triples.tsv`` is read here and nowhere else."""
+    entities, index, _, _ = corpus
+    triples = records.load_triples(year_dir(cfg, year) / "triples.tsv")
     out = graphs_dir(cfg, year)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -108,24 +115,19 @@ def build_year_graphs(cfg: RunConfig, year: int, tokenizer: Tokenizer):
     return structure, feature_graph, fmat
 
 
-def load_year_graphs(cfg: RunConfig, year: int):
+def make_snapshot(cfg: RunConfig, year: int, corpus,
+                  tokenizer: Tokenizer) -> Snapshot:
+    """The year's training snapshot over all its training mentions. Graphs
+    already under the output directory are reused; missing ones are built."""
+    entities, index, train_m, _ = corpus
     out = graphs_dir(cfg, year)
-    structure = load_adjacency(out / "structure.adj")
-    feature_graph = load_adjacency(out / "feature.adj")
-    fmat = load_feature_matrix(out / "feature.mat")
-    return structure, feature_graph, fmat
-
-
-def make_snapshot(cfg: RunConfig, year: int, category: str = None,
-                  tokenizer: Tokenizer = None) -> Snapshot:
-    entities, index, train_m, _, _ = load_year_corpus(cfg, year)
-    if category:
-        train_m = [m for m in train_m if m.category == category]
-    out = graphs_dir(cfg, year)
-    if not (out / "structure.adj").exists():
-        structure, feature_graph, fmat = build_year_graphs(cfg, year, tokenizer)
+    if (out / "structure.adj").exists():
+        structure = load_adjacency(out / "structure.adj")
+        feature_graph = load_adjacency(out / "feature.adj")
+        fmat = load_feature_matrix(out / "feature.mat")
     else:
-        structure, feature_graph, fmat = load_year_graphs(cfg, year)
+        structure, feature_graph, fmat = build_year_graphs(
+            cfg, year, corpus, tokenizer)
     return Snapshot(year=year, entities=entities, mentions=train_m, index=index,
                     structure=structure, feature_graph=feature_graph,
                     feature_matrix=fmat)
@@ -152,17 +154,14 @@ def _save_run_manifest(cfg: RunConfig, manifest: dict):
     p.write_text(json.dumps(manifest, sort_keys=True, indent=1))
 
 
-def train_year(cfg: RunConfig, year: int, category: str,
+def train_year(cfg: RunConfig, snapshot: Snapshot, category: str,
                tokenizer: Tokenizer) -> Path:
-    """Train one (year, category) checkpoint; skips work already done for
-    an identical configuration (matched by config stamp)."""
+    """Train one (snapshot year, category) checkpoint on the snapshot's
+    mentions of that category and record its config stamp."""
+    year = snapshot.year
     path = checkpoint_path(cfg, year, category)
-    manifest = _load_run_manifest(cfg)
-    key = f"{category}_{year}"
-    if path.exists() and manifest.get(key) == cfg.stamp():
-        log.info("skipping completed checkpoint %s", path)
-        return path
-    snapshot = make_snapshot(cfg, year, category, tokenizer)
+    snapshot = replace(snapshot.prepare(), mentions=[
+        m for m in snapshot.mentions if m.category == category])
     model = Model(tokenizer, snapshot.feature_matrix.m, cfg.model)
     path.parent.mkdir(parents=True, exist_ok=True)
     _, optimizer, _ = train(snapshot, model, cfg.train,
@@ -171,18 +170,39 @@ def train_year(cfg: RunConfig, year: int, category: str,
     save_model(path, model, cfg.train, optimizer,
                extra={"year": year, "category": category})
     manifest = _load_run_manifest(cfg)
-    manifest[key] = cfg.stamp()
+    manifest[f"{category}_{year}"] = cfg.stamp()
     _save_run_manifest(cfg, manifest)
+    log.info("checkpoint %s", path)
     return path
 
 
-def evaluate_category(cfg: RunConfig, category: str) -> GapMatrix:
+def train_years(cfg: RunConfig, corpora: dict):
+    """Train every (year, category) checkpoint of the config, skipping those
+    already done for an identical configuration (matched by config stamp).
+    A year with work left gets one snapshot, shared by its categories."""
+    tokenizer = build_tokenizer(cfg, corpora)
+    for year in cfg.years:
+        manifest = _load_run_manifest(cfg)
+        todo = []
+        for category in cfg.categories:
+            path = checkpoint_path(cfg, year, category)
+            if path.exists() and manifest.get(f"{category}_{year}") == cfg.stamp():
+                log.info("skipping completed checkpoint %s", path)
+            else:
+                todo.append(category)
+        if todo:
+            snapshot = make_snapshot(cfg, year, corpora[year], tokenizer)
+            for category in todo:
+                train_year(cfg, snapshot, category, tokenizer)
+
+
+def evaluate_category(cfg: RunConfig, category: str, corpora: dict) -> GapMatrix:
     models_by_year = {}
     test_sets = {}
     for year in cfg.years:
         model, _, _, _ = load_model(checkpoint_path(cfg, year, category))
         models_by_year[year] = model
-        entities, index, _, test_m, _ = load_year_corpus(cfg, year)
+        entities, index, _, test_m = corpora[year]
         test_sets[year] = (test_m, entities, index)
     return temporal_matrix(models_by_year, test_sets)
 
@@ -199,17 +219,11 @@ def write_resolved_config(cfg: RunConfig, version: str):
 def run_experiment(cfg: RunConfig, version: str = "0"):
     """Train per (year, category), evaluate all year pairs, return matrices."""
     write_resolved_config(cfg, version)
-    tokenizer = build_tokenizer(cfg)
-    for year in cfg.years:
-        out = graphs_dir(cfg, year)
-        if not (out / "structure.adj").exists():
-            build_year_graphs(cfg, year, tokenizer)
-    for category in cfg.categories:
-        for year in cfg.years:
-            train_year(cfg, year, category, tokenizer)
+    corpora = load_corpora(cfg)
+    train_years(cfg, corpora)
     matrices = {}
     for category in cfg.categories:
-        matrices[category] = evaluate_category(cfg, category)
+        matrices[category] = evaluate_category(cfg, category, corpora)
         if not matrices[category].complete():
             raise RuntimeError(f"incomplete gap matrix for {category}")
     return matrices

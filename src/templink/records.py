@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,28 +52,13 @@ def escape_field(s: str) -> str:
     return s.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
 
 
+_ESCAPED = re.compile(r"\\([tn\\])")
+_UNESCAPED = {"t": "\t", "n": "\n", "\\": "\\"}
+
+
 def unescape_field(s: str) -> str:
-    out = []
-    i = 0
-    while i < len(s):
-        c = s[i]
-        if c == "\\" and i + 1 < len(s):
-            nxt = s[i + 1]
-            if nxt == "t":
-                out.append("\t")
-                i += 2
-                continue
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-        out.append(c)
-        i += 1
-    return "".join(out)
+    """Undo ``escape_field``; a backslash before any other character stays."""
+    return _ESCAPED.sub(lambda m: _UNESCAPED[m.group(1)], s)
 
 
 def _read_rows(path, n_fields, what):

@@ -155,11 +155,10 @@ def spmm(S: sp.csr_matrix, z: Tensor):
     if S.shape[1] != z.data.shape[0]:
         raise ValueError(f"spmm shape mismatch: {S.shape} @ {z.data.shape}")
     out_data = np.asarray(S @ z.data, dtype=z.dtype)
-    St = S.T.tocsr()
 
     def bwd(g):
         if z.requires_grad:
-            z._accumulate(np.asarray(St @ g))
+            z._accumulate(np.asarray(S.T.tocsr() @ g))
 
     return Tensor(out_data, parents=(z,), backward=bwd)
 

@@ -21,7 +21,7 @@ from templink.graphs import AdjacencyMatrix, sym_normalize
 from templink.model import (Model, ModelConfig, consistency_loss,
                             distinct_loss, total_loss)
 from templink.pipeline import (RunConfig, build_tokenizer, build_year_graphs,
-                               make_snapshot, run_experiment)
+                               load_corpora, make_snapshot, run_experiment)
 from templink.records import EntityRecord, MentionRecord
 from templink.reporting import (bundled_results_path, load_results_table,
                                 printed_average_boost, recompute_boost,
@@ -196,8 +196,9 @@ def test_criterion_5_graph_construction_golden(tmp_path):
     cfg = RunConfig(data_dir=str(data), out_dir=str(tmp_path / "out"),
                     years=[2019], k=3, min_count=2, max_count=5,
                     embed_dim=16, embed_seed=0)
-    tok = build_tokenizer(cfg)
-    build_year_graphs(cfg, 2019, tok)
+    corpora = load_corpora(cfg)
+    tok = build_tokenizer(cfg, corpora)
+    build_year_graphs(cfg, 2019, corpora[2019], tok)
     mismatches = []
     for name in ("structure.adj", "feature.adj", "feature.mat",
                  "feature.mat.cols"):
@@ -215,9 +216,10 @@ def test_criterion_6_disambiguation_by_structure(tmp_path):
     cfg = RunConfig(data_dir=str(data), out_dir=str(tmp_path / "out"),
                     years=[2019], min_count=2, max_count=5, k=5,
                     model=ModelConfig(dim=32, encoder_mode="mean"))
-    tok = build_tokenizer(cfg)
-    build_year_graphs(cfg, 2019, tok)
-    snap = make_snapshot(cfg, 2019, tokenizer=tok)
+    corpora = load_corpora(cfg)
+    tok = build_tokenizer(cfg, corpora)
+    build_year_graphs(cfg, 2019, corpora[2019], tok)
+    snap = make_snapshot(cfg, 2019, corpora[2019], tok)
     test_m = records.load_mentions(Path(data) / "2019" / "mentions_test.tsv",
                                    2019)
     results = {}

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from templink import pipeline, records
 from templink.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, OutputLock,
                           UsageError, load_config_file, main, make_parser)
 from templink.graphs import load_adjacency
@@ -242,6 +243,40 @@ class TestExperiment:
         assert len(lines) == 1 + 4  # header + 2x2 year grid
 
 
+def count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *a, **kw: calls.append(a) or fn(*a, **kw))
+    return calls
+
+
+class TestReadsOncePerYear:
+    def test_cold_and_resumed_experiment(self, tmp_path, toy_data, monkeypatch):
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out,
+                                   years="2019..2021")
+        for phase, triples in (("cold", 3), ("resume", 0)):
+            corpus = count_calls(monkeypatch, pipeline, "load_year_corpus")
+            triple = count_calls(monkeypatch, records, "load_triples")
+            adj = count_calls(monkeypatch, pipeline, "load_adjacency")
+            assert main(["experiment", "--config", str(ini)]) == EXIT_OK, phase
+            assert (len(corpus), len(triple), len(adj)) == (3, triples, 0), phase
+            monkeypatch.undo()
+
+    def test_second_year_graph_error_exits_2_and_unlocks(self, tmp_path,
+                                                          toy_data):
+        # every 2020 description token is unique: the [2, 5] band is empty
+        (toy_data / "2020" / "entities.tsv").write_text("".join(
+            f"Q{i}\ttopic{i}\tonly{i}\n" for i in range(1, 13)))
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
+        assert main(["experiment", "--config", str(ini)]) == EXIT_DATA
+        assert (out / "checkpoints" / "new_2019.ckpt").exists()
+        assert not (out / "graphs" / "2020" / "structure.adj").exists()
+        assert not (out / ".lock").exists()
+
+
 class TestReport:
     def test_bundled_table(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -255,6 +290,17 @@ class TestReport:
             16.88, abs=0.01)
         stdout = capsys.readouterr().out
         assert "ave boost continual gap 0" in stdout
+
+    def test_without_table_equals_eval(self, tmp_path, toy_data):
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
+        assert main(["experiment", "--config", str(ini)]) == EXIT_OK
+        written = {}
+        for command in ("eval", "report"):
+            assert main([command, "--config", str(ini)]) == EXIT_OK
+            written[command] = {p.name: p.read_bytes()
+                                for p in sorted(out.glob("*.csv"))}
+        assert written["eval"] == written["report"] and written["eval"]
 
     def test_bad_table_is_data_error(self, tmp_path):
         bad = tmp_path / "t.csv"

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from templink import evaluate
 from templink.evaluate import (RECALL_NS, GapMatrix, RecallReport,
                                aggregate_gap, average_boost, boost,
-                               degree_bucket_report, evaluate_mentions,
-                               gold_rank, rank_candidates, recall_at,
-                               recall_report, temporal_matrix,
+                               evaluate_mentions, gold_rank, rank_candidates,
+                               recall_at, recall_report, temporal_matrix,
                                text_entity_table)
 from templink.model import Model, ModelConfig
 from templink.records import EntityIndex, EntityRecord, MentionRecord
@@ -146,32 +145,11 @@ class TestBoost:
             average_boost([None, None])
 
 
-class TestDegreeBuckets:
-    def test_exact_linear_slope(self):
-        degrees = np.repeat(np.arange(5), 3)
-        deltas = 0.02 * degrees + 0.1
-        rep = degree_bucket_report(deltas, degrees)
-        assert rep["slope"] == pytest.approx(0.02)
-        assert rep["buckets"][0] == pytest.approx(0.1)
-
-    def test_overflow_bucket_excluded_from_fit(self):
-        degrees = np.array([0, 1, 2, 50])
-        deltas = np.array([0.0, 0.1, 0.2, -5.0])
-        rep = degree_bucket_report(deltas, degrees)
-        assert rep["buckets"]["10+"] == pytest.approx(-5.0)
-        assert rep["slope"] == pytest.approx(0.1)
-
-    def test_empty_buckets_omitted(self):
-        rep = degree_bucket_report([0.5, 0.7], [2, 2])
-        assert list(rep["buckets"]) == [2]
-        assert rep["slope"] is None
-
-
 WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
 
 
-def year_model(seed):
-    tok = Tokenizer.build([" ".join(WORDS)], max_len=16)
+def year_model(seed, text=" ".join(WORDS)):
+    tok = Tokenizer.build([text], max_len=16)
     cfg = ModelConfig(dim=6, gcn_hidden=4, gcn_out=3, gcn_layers=1,
                       encoder_layers=1, max_len=16, seed=seed)
     return Model(tok, feature_dim=3, config=cfg)
@@ -195,6 +173,31 @@ class TestTemporalMatrix:
         for (t1, t2), rep in matrix.cells.items():
             assert rep.mention_count == 2
             assert rep.train_year == t1 and rep.test_year == t2
+
+    def test_entities_rendered_once_per_test_year(self, monkeypatch):
+        calls = []
+        render = Tokenizer.render_entity
+        monkeypatch.setattr(Tokenizer, "render_entity",
+                            lambda tok, e: calls.append(e.qid) or render(tok, e))
+        models = {y: year_model(y) for y in (2019, 2020, 2021)}
+        tests = {y: year_test_set(y) for y in (2019, 2020, 2021)}
+        temporal_matrix(models, tests)
+        assert sorted(calls) == sorted(e.qid for _, ents, _ in tests.values()
+                                       for e in ents)
+
+    def test_mixed_vocabularies_match_per_model_tables(self):
+        models = {2019: year_model(0),
+                  2020: year_model(1, "alpha beta gamma thing")}
+        tests = {y: year_test_set(y) for y in (2019, 2020)}
+        matrix = temporal_matrix(models, tests)
+        assert matrix.complete()
+        for (t1, t2), rep in matrix.cells.items():
+            model = models[t1]
+            mentions, entities, index = tests[t2]
+            table = text_entity_table(model, entities)
+            want = recall_report(evaluate_mentions(model, mentions, entities,
+                                                   index, table), t1, t2)
+            assert rep == want
 
     def test_unresolvable_gold_skipped(self):
         model = year_model(0)

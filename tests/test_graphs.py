@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from templink.graphs import (AdjacencyMatrix, FeatureMatrix, MatrixFormatError,
                              save_adjacency, save_feature_matrix,
                              sym_normalize)
 from templink.records import EntityIndex, EntityRecord, RelationTriple
-from templink.textenc import Tokenizer
+from templink.textenc import Tokenizer, split_text
 
 
 def triple(h, t, r="P1"):
@@ -152,6 +154,25 @@ class TestEmbedDescriptions:
 
     def test_empty_corpus(self):
         assert embed_descriptions([], dim=8, seed=0).shape == (0, 8)
+
+    def test_matches_per_occurrence_formula(self):
+        ents = [EntityRecord("Q1", "apple", "sweet apple, sweet fruit", 2020),
+                EntityRecord("Q2", "", "", 2020),
+                EntityRecord("Q3", "Pear", "fruit apple pear", 2020)]
+        mix = 7 * 0x9E3779B1 & 0xFFFFFFFF
+        want = np.zeros((3, 16), dtype=np.float32)
+        for i, e in enumerate(ents):
+            tokens = split_text(e.title + " " + e.description)
+            acc = np.zeros(16, dtype=np.float64)
+            for tok in tokens:   # one fresh draw per occurrence
+                key = zlib.crc32(tok.encode("utf-8")) ^ mix
+                acc += np.random.Generator(np.random.PCG64(key)).standard_normal(16)
+            if tokens:
+                want[i] = (acc / len(tokens)).astype(np.float32)
+        got = embed_descriptions(ents, dim=16, seed=7)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+        assert not got[1].any()
 
     def test_deterministic_across_calls(self):
         ents = [EntityRecord("Q1", "apple", "sweet fruit", 2020)]

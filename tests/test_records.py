@@ -101,12 +101,51 @@ text_field = st.text(
     max_size=40)
 
 
+def unescape_loop(s):
+    """Reference: the character loop ``unescape_field`` replaced."""
+    out = []
+    i = 0
+    while i < len(s):
+        c = s[i]
+        if c == "\\" and i + 1 < len(s):
+            nxt = s[i + 1]
+            if nxt == "t":
+                out.append("\t")
+                i += 2
+                continue
+            if nxt == "n":
+                out.append("\n")
+                i += 2
+                continue
+            if nxt == "\\":
+                out.append("\\")
+                i += 2
+                continue
+        out.append(c)
+        i += 1
+    return "".join(out)
+
+
 class TestRoundTrip:
     @given(text_field)
     def test_escape_roundtrip(self, s):
         assert unescape_field(escape_field(s)) == s
         assert "\t" not in escape_field(s)
         assert "\n" not in escape_field(s)
+
+    @given(st.text(alphabet=st.sampled_from("\\tnx\t\né"), max_size=30))
+    def test_unescape_matches_loop(self, s):
+        assert unescape_field(s) == unescape_loop(s)
+        assert unescape_field(escape_field(s)) == s
+
+    @pytest.mark.parametrize("s, want", [
+        ("a\\", "a\\"),          # trailing backslash stays
+        ("\\\\t", "\\t"),         # escaped backslash, then a plain t
+        ("\\x\\q", "\\x\\q"),     # unknown escapes stay
+        ("\\t\\n\\\\", "\t\n\\"),
+    ])
+    def test_unescape_cases(self, s, want):
+        assert unescape_field(s) == unescape_loop(s) == want
 
     @given(st.lists(st.tuples(st.text("ab", min_size=1, max_size=4),
                               text_field, text_field),
