@@ -11,9 +11,25 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+
+
+@contextmanager
+def atomic_open(path):
+    """The one way artifacts are written: a binary handle on a new 0600 file
+    beside ``path`` that replaces it on a clean exit and is deleted on error."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def save_checkpoint(path, tensors: dict, meta: dict):
@@ -29,19 +45,12 @@ def save_checkpoint(path, tensors: dict, meta: dict):
     header["manifest"] = manifest
     header_bytes = json.dumps(header, sort_keys=True,
                               separators=(",", ":")).encode("utf-8")
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header_bytes)
-            fh.write(b"\x00")
-            for name, r, c in manifest:
-                arr = np.asarray(tensors[name], dtype="<f4").reshape(r, c)
-                fh.write(arr.tobytes(order="C"))
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    with atomic_open(path) as fh:
+        fh.write(header_bytes)
+        fh.write(b"\x00")
+        for name, r, c in manifest:
+            arr = np.asarray(tensors[name], dtype="<f4").reshape(r, c)
+            fh.write(arr.tobytes(order="C"))
 
 
 def load_checkpoint(path):

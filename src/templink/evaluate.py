@@ -85,25 +85,28 @@ def fused_entity_table(model, snapshot) -> np.ndarray:
     return fused.data.copy()
 
 
-def evaluate_mentions(model, mentions, entities, index, table=None):
-    """Gold ranks for a mention list against an entity table (text table
-    by default). Mentions with unresolvable gold qids are skipped. A rank
-    counts the entities ahead of the gold one in ``gold_rank``'s order,
-    scoring at most ``SCORE_BLOCK`` mention-entity pairs at a time."""
-    if table is None:
-        table = text_entity_table(model, entities)
-    kept = [m for m in mentions if m.gold_qid in index]
-    y_m = model.encode_mentions(kept).data.astype(np.float64)
-    gold = np.array([index.row(m.gold_qid) for m in kept])[:, None]
-    table = table.astype(np.float64)
+def _gold_ranks(y_m, table, mentions, index) -> list:
+    """``gold_rank`` of each mention's gold entity, ``y_m[i]`` encoding
+    ``mentions[i]``, scoring at most ``SCORE_BLOCK`` pairs at a time."""
+    y_m, table = y_m.astype(np.float64), table.astype(np.float64)
+    gold = np.array([index.row(m.gold_qid) for m in mentions], dtype=np.int64)[:, None]
     step = max(1, SCORE_BLOCK // max(1, len(table)))
     ranks = []
-    for lo in range(0, len(kept), step):
+    for lo in range(0, len(gold), step):
         s, g = y_m[lo:lo + step] @ table.T, gold[lo:lo + step]
         s_gold = np.take_along_axis(s, g, axis=1)
         ahead = (s > s_gold) | ((s == s_gold) & (np.arange(len(table)) < g))
         ranks.extend((ahead.sum(axis=1) + 1).tolist())
     return ranks
+
+
+def evaluate_mentions(model, mentions, entities, index, table=None):
+    """Gold ranks for a mention list against an entity table (text table
+    by default). Mentions with unresolvable gold qids are skipped."""
+    if table is None:
+        table = text_entity_table(model, entities)
+    kept = [m for m in mentions if m.gold_qid in index]
+    return _gold_ranks(model.encode_mentions(kept).data, table, kept, index)
 
 
 def temporal_matrix(models_by_year: dict, test_sets_by_year: dict) -> GapMatrix:
@@ -112,7 +115,7 @@ def temporal_matrix(models_by_year: dict, test_sets_by_year: dict) -> GapMatrix:
     ``test_sets_by_year[year]`` is (mentions, entities, index). The entity
     table for each pair is the train-year model's text encoding of the test
     year's entities. Models whose tokenizers have equal vocabulary and
-    ``max_len`` share one rendering of those entities.
+    ``max_len`` share one rendering of those entities and mentions.
     """
     years = sorted(set(models_by_year) & set(test_sets_by_year))
     groups = {}  # tokenizer -> train years whose tokenizers equal it
@@ -124,13 +127,16 @@ def temporal_matrix(models_by_year: dict, test_sets_by_year: dict) -> GapMatrix:
     matrix = GapMatrix(years=years)
     for t2 in years:
         mentions, entities, index = test_sets_by_year[t2]
+        kept = [m for m in mentions if m.gold_qid in index]
         for tok, train_years in groups.items():
-            seqs = [tok.render_entity(e) for e in entities]
+            entity_seqs = [tok.render_entity(e) for e in entities]
+            mention_seqs = [tok.render_mention(m) for m in kept]
             for t1 in train_years:
                 model = models_by_year[t1]
-                table = model.entity_encoder.encode(seqs).data
-                ranks = evaluate_mentions(model, mentions, entities, index, table)
-                matrix.cells[(t1, t2)] = recall_report(ranks, t1, t2)
+                table = model.entity_encoder.encode(entity_seqs).data
+                y_m = model.mention_encoder.encode(mention_seqs).data
+                matrix.cells[(t1, t2)] = recall_report(
+                    _gold_ranks(y_m, table, kept, index), t1, t2)
     return matrix
 
 

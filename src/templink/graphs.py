@@ -10,6 +10,7 @@ i < j. The checksum is the CRC32 of the body bytes, in hex.
 from __future__ import annotations
 
 import logging
+import re
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,74 +18,73 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from .checkpoint import atomic_open
+
 log = logging.getLogger(__name__)
 
+KNN_BLOCK = 256  # similarity rows ranked at once by build_knn_graph
 
-class MatrixFormatError(Exception):
+
+class MatrixFormatError(ValueError):
     pass
 
 
 @dataclass
 class AdjacencyMatrix:
-    """Undirected simple graph on n nodes; each edge stored once as (i, j), i < j."""
+    """Undirected simple graph on n nodes; edges are the sorted unique rows
+    (i, j), i < j, of an (nnz, 2) int64 array."""
 
     n: int
-    edges: list = field(default_factory=list)
+    edges: np.ndarray = field(default_factory=list)
 
     def __post_init__(self):
-        canon = set()
-        for i, j in self.edges:
+        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        bad = np.flatnonzero((e[:, 0] == e[:, 1])
+                             | ((e < 0) | (e >= self.n)).any(axis=1))
+        if bad.size:
+            i, j = e[bad[0]].tolist()
             if i == j:
                 raise ValueError(f"self-loop on node {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
-            canon.add((min(i, j), max(i, j)))
-        self.edges = sorted(canon)
+            raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
+        self.edges = np.unique(np.sort(e, axis=1), axis=0)
 
     @property
     def nnz(self):
         return len(self.edges)
 
     def degrees(self):
-        deg = np.zeros(self.n, dtype=np.int64)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
     def to_csr(self):
         """Symmetric 0/1 CSR matrix (both directions materialized)."""
-        if not self.edges:
-            return sp.csr_matrix((self.n, self.n), dtype=np.float64)
-        rows, cols = [], []
-        for i, j in self.edges:
-            rows += [i, j]
-            cols += [j, i]
-        data = np.ones(len(rows), dtype=np.float64)
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+        rows, cols = np.concatenate([self.edges, self.edges[:, ::-1]]).T
+        return sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
+                             shape=(self.n, self.n))
 
 
 @dataclass
 class FeatureMatrix:
-    """Binary n x m entity-by-token matrix; ones stored as sorted (row, col)."""
+    """Binary n x m entity-by-token matrix; ones are the sorted unique rows
+    (row, col) of an (nnz, 2) int64 array."""
 
     n: int
     m: int
-    ones: list = field(default_factory=list)
+    ones: np.ndarray = field(default_factory=list)
     column_tokens: list = field(default_factory=list)
 
     def __post_init__(self):
         if len(self.column_tokens) != self.m:
             raise ValueError("column_tokens length must equal m")
-        for i, j in self.ones:
-            if not (0 <= i < self.n and 0 <= j < self.m):
-                raise ValueError(f"entry ({i},{j}) out of range")
-        self.ones = sorted(set(self.ones))
+        o = np.asarray(self.ones, dtype=np.int64).reshape(-1, 2)
+        bad = np.flatnonzero(((o < 0) | (o >= (self.n, self.m))).any(axis=1))
+        if bad.size:
+            i, j = o[bad[0]].tolist()
+            raise ValueError(f"entry ({i},{j}) out of range")
+        self.ones = np.unique(o, axis=0)
 
     def to_dense(self, dtype=np.float32):
         x = np.zeros((self.n, self.m), dtype=dtype)
-        for i, j in self.ones:
-            x[i, j] = 1
+        x[self.ones[:, 0], self.ones[:, 1]] = 1
         return x
 
 
@@ -110,20 +110,14 @@ def build_structure_graph(triples, index) -> AdjacencyMatrix:
     Direction and relation id are discarded; duplicate triples collapse.
     Triples with an endpoint outside the index are skipped (count logged).
     """
-    edges = set()
-    skipped = 0
-    for t in triples:
-        if t.head_qid in index and t.tail_qid in index:
-            a, b = index.row(t.head_qid), index.row(t.tail_qid)
-            if a == b:
-                skipped += 1
-                continue
-            edges.add((min(a, b), max(a, b)))
-        else:
-            skipped += 1
+    pairs = np.array([(index.row(t.head_qid), index.row(t.tail_qid))
+                      for t in triples if t.head_qid in index
+                      and t.tail_qid in index], dtype=np.int64).reshape(-1, 2)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    skipped = len(triples) - len(pairs)
     if skipped:
         log.info("structure graph: skipped %d unmatched/self triples", skipped)
-    return AdjacencyMatrix(n=len(index), edges=sorted(edges))
+    return AdjacencyMatrix(n=len(index), edges=pairs)
 
 
 def embed_descriptions(entities, dim: int = 64, seed: int = 0) -> np.ndarray:
@@ -155,7 +149,9 @@ def embed_descriptions(entities, dim: int = 64, seed: int = 0) -> np.ndarray:
 
 
 def build_knn_graph(embeddings: np.ndarray, k: int) -> AdjacencyMatrix:
-    """Union-symmetrized cosine kNN graph; ties broken by lower row index."""
+    """Union-symmetrized cosine kNN graph; ties broken by lower row index.
+    Similarity is one n x n product (a row-blocked product differs in the
+    last bit), ranked ``KNN_BLOCK`` rows at a time by a stable sort."""
     n = embeddings.shape[0]
     if n < 2:
         raise ValueError("kNN graph needs at least 2 nodes")
@@ -168,16 +164,12 @@ def build_knn_graph(embeddings: np.ndarray, k: int) -> AdjacencyMatrix:
         raise ValueError(f"zero-norm embedding at row {int(zero[0])}")
     unit = x / norms[:, None]
     sim = unit @ unit.T
-    edges = set()
-    order = np.arange(n)
-    for i in range(n):
-        row = sim[i].copy()
-        row[i] = -np.inf
-        # sort by (-similarity, index): stable tie-break toward lower index
-        nbrs = sorted(order, key=lambda j: (-row[j], j))[:k]
-        for j in nbrs:
-            edges.add((min(i, j), max(i, j)))
-    return AdjacencyMatrix(n=n, edges=sorted(edges))
+    np.fill_diagonal(sim, -np.inf)
+    nbrs = np.concatenate([
+        np.argsort(-sim[lo:lo + KNN_BLOCK], axis=1, kind="stable")[:, :k]
+        for lo in range(0, n, KNN_BLOCK)])
+    return AdjacencyMatrix(n=n, edges=np.column_stack(
+        [np.repeat(np.arange(n), k), nbrs.ravel()]))
 
 
 def build_feature_matrix(entities, tokenizer, vocab_filter: VocabFilter) -> FeatureMatrix:
@@ -187,33 +179,27 @@ def build_feature_matrix(entities, tokenizer, vocab_filter: VocabFilter) -> Feat
     Columns are retained token ids in ascending order.
     """
     per_entity = [tokenizer.token_ids(e.description) for e in entities]
-    counts: dict = {}
-    for ids in per_entity:
-        for t in ids:
-            counts[t] = counts.get(t, 0) + 1
-    retained = vocab_filter.retained(counts)
+    tokens = np.array([t for ids in per_entity for t in ids], dtype=np.int64)
+    ids, freq = np.unique(tokens, return_counts=True)
+    retained = vocab_filter.retained(dict(zip(ids.tolist(), freq.tolist())))
     if not retained:
         raise ValueError(
             "no tokens fall inside the frequency band "
             f"[{vocab_filter.min_count}, {vocab_filter.max_count}]; "
             "adjust min/max count thresholds")
-    col = {t: j for j, t in enumerate(retained)}
-    ones = set()
-    for i, ids in enumerate(per_entity):
-        for t in ids:
-            j = col.get(t)
-            if j is not None:
-                ones.add((i, j))
-    return FeatureMatrix(n=len(entities), m=len(retained),
-                         ones=sorted(ones), column_tokens=retained)
+    rows = np.repeat(np.arange(len(entities)), [len(ids) for ids in per_entity])
+    keep = np.isin(tokens, retained)
+    ones = np.column_stack([rows[keep], np.searchsorted(retained, tokens[keep])])
+    return FeatureMatrix(n=len(entities), m=len(retained), ones=ones,
+                         column_tokens=retained)
 
 
 def _write_sparse(path, n, m, pairs):
-    body = "".join(f"{i}\t{j}\n" for i, j in pairs)
+    body = "%d\t%d\n" * len(pairs) % tuple(pairs.ravel().tolist())
     checksum = format(zlib.crc32(body.encode("utf-8")), "08x")
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(f"SPARSE v1\t{n}\t{m}\t{len(pairs)}\t{checksum}\n")
-        fh.write(body)
+    with atomic_open(path) as fh:
+        fh.write(f"SPARSE v1\t{n}\t{m}\t{len(pairs)}\t{checksum}\n{body}"
+                 .encode("utf-8"))
 
 
 def _read_sparse(path):
@@ -225,10 +211,9 @@ def _read_sparse(path):
         body = fh.read()
     if format(zlib.crc32(body.encode("utf-8")), "08x") != checksum:
         raise MatrixFormatError(f"{path}: checksum mismatch")
-    pairs = []
-    for line in body.splitlines():
-        i, j = line.split("\t")
-        pairs.append((int(i), int(j)))
+    if not re.fullmatch(r"(?:[0-9]+\t[0-9]+\n)*", body):
+        raise MatrixFormatError(f"{path}: malformed body")
+    pairs = np.array(body.split(), dtype=np.int64).reshape(-1, 2)
     if len(pairs) != nnz:
         raise MatrixFormatError(f"{path}: nnz mismatch")
     return n, m, pairs
@@ -245,21 +230,17 @@ def load_adjacency(path) -> AdjacencyMatrix:
     return AdjacencyMatrix(n=n, edges=pairs)
 
 
-def save_feature_matrix(mat: FeatureMatrix, path, cols_path=None):
+def save_feature_matrix(mat: FeatureMatrix, path):
     _write_sparse(path, mat.n, mat.m, mat.ones)
-    cols_path = Path(cols_path) if cols_path else Path(str(path) + ".cols")
-    with cols_path.open("w", encoding="utf-8", newline="") as fh:
-        for t in mat.column_tokens:
-            fh.write(f"{t}\n")
+    with atomic_open(f"{path}.cols") as fh:
+        fh.write("".join(f"{t}\n" for t in mat.column_tokens).encode("utf-8"))
 
 
-def load_feature_matrix(path, cols_path=None) -> FeatureMatrix:
+def load_feature_matrix(path) -> FeatureMatrix:
     n, m, pairs = _read_sparse(path)
-    cols_path = Path(cols_path) if cols_path else Path(str(path) + ".cols")
-    with cols_path.open("r", encoding="utf-8") as fh:
-        tokens = [int(line.strip()) for line in fh if line.strip()]
+    tokens = [int(t) for t in Path(f"{path}.cols").read_text(encoding="utf-8").split()]
     if len(tokens) != m:
-        raise MatrixFormatError(f"{cols_path}: expected {m} column tokens")
+        raise MatrixFormatError(f"{path}.cols: expected {m} column tokens")
     return FeatureMatrix(n=n, m=m, ones=pairs, column_tokens=tokens)
 
 
@@ -269,7 +250,5 @@ def sym_normalize(adj: AdjacencyMatrix) -> sp.csr_matrix:
     Isolated nodes get S[i, i] = 1 through the added self-loop.
     """
     a_tilde = adj.to_csr() + sp.identity(adj.n, format="csr", dtype=np.float64)
-    deg = np.asarray(a_tilde.sum(axis=1)).ravel()
-    d_inv_sqrt = 1.0 / np.sqrt(deg)
-    d = sp.diags(d_inv_sqrt)
+    d = sp.diags(1.0 / np.sqrt(adj.degrees() + 1.0))
     return (d @ a_tilde @ d).tocsr()

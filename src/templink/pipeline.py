@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import records
+from .checkpoint import atomic_open
 from .evaluate import GapMatrix, temporal_matrix
 from .graphs import (VocabFilter, build_feature_matrix, build_knn_graph,
                      build_structure_graph, embed_descriptions, load_adjacency,
@@ -109,9 +110,9 @@ def build_year_graphs(cfg: RunConfig, year: int, corpus, tokenizer: Tokenizer):
         entities, tokenizer, VocabFilter(cfg.min_count, cfg.max_count))
 
     index.save(out / "index.manifest")
-    save_adjacency(structure, out / "structure.adj")
     save_adjacency(feature_graph, out / "feature.adj")
     save_feature_matrix(fmat, out / "feature.mat")
+    save_adjacency(structure, out / "structure.adj")  # last: marks the year complete
     return structure, feature_graph, fmat
 
 
@@ -151,7 +152,8 @@ def _load_run_manifest(cfg: RunConfig) -> dict:
 def _save_run_manifest(cfg: RunConfig, manifest: dict):
     p = _run_manifest_path(cfg)
     p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps(manifest, sort_keys=True, indent=1))
+    with atomic_open(p) as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=1).encode("utf-8"))
 
 
 def train_year(cfg: RunConfig, snapshot: Snapshot, category: str,

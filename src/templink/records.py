@@ -14,6 +14,8 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from .checkpoint import atomic_open
+
 log = logging.getLogger(__name__)
 
 CATEGORIES = ("continual", "new")
@@ -166,9 +168,8 @@ class EntityIndex:
         return self.row_to_qid[row]
 
     def save(self, path):
-        with Path(path).open("w", encoding="utf-8") as fh:
-            for qid in self.row_to_qid:
-                fh.write(qid + "\n")
+        with atomic_open(path) as fh:
+            fh.write("".join(q + "\n" for q in self.row_to_qid).encode("utf-8"))
 
 
 def build_entity_index(entities) -> EntityIndex:

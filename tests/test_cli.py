@@ -1,4 +1,5 @@
 import json
+import zlib
 from pathlib import Path
 
 import pytest
@@ -179,7 +180,7 @@ class TestBuildGraphs:
             assert main(toy_graphs_argv(toy_data, out,
                                         ["--k", str(k)])) == EXIT_OK
             adj = load_adjacency(out / "graphs" / "2019" / "feature.adj")
-            edges[k] = set(adj.edges)
+            edges[k] = set(map(tuple, adj.edges.tolist()))
         assert edges[2] <= edges[4]
 
     def test_band_excluding_everything_is_data_error(self, tmp_path, toy_data):
@@ -274,6 +275,48 @@ class TestReadsOncePerYear:
         assert main(["experiment", "--config", str(ini)]) == EXIT_DATA
         assert (out / "checkpoints" / "new_2019.ckpt").exists()
         assert not (out / "graphs" / "2020" / "structure.adj").exists()
+        assert not (out / ".lock").exists()
+
+
+class TestPartialGraphBuild:
+    GRAPH_FILES = ["feature.adj", "feature.mat", "feature.mat.cols",
+                   "index.manifest", "structure.adj"]
+
+    def test_crash_while_saving_feature_matrix(self, tmp_path, toy_data,
+                                               monkeypatch):
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
+
+        def crash(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(pipeline, "save_feature_matrix", crash)
+        with pytest.raises(OSError):
+            main(["experiment", "--config", str(ini)])
+        monkeypatch.undo()
+        assert main(["experiment", "--config", str(ini)]) == EXIT_OK
+        fresh = tmp_path / "fresh"
+        fresh_ini = write_experiment_ini(tmp_path / "fresh.ini", toy_data, fresh)
+        assert main(["build-graphs", "--config", str(fresh_ini)]) == EXIT_OK
+        for year in ("2019", "2020"):
+            got = out / "graphs" / year
+            assert sorted(p.name for p in got.iterdir()) == self.GRAPH_FILES
+            for name in self.GRAPH_FILES:
+                want = (fresh / "graphs" / year / name).read_bytes()
+                assert (got / name).read_bytes() == want, (year, name)
+
+    def test_malformed_graph_body_is_data_error(self, tmp_path, toy_data):
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out,
+                                   years="2019")
+        assert main(["build-graphs", "--config", str(ini)]) == EXIT_OK
+        path = out / "graphs" / "2019" / "feature.adj"
+        header, body = path.read_text().split("\n", 1)
+        body = body.replace("\n", "\t0\n", 1)   # a third column, checksum kept valid
+        fields = header.split("\t")
+        fields[4] = format(zlib.crc32(body.encode("utf-8")), "08x")
+        path.write_text("\t".join(fields) + "\n" + body)
+        assert main(["train", "--config", str(ini)]) == EXIT_DATA
         assert not (out / ".lock").exists()
 
 

@@ -185,6 +185,22 @@ class TestTemporalMatrix:
         assert sorted(calls) == sorted(e.qid for _, ents, _ in tests.values()
                                        for e in ents)
 
+    def test_mentions_rendered_once_per_test_year(self, monkeypatch):
+        calls = []
+        render = Tokenizer.render_mention
+        monkeypatch.setattr(Tokenizer, "render_mention",
+                            lambda tok, m: calls.append(m.gold_qid) or render(tok, m))
+        models = {y: year_model(y) for y in (2019, 2020, 2021)}
+        tests = {}
+        for y in (2019, 2020, 2021):
+            mentions, entities, index = year_test_set(y)
+            stray = MentionRecord("", "alpha", "", "Q404", "new", y)
+            tests[y] = (mentions + [stray], entities, index)
+        matrix = temporal_matrix(models, tests)
+        assert sorted(calls) == sorted(m.gold_qid for ms, _, _ in tests.values()
+                                       for m in ms if m.gold_qid != "Q404")
+        assert all(rep.mention_count == 2 for rep in matrix.cells.values())
+
     def test_mixed_vocabularies_match_per_model_tables(self):
         models = {2019: year_model(0),
                   2020: year_model(1, "alpha beta gamma thing")}

@@ -24,18 +24,18 @@ class TestStructureGraph:
     def test_unmatched_endpoint_skipped(self):
         idx = EntityIndex(["Q1", "Q2", "Q3"])
         adj = build_structure_graph([triple("Q1", "Q2"), triple("Q2", "Q9")], idx)
-        assert adj.edges == [(0, 1)]
+        assert adj.edges.tolist() == [[0, 1]]
         assert adj.n == 3
 
     def test_symmetrize_and_dedup(self):
         idx = EntityIndex(["Q1", "Q2"])
         adj = build_structure_graph(
             [triple("Q1", "Q2"), triple("Q2", "Q1", "P2")], idx)
-        assert adj.edges == [(0, 1)]
+        assert adj.edges.tolist() == [[0, 1]]
 
     def test_no_triples(self):
         adj = build_structure_graph([], EntityIndex(["Q1", "Q2"]))
-        assert adj.edges == [] and adj.n == 2
+        assert adj.edges.tolist() == [] and adj.n == 2
 
     def test_order_and_direction_invariance(self):
         idx = EntityIndex([f"Q{i}" for i in range(6)])
@@ -43,11 +43,11 @@ class TestStructureGraph:
         fwd = build_structure_graph(ts, idx)
         rev = build_structure_graph(
             [triple(t.tail_qid, t.head_qid) for t in reversed(ts)], idx)
-        assert fwd.edges == rev.edges
+        assert fwd.edges.tolist() == rev.edges.tolist()
 
     def test_self_loop_dropped(self):
         idx = EntityIndex(["Q1"])
-        assert build_structure_graph([triple("Q1", "Q1")], idx).edges == []
+        assert build_structure_graph([triple("Q1", "Q1")], idx).edges.tolist() == []
 
 
 class TestKnnGraph:
@@ -55,17 +55,17 @@ class TestKnnGraph:
         # brute-force cosine: p2's best neighbor is p1 (0.1/||p1|| > 0)
         emb = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])
         adj = build_knn_graph(emb, k=1)
-        assert adj.edges == [(0, 1), (1, 2)]
+        assert adj.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_identical_rows_tie_rule(self):
         emb = np.ones((4, 3))
         adj = build_knn_graph(emb, k=1)
         # everyone picks the lowest other index: a star on node 0
-        assert adj.edges == [(0, 1), (0, 2), (0, 3)]
+        assert adj.edges.tolist() == [[0, 1], [0, 2], [0, 3]]
 
     def test_two_nodes(self):
         adj = build_knn_graph(np.array([[1.0, 0.0], [0.0, 1.0]]), k=1)
-        assert adj.edges == [(0, 1)]
+        assert adj.edges.tolist() == [[0, 1]]
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):
@@ -81,13 +81,14 @@ class TestKnnGraph:
         emb = rng.normal(size=(8, 4))
         scaled = emb.copy()
         scaled[3] *= 17.0
-        assert build_knn_graph(emb, 2).edges == build_knn_graph(scaled, 2).edges
+        assert (build_knn_graph(emb, 2).edges.tolist()
+                == build_knn_graph(scaled, 2).edges.tolist())
 
     def test_union_monotone_in_k(self):
         rng = np.random.default_rng(1)
         emb = rng.normal(size=(10, 5))
-        e1 = set(build_knn_graph(emb, 1).edges)
-        e3 = set(build_knn_graph(emb, 3).edges)
+        e1 = set(map(tuple, build_knn_graph(emb, 1).edges.tolist()))
+        e3 = set(map(tuple, build_knn_graph(emb, 3).edges.tolist()))
         assert e1 <= e3
 
     def test_degree_bound(self):
@@ -95,6 +96,73 @@ class TestKnnGraph:
         emb = rng.normal(size=(9, 4))
         adj = build_knn_graph(emb, 2)
         assert (adj.degrees() >= 1).all()
+
+
+def knn_oracle(emb, k):
+    """The per-row ``sorted`` build that ``build_knn_graph`` replaced."""
+    x = emb.astype(np.float64)
+    unit = x / np.linalg.norm(x, axis=1)[:, None]
+    sim = unit @ unit.T
+    edges = set()
+    for i in range(len(x)):
+        row = sim[i].copy()
+        row[i] = -np.inf
+        for j in sorted(range(len(x)), key=lambda j: (-row[j], j))[:k]:
+            edges.add((min(i, j), max(i, j)))
+    return [list(e) for e in sorted(edges)]
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_knn_matches_per_row_sort(data):
+    n = data.draw(st.integers(2, 300))
+    k = data.draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    base = rng.normal(size=(data.draw(st.integers(1, n)), data.draw(st.integers(1, 6))))
+    if data.draw(st.booleans()):   # rounded rows: exact ties between distinct rows
+        base = np.round(base)
+        base[~base.any(axis=1)] = 1.0
+    emb = base[rng.integers(len(base), size=n)]   # duplicated rows tie too
+    block = data.draw(st.sampled_from([1, 7, graphs.KNN_BLOCK]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "KNN_BLOCK", block)
+        got = build_knn_graph(emb, k).edges.tolist()
+    assert got == knn_oracle(emb, k)
+
+
+class TestIndexArrays:
+    def test_empty_pairs_shape(self):
+        assert AdjacencyMatrix(n=3, edges=[]).edges.shape == (0, 2)
+        assert FeatureMatrix(n=2, m=1, ones=[], column_tokens=[7]).ones.shape == (0, 2)
+        assert build_structure_graph([], EntityIndex(["Q1"])).edges.shape == (0, 2)
+
+    def test_canonical_sorted_unique(self):
+        adj = AdjacencyMatrix(n=4, edges=[(3, 1), (1, 3), (0, 2)])
+        assert adj.edges.dtype == np.int64
+        assert adj.edges.tolist() == [[0, 2], [1, 3]]
+        mat = FeatureMatrix(n=2, m=2, ones=[(1, 0), (0, 1), (1, 0)],
+                            column_tokens=[4, 5])
+        assert mat.ones.tolist() == [[0, 1], [1, 0]]
+
+    def test_first_bad_pair_in_input_order(self):
+        with pytest.raises(ValueError, match=r"^self-loop on node 2$"):
+            AdjacencyMatrix(n=3, edges=[(0, 1), (2, 2), (0, 5)])
+        with pytest.raises(ValueError,
+                           match=r"^edge \(0,5\) out of range for n=3$"):
+            AdjacencyMatrix(n=3, edges=[(0, 1), (0, 5), (2, 2)])
+        with pytest.raises(ValueError, match=r"^edge \(-1,1\) out of range"):
+            AdjacencyMatrix(n=3, edges=[(-1, 1)])
+        with pytest.raises(ValueError, match=r"^entry \(2,0\) out of range$"):
+            FeatureMatrix(n=2, m=2, ones=[(0, 1), (2, 0), (0, -1)],
+                          column_tokens=[4, 5])
+
+    def test_csr_degrees_dense_agree(self):
+        adj = AdjacencyMatrix(n=5, edges=[(0, 1), (3, 1), (4, 2)])
+        dense = adj.to_csr().toarray()
+        assert (dense == dense.T).all() and dense.sum() == 6 and dense[1, 3] == 1
+        assert adj.degrees().tolist() == dense.sum(axis=1).astype(int).tolist()
+        mat = FeatureMatrix(n=2, m=3, ones=[(1, 2), (0, 0)], column_tokens=[1, 2, 3])
+        assert mat.to_dense().tolist() == [[1, 0, 0], [0, 0, 1]]
 
 
 def toy_tokenizer(entities):
@@ -211,12 +279,12 @@ class TestSparseIO:
         adj = build_knn_graph(emb, k=1)
         save_adjacency(adj, tmp_path / "a.adj")
         back = load_adjacency(tmp_path / "a.adj")
-        assert back.n == adj.n and back.edges == adj.edges
+        assert back.n == adj.n and back.edges.tolist() == adj.edges.tolist()
 
     def test_empty_roundtrip(self, tmp_path):
         save_adjacency(AdjacencyMatrix(n=5, edges=[]), tmp_path / "e.adj")
         back = load_adjacency(tmp_path / "e.adj")
-        assert back.n == 5 and back.edges == []
+        assert back.n == 5 and back.edges.tolist() == []
 
     def test_truncated_file_checksum(self, tmp_path):
         adj = AdjacencyMatrix(n=4, edges=[(0, 1), (1, 2), (2, 3)])
@@ -231,7 +299,17 @@ class TestSparseIO:
                             column_tokens=[9, 11])
         save_feature_matrix(mat, tmp_path / "f.mat")
         back = load_feature_matrix(tmp_path / "f.mat")
-        assert (back.n, back.m, back.ones, back.column_tokens) == (3, 2, mat.ones, [9, 11])
+        assert ((back.n, back.m, back.ones.tolist(), back.column_tokens)
+                == (3, 2, mat.ones.tolist(), [9, 11]))
+
+    @pytest.mark.parametrize("body", ["0\t1\t2\n", "0\t1\n\n", "0 1\n",
+                                      "0\tx\n", "0\t1\n2\n"])
+    def test_malformed_body_with_matching_checksum(self, tmp_path, body):
+        checksum = format(zlib.crc32(body.encode("utf-8")), "08x")
+        path = tmp_path / "m.adj"
+        path.write_text(f"SPARSE v1\t3\t3\t1\t{checksum}\n{body}")
+        with pytest.raises(ValueError):
+            load_adjacency(path)
 
     def test_save_is_byte_stable(self, tmp_path):
         adj = AdjacencyMatrix(n=3, edges=[(1, 2), (0, 1)])
@@ -245,4 +323,4 @@ class TestSparseIO:
 def test_knn_deterministic(n, seed):
     emb = np.random.default_rng(seed).normal(size=(n, 3))
     k = min(2, n - 1)
-    assert build_knn_graph(emb, k).edges == build_knn_graph(emb, k).edges
+    assert build_knn_graph(emb, k).edges.tolist() == build_knn_graph(emb, k).edges.tolist()
