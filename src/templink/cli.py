@@ -183,8 +183,8 @@ def cmd_build_graphs(args) -> int:
 def cmd_train(args) -> int:
     cfg = build_run_config(args)
     with OutputLock(cfg.out_dir):
-        pipeline.write_resolved_config(cfg, __version__)
-        pipeline.train_years(cfg, pipeline.load_corpora(cfg))
+        stamp = pipeline.write_resolved_config(cfg, __version__)
+        pipeline.train_years(cfg, pipeline.load_corpora(cfg), stamp)
     return EXIT_OK
 
 
@@ -206,10 +206,9 @@ def _emit_matrices(cfg: RunConfig, matrices: dict) -> None:
 
 def cmd_eval(args) -> int:
     cfg = build_run_config(args)
-    corpora = pipeline.load_corpora(cfg)
-    matrices = {c: pipeline.evaluate_category(cfg, c, corpora)
-                for c in cfg.categories}
-    _emit_matrices(cfg, matrices)
+    with OutputLock(cfg.out_dir):
+        _emit_matrices(cfg, pipeline.evaluate_checkpoints(
+            cfg, pipeline.load_corpora(cfg)))
     return EXIT_OK
 
 
@@ -225,8 +224,6 @@ def cmd_report(args) -> int:
     if not args.table:
         return cmd_eval(args)
     cfg = build_run_config(args)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     table = reporting.load_results_table(args.table)
     cells, recomputed_ave = reporting.recompute_boost(table)
     printed_ave = reporting.printed_average_boost(table)
@@ -238,8 +235,9 @@ def cmd_report(args) -> int:
         "printed_average_boost": {f"gap{g}|{c}": v
                                   for (c, g), v in sorted(printed_ave.items())},
     }
-    (out / "table_boost.json").write_text(
-        json.dumps(result, indent=1, sort_keys=True) + "\n")
+    with OutputLock(cfg.out_dir):
+        (Path(cfg.out_dir) / "table_boost.json").write_text(
+            json.dumps(result, indent=1, sort_keys=True) + "\n")
     for key in sorted(printed_ave):
         print(f"ave boost {key[0]} gap {key[1]}: {printed_ave[key]:.2f}")
     return EXIT_OK

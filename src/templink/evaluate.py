@@ -109,35 +109,41 @@ def evaluate_mentions(model, mentions, entities, index, table=None):
     return _gold_ranks(model.encode_mentions(kept).data, table, kept, index)
 
 
-def temporal_matrix(models_by_year: dict, test_sets_by_year: dict) -> GapMatrix:
-    """Evaluate every (train year, test year) pair.
+def temporal_matrix(models, test_sets_by_year: dict) -> dict:
+    """Evaluate every (train year, test year) pair of each model group.
 
+    ``models`` yields (key, train year, model); each model is dropped before
+    the next is drawn, so a lazy iterable keeps at most one alive.
     ``test_sets_by_year[year]`` is (mentions, entities, index). The entity
     table for each pair is the train-year model's text encoding of the test
     year's entities. Models whose tokenizers have equal vocabulary and
-    ``max_len`` share one rendering of those entities and mentions.
+    ``max_len`` share one rendering of every test year's entities and
+    mentions. Returns key -> GapMatrix over the test years.
     """
-    years = sorted(set(models_by_year) & set(test_sets_by_year))
-    groups = {}  # tokenizer -> train years whose tokenizers equal it
-    for t1 in years:
-        tok = models_by_year[t1].tokenizer
-        tok = next((g for g in groups if (g.vocab, g.max_len)
-                    == (tok.vocab, tok.max_len)), tok)
-        groups.setdefault(tok, []).append(t1)
-    matrix = GapMatrix(years=years)
-    for t2 in years:
-        mentions, entities, index = test_sets_by_year[t2]
-        kept = [m for m in mentions if m.gold_qid in index]
-        for tok, train_years in groups.items():
-            entity_seqs = [tok.render_entity(e) for e in entities]
-            mention_seqs = [tok.render_mention(m) for m in kept]
-            for t1 in train_years:
-                model = models_by_year[t1]
-                table = model.entity_encoder.encode(entity_seqs).data
-                y_m = model.mention_encoder.encode(mention_seqs).data
-                matrix.cells[(t1, t2)] = recall_report(
-                    _gold_ranks(y_m, table, kept, index), t1, t2)
-    return matrix
+    years = sorted(test_sets_by_year)
+    kept = {t2: [m for m in mentions if m.gold_qid in index]
+            for t2, (mentions, _, index) in test_sets_by_year.items()}
+    rendered = []  # (tokenizer, test year -> (entity seqs, mention seqs))
+    matrices = {}
+    for key, t1, model in models:
+        tok = model.tokenizer
+        seqs = next((s for g, s in rendered if (g.vocab, g.max_len)
+                     == (tok.vocab, tok.max_len)), None)
+        if seqs is None:
+            seqs = {t2: ([tok.render_entity(e) for e in entities],
+                         [tok.render_mention(m) for m in kept[t2]])
+                    for t2, (_, entities, _) in test_sets_by_year.items()}
+            rendered.append((tok, seqs))
+        matrix = matrices.setdefault(key, GapMatrix(years=years))
+        for t2 in years:
+            entity_seqs, mention_seqs = seqs[t2]
+            table = model.entity_encoder.encode(entity_seqs).data
+            y_m = model.mention_encoder.encode(mention_seqs).data
+            matrix.cells[(t1, t2)] = recall_report(
+                _gold_ranks(y_m, table, kept[t2], test_sets_by_year[t2][2]),
+                t1, t2)
+        del model
+    return matrices
 
 
 def aggregate_gap(matrix: GapMatrix, mode: str) -> dict:

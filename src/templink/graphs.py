@@ -1,19 +1,18 @@
 """Snapshot graph construction: structure graph, kNN feature graph,
-binary feature matrix, and their on-disk sparse format.
+binary feature matrix, and the sparse text format they are written in.
 
 File format (text, tab-separated): header ``SPARSE v1 \\t n \\t m \\t nnz
 \\t checksum`` followed by one ``i \\t j`` pair per line in lexicographic
 order. Adjacency files use m = n and store each undirected edge once with
-i < j. The checksum is the CRC32 of the body bytes, in hex.
+i < j. The checksum is the CRC32 of the body bytes, in hex. The files are
+outputs for inspection; nothing reads them back.
 """
 
 from __future__ import annotations
 
 import logging
-import re
 import zlib
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,10 +22,6 @@ from .checkpoint import atomic_open
 log = logging.getLogger(__name__)
 
 KNN_BLOCK = 256  # similarity rows ranked at once by build_knn_graph
-
-
-class MatrixFormatError(ValueError):
-    pass
 
 
 @dataclass
@@ -202,46 +197,14 @@ def _write_sparse(path, n, m, pairs):
                  .encode("utf-8"))
 
 
-def _read_sparse(path):
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if len(header) != 5 or header[0] != "SPARSE v1":
-            raise MatrixFormatError(f"{path}: bad sparse header")
-        n, m, nnz, checksum = int(header[1]), int(header[2]), int(header[3]), header[4]
-        body = fh.read()
-    if format(zlib.crc32(body.encode("utf-8")), "08x") != checksum:
-        raise MatrixFormatError(f"{path}: checksum mismatch")
-    if not re.fullmatch(r"(?:[0-9]+\t[0-9]+\n)*", body):
-        raise MatrixFormatError(f"{path}: malformed body")
-    pairs = np.array(body.split(), dtype=np.int64).reshape(-1, 2)
-    if len(pairs) != nnz:
-        raise MatrixFormatError(f"{path}: nnz mismatch")
-    return n, m, pairs
-
-
 def save_adjacency(adj: AdjacencyMatrix, path):
     _write_sparse(path, adj.n, adj.n, adj.edges)
-
-
-def load_adjacency(path) -> AdjacencyMatrix:
-    n, m, pairs = _read_sparse(path)
-    if n != m:
-        raise MatrixFormatError(f"{path}: adjacency must be square")
-    return AdjacencyMatrix(n=n, edges=pairs)
 
 
 def save_feature_matrix(mat: FeatureMatrix, path):
     _write_sparse(path, mat.n, mat.m, mat.ones)
     with atomic_open(f"{path}.cols") as fh:
         fh.write("".join(f"{t}\n" for t in mat.column_tokens).encode("utf-8"))
-
-
-def load_feature_matrix(path) -> FeatureMatrix:
-    n, m, pairs = _read_sparse(path)
-    tokens = [int(t) for t in Path(f"{path}.cols").read_text(encoding="utf-8").split()]
-    if len(tokens) != m:
-        raise MatrixFormatError(f"{path}.cols: expected {m} column tokens")
-    return FeatureMatrix(n=n, m=m, ones=pairs, column_tokens=tokens)
 
 
 def sym_normalize(adj: AdjacencyMatrix) -> sp.csr_matrix:

@@ -21,15 +21,20 @@ from pathlib import Path
 
 from . import records
 from .checkpoint import atomic_open
-from .evaluate import GapMatrix, temporal_matrix
+from .evaluate import temporal_matrix
 from .graphs import (VocabFilter, build_feature_matrix, build_knn_graph,
-                     build_structure_graph, embed_descriptions, load_adjacency,
-                     load_feature_matrix, save_adjacency, save_feature_matrix)
+                     build_structure_graph, embed_descriptions, save_adjacency,
+                     save_feature_matrix)
 from .model import Model, ModelConfig
 from .textenc import Tokenizer
 from .trainer import Snapshot, TrainConfig, load_model, save_model, train
 
 log = logging.getLogger(__name__)
+
+INPUT_FILES = ("entities.tsv", "mentions_train.tsv", "mentions_test.tsv",
+               "triples.tsv")
+# config fields that shape no checkpoint, left out of its stamp
+UNSTAMPED = ("data_dir", "out_dir", "mode", "categories", "baseline")
 
 
 @dataclass
@@ -48,17 +53,26 @@ class RunConfig:
     categories: list = field(default_factory=lambda: ["continual", "new"])
     baseline: str = ""
 
-    def resolved(self) -> dict:
-        d = asdict(self)
-        return d
-
-    def stamp(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.resolved(), sort_keys=True).encode()).hexdigest()[:16]
+    def stamp(self, data_digest: str) -> str:
+        """Digest of what shapes a checkpoint: the config without its path
+        and eval-only fields, and the digest of the input data."""
+        shaping = {k: v for k, v in asdict(self).items() if k not in UNSTAMPED}
+        return hashlib.sha256(json.dumps([shaping, data_digest], sort_keys=True)
+                              .encode()).hexdigest()[:16]
 
 
 def year_dir(cfg: RunConfig, year: int) -> Path:
     return Path(cfg.data_dir) / str(year)
+
+
+def data_digest(cfg: RunConfig) -> str:
+    """SHA-256 over the SHA-256 of each run year's four input TSVs."""
+    h = hashlib.sha256()
+    for year in cfg.years:
+        for name in INPUT_FILES:
+            file_hash = hashlib.sha256((year_dir(cfg, year) / name).read_bytes())
+            h.update(f"{year}/{name}\t{file_hash.hexdigest()}\n".encode())
+    return h.hexdigest()
 
 
 def load_year_corpus(cfg: RunConfig, year: int):
@@ -96,8 +110,9 @@ def graphs_dir(cfg: RunConfig, year: int) -> Path:
 
 
 def build_year_graphs(cfg: RunConfig, year: int, corpus, tokenizer: Tokenizer):
-    """Construct and persist structure graph, kNN feature graph, feature
-    matrix. The year's ``triples.tsv`` is read here and nowhere else."""
+    """Construct structure graph, kNN feature graph and feature matrix, and
+    write them out for inspection. The year's ``triples.tsv`` is read here
+    and nowhere else."""
     entities, index, _, _ = corpus
     triples = records.load_triples(year_dir(cfg, year) / "triples.tsv")
     out = graphs_dir(cfg, year)
@@ -112,23 +127,17 @@ def build_year_graphs(cfg: RunConfig, year: int, corpus, tokenizer: Tokenizer):
     index.save(out / "index.manifest")
     save_adjacency(feature_graph, out / "feature.adj")
     save_feature_matrix(fmat, out / "feature.mat")
-    save_adjacency(structure, out / "structure.adj")  # last: marks the year complete
+    save_adjacency(structure, out / "structure.adj")
     return structure, feature_graph, fmat
 
 
 def make_snapshot(cfg: RunConfig, year: int, corpus,
                   tokenizer: Tokenizer) -> Snapshot:
-    """The year's training snapshot over all its training mentions. Graphs
-    already under the output directory are reused; missing ones are built."""
+    """The year's training snapshot over all its training mentions, on the
+    graphs ``build_year_graphs`` builds (and writes out) for it."""
     entities, index, train_m, _ = corpus
-    out = graphs_dir(cfg, year)
-    if (out / "structure.adj").exists():
-        structure = load_adjacency(out / "structure.adj")
-        feature_graph = load_adjacency(out / "feature.adj")
-        fmat = load_feature_matrix(out / "feature.mat")
-    else:
-        structure, feature_graph, fmat = build_year_graphs(
-            cfg, year, corpus, tokenizer)
+    structure, feature_graph, fmat = build_year_graphs(cfg, year, corpus,
+                                                       tokenizer)
     return Snapshot(year=year, entities=entities, mentions=train_m, index=index,
                     structure=structure, feature_graph=feature_graph,
                     feature_matrix=fmat)
@@ -157,9 +166,9 @@ def _save_run_manifest(cfg: RunConfig, manifest: dict):
 
 
 def train_year(cfg: RunConfig, snapshot: Snapshot, category: str,
-               tokenizer: Tokenizer) -> Path:
+               tokenizer: Tokenizer, stamp: str) -> Path:
     """Train one (snapshot year, category) checkpoint on the snapshot's
-    mentions of that category and record its config stamp."""
+    mentions of that category and record its stamp."""
     year = snapshot.year
     path = checkpoint_path(cfg, year, category)
     snapshot = replace(snapshot.prepare(), mentions=[
@@ -172,63 +181,63 @@ def train_year(cfg: RunConfig, snapshot: Snapshot, category: str,
     save_model(path, model, cfg.train, optimizer,
                extra={"year": year, "category": category})
     manifest = _load_run_manifest(cfg)
-    manifest[f"{category}_{year}"] = cfg.stamp()
+    manifest[f"{category}_{year}"] = stamp
     _save_run_manifest(cfg, manifest)
     log.info("checkpoint %s", path)
     return path
 
 
-def train_years(cfg: RunConfig, corpora: dict):
+def train_years(cfg: RunConfig, corpora: dict, stamp: str):
     """Train every (year, category) checkpoint of the config, skipping those
-    already done for an identical configuration (matched by config stamp).
-    A year with work left gets one snapshot, shared by its categories."""
+    recorded with the same ``stamp`` (``RunConfig.stamp``). A year with
+    work left gets one snapshot, shared by its categories."""
     tokenizer = build_tokenizer(cfg, corpora)
     for year in cfg.years:
         manifest = _load_run_manifest(cfg)
         todo = []
         for category in cfg.categories:
             path = checkpoint_path(cfg, year, category)
-            if path.exists() and manifest.get(f"{category}_{year}") == cfg.stamp():
+            if path.exists() and manifest.get(f"{category}_{year}") == stamp:
                 log.info("skipping completed checkpoint %s", path)
             else:
                 todo.append(category)
         if todo:
             snapshot = make_snapshot(cfg, year, corpora[year], tokenizer)
             for category in todo:
-                train_year(cfg, snapshot, category, tokenizer)
+                train_year(cfg, snapshot, category, tokenizer, stamp)
 
 
-def evaluate_category(cfg: RunConfig, category: str, corpora: dict) -> GapMatrix:
-    models_by_year = {}
-    test_sets = {}
-    for year in cfg.years:
-        model, _, _, _ = load_model(checkpoint_path(cfg, year, category))
-        models_by_year[year] = model
-        entities, index, _, test_m = corpora[year]
-        test_sets[year] = (test_m, entities, index)
-    return temporal_matrix(models_by_year, test_sets)
+def evaluate_checkpoints(cfg: RunConfig, corpora: dict) -> dict:
+    """category -> GapMatrix over every (train year, test year) pair, in one
+    pass: each checkpoint is loaded once and released before the next."""
+    models = ((category, year,
+               load_model(checkpoint_path(cfg, year, category))[0])
+              for category in cfg.categories for year in cfg.years)
+    test_sets = {year: (test_m, entities, index)
+                 for year, (entities, index, _, test_m) in corpora.items()}
+    return temporal_matrix(models, test_sets)
 
 
-def write_resolved_config(cfg: RunConfig, version: str):
+def write_resolved_config(cfg: RunConfig, version: str) -> str:
+    """Write ``resolved_config.json``: the config, the version, the input
+    data digest and the checkpoint stamp. Returns the stamp."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    resolved = cfg.resolved()
-    resolved["version"] = version
+    digest = data_digest(cfg)
+    stamp = cfg.stamp(digest)
+    resolved = dict(asdict(cfg), version=version, data_digest=digest,
+                    stamp=stamp)
     (out / "resolved_config.json").write_text(
         json.dumps(resolved, sort_keys=True, indent=1) + "\n")
+    return stamp
 
 
 def run_experiment(cfg: RunConfig, version: str = "0"):
     """Train per (year, category), evaluate all year pairs, return matrices."""
-    write_resolved_config(cfg, version)
+    stamp = write_resolved_config(cfg, version)
     corpora = load_corpora(cfg)
-    train_years(cfg, corpora)
-    matrices = {}
-    for category in cfg.categories:
-        matrices[category] = evaluate_category(cfg, category, corpora)
-        if not matrices[category].complete():
-            raise RuntimeError(f"incomplete gap matrix for {category}")
-    return matrices
+    train_years(cfg, corpora, stamp)
+    return evaluate_checkpoints(cfg, corpora)
 
 
 def parse_years(spec: str) -> list:

@@ -1,5 +1,4 @@
 import json
-import zlib
 from pathlib import Path
 
 import pytest
@@ -7,9 +6,9 @@ import pytest
 from templink import pipeline, records
 from templink.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, OutputLock,
                           UsageError, load_config_file, main, make_parser)
-from templink.graphs import load_adjacency
 from templink.pipeline import parse_years
 from templink.reporting import bundled_results_path
+from templink.textenc import Tokenizer
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -179,8 +178,8 @@ class TestBuildGraphs:
             out = tmp_path / f"out{k}"
             assert main(toy_graphs_argv(toy_data, out,
                                         ["--k", str(k)])) == EXIT_OK
-            adj = load_adjacency(out / "graphs" / "2019" / "feature.adj")
-            edges[k] = set(map(tuple, adj.edges.tolist()))
+            adj = (out / "graphs" / "2019" / "feature.adj").read_text()
+            edges[k] = set(adj.splitlines()[1:])  # "i\tj" lines after the header
         assert edges[2] <= edges[4]
 
     def test_band_excluding_everything_is_data_error(self, tmp_path, toy_data):
@@ -260,10 +259,26 @@ class TestReadsOncePerYear:
         for phase, triples in (("cold", 3), ("resume", 0)):
             corpus = count_calls(monkeypatch, pipeline, "load_year_corpus")
             triple = count_calls(monkeypatch, records, "load_triples")
-            adj = count_calls(monkeypatch, pipeline, "load_adjacency")
             assert main(["experiment", "--config", str(ini)]) == EXIT_OK, phase
-            assert (len(corpus), len(triple), len(adj)) == (3, triples, 0), phase
+            assert (len(corpus), len(triple)) == (3, triples), phase
             monkeypatch.undo()
+
+    def test_resumed_eval_renders_and_loads_once(self, tmp_path, toy_data,
+                                                 monkeypatch):
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out,
+                                   years="2019..2021")
+        assert main(["experiment", "--config", str(ini)]) == EXIT_OK
+        corpora = pipeline.load_corpora(load_config_file(ini))
+        loads = count_calls(monkeypatch, pipeline, "load_model")
+        renders = {name: count_calls(monkeypatch, Tokenizer, name)
+                   for name in ("render_entity", "render_mention")}
+        assert main(["experiment", "--config", str(ini)]) == EXIT_OK
+        assert len(loads) == 2 * 3
+        assert len(renders["render_entity"]) == sum(
+            len(entities) for entities, _, _, _ in corpora.values())
+        assert len(renders["render_mention"]) == sum(
+            len(test_m) for _, _, _, test_m in corpora.values())
 
     def test_second_year_graph_error_exits_2_and_unlocks(self, tmp_path,
                                                           toy_data):
@@ -305,19 +320,92 @@ class TestPartialGraphBuild:
                 want = (fresh / "graphs" / year / name).read_bytes()
                 assert (got / name).read_bytes() == want, (year, name)
 
-    def test_malformed_graph_body_is_data_error(self, tmp_path, toy_data):
+    def test_malformed_graph_file_is_rebuilt(self, tmp_path, toy_data):
         out = tmp_path / "out"
         ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out,
                                    years="2019")
         assert main(["build-graphs", "--config", str(ini)]) == EXIT_OK
         path = out / "graphs" / "2019" / "feature.adj"
-        header, body = path.read_text().split("\n", 1)
-        body = body.replace("\n", "\t0\n", 1)   # a third column, checksum kept valid
-        fields = header.split("\t")
-        fields[4] = format(zlib.crc32(body.encode("utf-8")), "08x")
-        path.write_text("\t".join(fields) + "\n" + body)
-        assert main(["train", "--config", str(ini)]) == EXIT_DATA
+        fresh = path.read_bytes()
+        path.write_text("SPARSE v1\t12\t12\t1\t00000000\n0\t1\t2\n")
+        assert main(["train", "--config", str(ini)]) == EXIT_OK
+        assert path.read_bytes() == fresh
         assert not (out / ".lock").exists()
+
+
+def run_artifacts(out) -> dict:
+    """relative path -> bytes of the graph files, checkpoints, loss curves
+    and gap matrices of a run."""
+    paths = [*out.glob("graphs/*/*"), *out.glob("checkpoints/*"),
+             *out.glob("gap_matrix_*.csv")]
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(paths)}
+
+
+class TestResumeStamp:
+    def test_changed_k_equals_fresh_run(self, tmp_path, toy_data):
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
+        assert main(["experiment", "--config", str(ini)]) == EXIT_OK
+        assert main(["experiment", "--config", str(ini), "--k", "8"]) == EXIT_OK
+        fresh = tmp_path / "fresh"
+        fresh_ini = write_experiment_ini(tmp_path / "fresh.ini", toy_data, fresh)
+        assert main(["experiment", "--config", str(fresh_ini),
+                     "--k", "8"]) == EXIT_OK
+        assert run_artifacts(out) == run_artifacts(fresh)
+
+    def test_edited_input_retrains(self, tmp_path, toy_data):
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
+        assert main(["experiment", "--config", str(ini)]) == EXIT_OK
+        before = run_artifacts(out)
+        entities = toy_data / "2019" / "entities.tsv"
+        entities.write_text(entities.read_text().replace(
+            "stable thing", "stable thing renamed", 1))
+        assert main(["experiment", "--config", str(ini)]) == EXIT_OK
+        fresh = tmp_path / "fresh"
+        fresh_ini = write_experiment_ini(tmp_path / "fresh.ini", toy_data, fresh)
+        assert main(["experiment", "--config", str(fresh_ini)]) == EXIT_OK
+        assert run_artifacts(out) == run_artifacts(fresh) != before
+
+    def test_mode_change_retrains_nothing(self, tmp_path, toy_data):
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
+        assert main(["experiment", "--config", str(ini)]) == EXIT_OK
+        ckpts = sorted((out / "checkpoints").glob("*.ckpt"))
+        mtimes = [p.stat().st_mtime_ns for p in ckpts]
+        assert main(["experiment", "--config", str(ini),
+                     "--mode", "forward_only"]) == EXIT_OK
+        assert [p.stat().st_mtime_ns for p in ckpts] == mtimes
+
+    def test_resolved_config_records_stamp_and_digest(self, tmp_path, toy_data):
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
+        assert main(["experiment", "--config", str(ini)]) == EXIT_OK
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert len(resolved["data_digest"]) == 64
+        assert set(manifest.values()) == {resolved["stamp"]}
+
+
+class TestReadersHoldLock:
+    def test_eval_writes_nothing_while_locked(self, tmp_path, toy_data):
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
+        assert main(["train", "--config", str(ini)]) == EXIT_OK
+        (out / ".lock").write_text("12345")
+        before = sorted(p.name for p in out.iterdir())
+        for command in ("eval", "report"):
+            assert main([command, "--config", str(ini)]) == EXIT_USAGE
+        assert sorted(p.name for p in out.iterdir()) == before
+
+    def test_report_table_writes_nothing_while_locked(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".lock").write_text("12345")
+        code = main(["report", "--out-dir", str(out),
+                     "--table", str(bundled_results_path())])
+        assert code == EXIT_USAGE
+        assert sorted(p.name for p in out.iterdir()) == [".lock"]
 
 
 class TestReport:

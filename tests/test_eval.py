@@ -1,3 +1,4 @@
+import weakref
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -167,7 +168,8 @@ class TestTemporalMatrix:
     def test_full_grid(self):
         models = {y: year_model(y) for y in (2019, 2020)}
         tests = {y: year_test_set(y) for y in (2019, 2020)}
-        matrix = temporal_matrix(models, tests)
+        matrix = temporal_matrix(
+            [(0, y, m) for y, m in models.items()], tests)[0]
         assert matrix.years == [2019, 2020]
         assert matrix.complete()
         for (t1, t2), rep in matrix.cells.items():
@@ -181,7 +183,7 @@ class TestTemporalMatrix:
                             lambda tok, e: calls.append(e.qid) or render(tok, e))
         models = {y: year_model(y) for y in (2019, 2020, 2021)}
         tests = {y: year_test_set(y) for y in (2019, 2020, 2021)}
-        temporal_matrix(models, tests)
+        temporal_matrix([(0, y, m) for y, m in models.items()], tests)
         assert sorted(calls) == sorted(e.qid for _, ents, _ in tests.values()
                                        for e in ents)
 
@@ -196,7 +198,8 @@ class TestTemporalMatrix:
             mentions, entities, index = year_test_set(y)
             stray = MentionRecord("", "alpha", "", "Q404", "new", y)
             tests[y] = (mentions + [stray], entities, index)
-        matrix = temporal_matrix(models, tests)
+        matrix = temporal_matrix(
+            [(0, y, m) for y, m in models.items()], tests)[0]
         assert sorted(calls) == sorted(m.gold_qid for ms, _, _ in tests.values()
                                        for m in ms if m.gold_qid != "Q404")
         assert all(rep.mention_count == 2 for rep in matrix.cells.values())
@@ -205,7 +208,8 @@ class TestTemporalMatrix:
         models = {2019: year_model(0),
                   2020: year_model(1, "alpha beta gamma thing")}
         tests = {y: year_test_set(y) for y in (2019, 2020)}
-        matrix = temporal_matrix(models, tests)
+        matrix = temporal_matrix(
+            [(0, y, m) for y, m in models.items()], tests)[0]
         assert matrix.complete()
         for (t1, t2), rep in matrix.cells.items():
             model = models[t1]
@@ -214,6 +218,34 @@ class TestTemporalMatrix:
             want = recall_report(evaluate_mentions(model, mentions, entities,
                                                    index, table), t1, t2)
             assert rep == want
+
+    def test_keys_share_renderings_and_one_model_is_alive(self, monkeypatch):
+        calls = []
+        render = Tokenizer.render_entity
+        monkeypatch.setattr(Tokenizer, "render_entity",
+                            lambda tok, e: calls.append(e.qid) or render(tok, e))
+        years = (2019, 2020)
+        tests = {y: year_test_set(y) for y in years}
+        released = []
+
+        def models():
+            refs = []
+            for key in ("continual", "new"):
+                for y in years:
+                    released.append(all(r() is None for r in refs))
+                    model = year_model(y)
+                    refs.append(weakref.ref(model))
+                    yield key, y, model
+                    del model
+
+        matrices = temporal_matrix(models(), tests)
+        assert all(released)
+        assert sorted(calls) == sorted(e.qid for _, ents, _ in tests.values()
+                                       for e in ents)
+        assert sorted(matrices) == ["continual", "new"]
+        want = temporal_matrix([(0, y, year_model(y)) for y in years], tests)[0]
+        for matrix in matrices.values():
+            assert matrix.complete() and matrix.cells == want.cells
 
     def test_unresolvable_gold_skipped(self):
         model = year_model(0)

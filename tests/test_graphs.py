@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from templink import graphs
-from templink.graphs import (AdjacencyMatrix, FeatureMatrix, MatrixFormatError,
-                             VocabFilter, build_feature_matrix, build_knn_graph,
+from templink.graphs import (AdjacencyMatrix, FeatureMatrix, VocabFilter,
+                             build_feature_matrix, build_knn_graph,
                              build_structure_graph, embed_descriptions,
-                             load_adjacency, load_feature_matrix,
                              save_adjacency, save_feature_matrix,
                              sym_normalize)
 from templink.records import EntityIndex, EntityRecord, RelationTriple
@@ -274,42 +273,25 @@ class TestSymNormalize:
 
 
 class TestSparseIO:
-    def test_adjacency_roundtrip(self, tmp_path):
-        emb = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])
-        adj = build_knn_graph(emb, k=1)
-        save_adjacency(adj, tmp_path / "a.adj")
-        back = load_adjacency(tmp_path / "a.adj")
-        assert back.n == adj.n and back.edges.tolist() == adj.edges.tolist()
-
-    def test_empty_roundtrip(self, tmp_path):
+    def test_empty_graph_bytes(self, tmp_path):
         save_adjacency(AdjacencyMatrix(n=5, edges=[]), tmp_path / "e.adj")
-        back = load_adjacency(tmp_path / "e.adj")
-        assert back.n == 5 and back.edges.tolist() == []
+        assert (tmp_path / "e.adj").read_bytes() == b"SPARSE v1\t5\t5\t0\t00000000\n"
 
-    def test_truncated_file_checksum(self, tmp_path):
-        adj = AdjacencyMatrix(n=4, edges=[(0, 1), (1, 2), (2, 3)])
-        save_adjacency(adj, tmp_path / "t.adj")
-        raw = (tmp_path / "t.adj").read_text()
-        (tmp_path / "t.adj").write_text(raw[:-4])
-        with pytest.raises(MatrixFormatError):
-            load_adjacency(tmp_path / "t.adj")
+    def test_adjacency_bytes(self, tmp_path):
+        emb = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])
+        save_adjacency(build_knn_graph(emb, k=1), tmp_path / "a.adj")
+        body = b"0\t1\n1\t2\n"
+        assert format(zlib.crc32(body), "08x") == "ba021c4a"
+        assert ((tmp_path / "a.adj").read_bytes()
+                == b"SPARSE v1\t3\t3\t2\tba021c4a\n" + body)
 
-    def test_feature_matrix_roundtrip(self, tmp_path):
-        mat = FeatureMatrix(n=3, m=2, ones=[(0, 0), (2, 1)],
+    def test_feature_matrix_bytes(self, tmp_path):
+        mat = FeatureMatrix(n=3, m=2, ones=[(2, 1), (0, 0)],
                             column_tokens=[9, 11])
         save_feature_matrix(mat, tmp_path / "f.mat")
-        back = load_feature_matrix(tmp_path / "f.mat")
-        assert ((back.n, back.m, back.ones.tolist(), back.column_tokens)
-                == (3, 2, mat.ones.tolist(), [9, 11]))
-
-    @pytest.mark.parametrize("body", ["0\t1\t2\n", "0\t1\n\n", "0 1\n",
-                                      "0\tx\n", "0\t1\n2\n"])
-    def test_malformed_body_with_matching_checksum(self, tmp_path, body):
-        checksum = format(zlib.crc32(body.encode("utf-8")), "08x")
-        path = tmp_path / "m.adj"
-        path.write_text(f"SPARSE v1\t3\t3\t1\t{checksum}\n{body}")
-        with pytest.raises(ValueError):
-            load_adjacency(path)
+        assert ((tmp_path / "f.mat").read_bytes()
+                == b"SPARSE v1\t3\t2\t2\t48c633c2\n0\t0\n2\t1\n")
+        assert (tmp_path / "f.mat.cols").read_bytes() == b"9\n11\n"
 
     def test_save_is_byte_stable(self, tmp_path):
         adj = AdjacencyMatrix(n=3, edges=[(1, 2), (0, 1)])
