@@ -18,13 +18,16 @@ import numpy as np
 
 
 @contextmanager
-def atomic_open(path):
-    """The one way artifacts are written: a binary handle on a new 0600 file
-    beside ``path`` that replaces it on a clean exit and is deleted on error."""
+def atomic_open(path, text=False):
+    """The one way artifacts are written: a handle on a new 0600 file beside
+    ``path`` that replaces it on a clean exit and is deleted on error. The
+    handle is binary, or with ``text`` UTF-8 text that writes line ends as
+    given (``newline=""``)."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with (os.fdopen(fd, "w", encoding="utf-8", newline="") if text
+              else os.fdopen(fd, "wb")) as fh:
             yield fh
         os.replace(tmp, path)
     finally:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from . import pipeline, records, reporting
+from .checkpoint import atomic_open
 from .model import ModelConfig
 from .pipeline import RunConfig, parse_years
 from .records import DataError
@@ -236,8 +237,9 @@ def cmd_report(args) -> int:
                                   for (c, g), v in sorted(printed_ave.items())},
     }
     with OutputLock(cfg.out_dir):
-        (Path(cfg.out_dir) / "table_boost.json").write_text(
-            json.dumps(result, indent=1, sort_keys=True) + "\n")
+        with atomic_open(Path(cfg.out_dir) / "table_boost.json",
+                         text=True) as fh:
+            fh.write(json.dumps(result, indent=1, sort_keys=True) + "\n")
     for key in sorted(printed_ave):
         print(f"ave boost {key[0]} gap {key[1]}: {printed_ave[key]:.2f}")
     return EXIT_OK

@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tape
-
 RECALL_NS = (1, 2, 4, 8, 16, 32, 64)
 SCORE_BLOCK = 1 << 20  # mention-entity scores held at once while ranking
 
@@ -65,31 +63,11 @@ def recall_report(ranks, train_year, test_year) -> RecallReport:
                         recall={n: recall_at(ranks, n) for n in RECALL_NS})
 
 
-def text_entity_table(model, entities) -> np.ndarray:
-    """Inference entity table: text encoder only, no graph fusion."""
-    return model.entity_table(entities)
-
-
-def fused_entity_table(model, snapshot) -> np.ndarray:
-    """Training-time scoring table: text embedding plus projected GCN embeddings.
-
-    Requires the snapshot's graphs; used for same-snapshot diagnostics,
-    never on the default inference path.
-    """
-    snapshot.prepare()
-    y_e = model.encode_entities(snapshot.entities)
-    x = tape.const(snapshot.x_dense)
-    z_f, z_r, z_sf, z_sr = model.gcn.forward(snapshot.s_f, snapshot.s_r, x)
-    rows = list(range(len(snapshot.entities)))
-    fused = model.fusion.fuse(y_e, z_f, z_r, z_sf, z_sr, rows)
-    return fused.data.copy()
-
-
-def _gold_ranks(y_m, table, mentions, index) -> list:
-    """``gold_rank`` of each mention's gold entity, ``y_m[i]`` encoding
-    ``mentions[i]``, scoring at most ``SCORE_BLOCK`` pairs at a time."""
+def _gold_ranks(y_m, table, gold) -> list:
+    """``gold_rank`` of row ``gold[i]`` for the mention encoded as ``y_m[i]``,
+    scoring at most ``SCORE_BLOCK`` pairs at a time."""
     y_m, table = y_m.astype(np.float64), table.astype(np.float64)
-    gold = np.array([index.row(m.gold_qid) for m in mentions], dtype=np.int64)[:, None]
+    gold = np.asarray(gold, dtype=np.int64)[:, None]
     step = max(1, SCORE_BLOCK // max(1, len(table)))
     ranks = []
     for lo in range(0, len(gold), step):
@@ -98,15 +76,6 @@ def _gold_ranks(y_m, table, mentions, index) -> list:
         ahead = (s > s_gold) | ((s == s_gold) & (np.arange(len(table)) < g))
         ranks.extend((ahead.sum(axis=1) + 1).tolist())
     return ranks
-
-
-def evaluate_mentions(model, mentions, entities, index, table=None):
-    """Gold ranks for a mention list against an entity table (text table
-    by default). Mentions with unresolvable gold qids are skipped."""
-    if table is None:
-        table = text_entity_table(model, entities)
-    kept = [m for m in mentions if m.gold_qid in index]
-    return _gold_ranks(model.encode_mentions(kept).data, table, kept, index)
 
 
 def temporal_matrix(models, test_sets_by_year: dict) -> dict:
@@ -121,8 +90,11 @@ def temporal_matrix(models, test_sets_by_year: dict) -> dict:
     mentions. Returns key -> GapMatrix over the test years.
     """
     years = sorted(test_sets_by_year)
-    kept = {t2: [m for m in mentions if m.gold_qid in index]
-            for t2, (mentions, _, index) in test_sets_by_year.items()}
+    kept, gold = {}, {}  # test year -> resolvable mentions, their gold rows
+    for t2, (mentions, _, index) in test_sets_by_year.items():
+        kept[t2] = [m for m in mentions if m.gold_qid in index]
+        gold[t2] = np.array([index.row(m.gold_qid) for m in kept[t2]],
+                            dtype=np.int64)
     rendered = []  # (tokenizer, test year -> (entity seqs, mention seqs))
     matrices = {}
     for key, t1, model in models:
@@ -140,8 +112,7 @@ def temporal_matrix(models, test_sets_by_year: dict) -> dict:
             table = model.entity_encoder.encode(entity_seqs).data
             y_m = model.mention_encoder.encode(mention_seqs).data
             matrix.cells[(t1, t2)] = recall_report(
-                _gold_ranks(y_m, table, kept[t2], test_sets_by_year[t2][2]),
-                t1, t2)
+                _gold_ranks(y_m, table, gold[t2]), t1, t2)
         del model
     return matrices
 

@@ -175,10 +175,9 @@ def train_year(cfg: RunConfig, snapshot: Snapshot, category: str,
         m for m in snapshot.mentions if m.category == category])
     model = Model(tokenizer, snapshot.feature_matrix.m, cfg.model)
     path.parent.mkdir(parents=True, exist_ok=True)
-    _, optimizer, _ = train(snapshot, model, cfg.train,
-                            out_dir=path.parent,
-                            curve_name=f"loss_curve_{category}_{year}.csv")
-    save_model(path, model, cfg.train, optimizer,
+    train(snapshot, model, cfg.train, out_dir=path.parent,
+          curve_name=f"loss_curve_{category}_{year}.csv")
+    save_model(path, model, cfg.train,
                extra={"year": year, "category": category})
     manifest = _load_run_manifest(cfg)
     manifest[f"{category}_{year}"] = stamp
@@ -210,8 +209,7 @@ def train_years(cfg: RunConfig, corpora: dict, stamp: str):
 def evaluate_checkpoints(cfg: RunConfig, corpora: dict) -> dict:
     """category -> GapMatrix over every (train year, test year) pair, in one
     pass: each checkpoint is loaded once and released before the next."""
-    models = ((category, year,
-               load_model(checkpoint_path(cfg, year, category))[0])
+    models = ((category, year, load_model(checkpoint_path(cfg, year, category)))
               for category in cfg.categories for year in cfg.years)
     test_sets = {year: (test_m, entities, index)
                  for year, (entities, index, _, test_m) in corpora.items()}
@@ -227,8 +225,8 @@ def write_resolved_config(cfg: RunConfig, version: str) -> str:
     stamp = cfg.stamp(digest)
     resolved = dict(asdict(cfg), version=version, data_digest=digest,
                     stamp=stamp)
-    (out / "resolved_config.json").write_text(
-        json.dumps(resolved, sort_keys=True, indent=1) + "\n")
+    with atomic_open(out / "resolved_config.json", text=True) as fh:
+        fh.write(json.dumps(resolved, sort_keys=True, indent=1) + "\n")
     return stamp
 
 

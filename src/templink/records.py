@@ -123,14 +123,14 @@ def load_triples(path) -> list[RelationTriple]:
 
 
 def save_entities(records, path):
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_open(path, text=True) as fh:
         for r in records:
             fh.write("\t".join(escape_field(f)
                                for f in (r.qid, r.title, r.description)) + "\n")
 
 
 def save_mentions(records, path):
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_open(path, text=True) as fh:
         for r in records:
             fields = (r.gold_qid, r.category, r.context_left, r.mention,
                       r.context_right)
@@ -138,7 +138,7 @@ def save_mentions(records, path):
 
 
 def save_triples(triples, path):
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_open(path, text=True) as fh:
         for t in triples:
             fh.write(f"{escape_field(t.head_qid)}\t{escape_field(t.relation_id)}"
                      f"\t{escape_field(t.tail_qid)}\n")

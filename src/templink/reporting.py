@@ -11,6 +11,7 @@ import csv
 from importlib import resources
 from pathlib import Path
 
+from .checkpoint import atomic_open
 from .evaluate import RECALL_NS, GapMatrix, aggregate_gap, average_boost, boost
 
 
@@ -102,7 +103,7 @@ def printed_average_boost(table):
 
 
 def write_gap_matrix_csv(matrix: GapMatrix, path):
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, text=True) as fh:
         w = csv.writer(fh)
         w.writerow(["train_year", "test_year", "mentions"]
                    + [f"recall@{n}" for n in RECALL_NS])
@@ -114,7 +115,7 @@ def write_gap_matrix_csv(matrix: GapMatrix, path):
 
 
 def write_aggregate_csv(matrix: GapMatrix, path):
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, text=True) as fh:
         w = csv.writer(fh)
         w.writerow(["mode", "gap"] + [f"recall@{n}" for n in RECALL_NS])
         for mode in ("forward_only", "forward_and_backward"):
@@ -128,7 +129,7 @@ def write_boost_csv(matrix: GapMatrix, baseline: dict, category: str, path,
     """Boost of aggregated recall against a baseline keyed by (metric, gap,
     category). Emits both relative percent and percentage-point columns."""
     agg = aggregate_gap(matrix, mode)
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, text=True) as fh:
         w = csv.writer(fh)
         w.writerow(["metric", "gap", "category", "ours", "baseline",
                     "boost_percent", "delta_points"])
@@ -204,7 +205,8 @@ def svg_line_plot(series: dict, path, title: str, x_label: str, y_label: str,
                      f'y="{py(pts[-1][1]):.2f}" font-family="sans-serif" '
                      f'font-size="10" fill="{color}">{name}</text>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    with atomic_open(path, text=True) as fh:
+        fh.write("\n".join(parts) + "\n")
 
 
 def write_recall_vs_gap_plot(matrices_by_category: dict, path, metric: int = 1,

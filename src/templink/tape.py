@@ -237,8 +237,10 @@ def mean_bags(table, bags):
         mask = np.arange(lens.max()) < lens[:, None]
         ids = np.zeros(mask.shape, dtype=np.intp)
         ids[mask] = np.concatenate(block)
-        tok = np.where(mask[:, :, None], table.data[ids], 0).astype(np.float64)
-        out_data[lo:lo + len(block)] = tok.sum(axis=1) / lens[:, None]
+        tok = table.data[ids]
+        tok[~mask] = 0
+        out_data[lo:lo + len(block)] = (tok.sum(axis=1, dtype=np.float64)
+                                        / lens[:, None])
         blocks.append((lo, ids, mask, lens))
 
     def bwd(g):
@@ -344,11 +346,6 @@ def hsic(z1, z2):
         raise ValueError("hsic requires at least 2 rows")
     cross = matmul(transpose(center_rows(z1)), center_rows(z2))
     return scale(sum_squares(cross), (n - 1.0) ** -2)
-
-
-def centering_matrix(n, dtype=np.float64):
-    """R = I - (1/n) e e^T as a plain array (test / oracle helper)."""
-    return np.eye(n, dtype=dtype) - np.full((n, n), 1.0 / n, dtype=dtype)
 
 
 def check_gradients(loss_fn, params, eps=1e-3, tol=1e-4, skip=None):

@@ -1,5 +1,6 @@
 """Deterministic training loop: batching with in-batch negatives, joint
-forward over text and graph branches, Adam updates, checkpointing."""
+forward over text and graph branches, Adam updates, checkpointing of the
+model (a checkpoint holds no optimizer state)."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tape
-from .checkpoint import save_checkpoint, load_checkpoint
+from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .graphs import sym_normalize
 from .model import (LossWeights, Model, ModelConfig, consistency_loss,
                     distinct_loss, total_loss)
@@ -162,18 +163,8 @@ def train_step(batch, snapshot: Snapshot, model: Model, optimizer: Adam,
     return breakdown
 
 
-def model_tensors(model: Model, optimizer: Adam = None) -> dict:
-    tensors = {name: p.data for name, p in model.params.items()}
-    if optimizer is not None:
-        for name, arr in optimizer.m.items():
-            tensors[f"opt.m.{name}"] = arr
-        for name, arr in optimizer.v.items():
-            tensors[f"opt.v.{name}"] = arr
-    return tensors
-
-
-def checkpoint_meta(model: Model, config: TrainConfig, optimizer: Adam = None,
-                    extra: dict = None) -> dict:
+def save_model(path, model: Model, config: TrainConfig, extra: dict = None):
+    """Write the model's parameters and the config that rebuilds it."""
     meta = {
         "format": "ckpt-v1",
         "model_config": asdict(model.config),
@@ -182,43 +173,29 @@ def checkpoint_meta(model: Model, config: TrainConfig, optimizer: Adam = None,
         "tokenizer_max_len": model.tokenizer.max_len,
         "feature_dim": model.gcn.params["gcn.wf.l0"].data.shape[0],
         "fusion_frozen": model.fusion.frozen,
-        "step": optimizer.step_count if optimizer else 0,
+        **(extra or {}),
     }
-    if extra:
-        meta.update(extra)
-    return meta
+    save_checkpoint(path, {name: p.data for name, p in model.params.items()},
+                    meta)
 
 
-def save_model(path, model: Model, config: TrainConfig, optimizer: Adam = None,
-               extra: dict = None):
-    save_checkpoint(path, model_tensors(model, optimizer),
-                    checkpoint_meta(model, config, optimizer, extra))
-
-
-def load_model(path):
-    """Rebuild a Model (and optimizer state) from a checkpoint file."""
+def load_model(path) -> Model:
+    """Rebuild a Model from a checkpoint file; tensors that are not model
+    parameters (such as ``opt.*`` moments in older files) are ignored."""
     tensors, meta = load_checkpoint(path)
     tokenizer = Tokenizer(meta["tokenizer_vocab"], meta["tokenizer_max_len"])
-    mc = ModelConfig(**meta["model_config"])
-    model = Model(tokenizer, meta["feature_dim"], mc,
+    model = Model(tokenizer, meta["feature_dim"],
+                  ModelConfig(**meta["model_config"]),
                   fusion_frozen_zero=meta.get("fusion_frozen", False))
     for name, p in model.params.items():
-        p.data = tensors[name].reshape(p.data.shape).astype(np.float32)
-    config = TrainConfig(**meta["train_config"])
-    optimizer = Adam(config.learning_rate)
-    optimizer.step_count = meta.get("step", 0)
-    for name in model.params:
-        if f"opt.m.{name}" in tensors:
-            optimizer.m[name] = tensors[f"opt.m.{name}"].reshape(
-                model.params[name].data.shape)
-            optimizer.v[name] = tensors[f"opt.v.{name}"].reshape(
-                model.params[name].data.shape)
-    return model, config, optimizer, meta
+        p.data = tensors[name].reshape(p.data.shape)
+    return model
 
 
 def train(snapshot: Snapshot, model: Model, config: TrainConfig,
           out_dir=None, curve_name="loss_curve.csv"):
-    """Full training run; returns (model, optimizer, loss curve rows)."""
+    """Full training run, updating ``model`` in place; returns the loss
+    curve rows (step, L_e, L_s, L_d, L_total)."""
     snapshot.prepare()
     optimizer = Adam(config.learning_rate)
     curve = []
@@ -236,9 +213,9 @@ def train(snapshot: Snapshot, model: Model, config: TrainConfig,
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        with (out_dir / curve_name).open("w", newline="") as fh:
+        with atomic_open(out_dir / curve_name, text=True) as fh:
             w = csv.writer(fh)
             w.writerow(["step", "L_e", "L_s", "L_d", "L_total"])
             for row in curve:
                 w.writerow([row[0]] + [repr(v) for v in row[1:]])
-    return model, optimizer, curve
+    return curve

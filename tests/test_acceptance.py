@@ -14,9 +14,7 @@ import pytest
 import conftest
 from fixtures import write_pair_dataset, write_toy_dataset
 from templink import records, tape
-from templink.evaluate import (RECALL_NS, aggregate_gap, evaluate_mentions,
-                               fused_entity_table, rank_candidates, recall_at,
-                               text_entity_table)
+from templink.evaluate import RECALL_NS, _gold_ranks, aggregate_gap, recall_at
 from templink.graphs import AdjacencyMatrix, sym_normalize
 from templink.model import (Model, ModelConfig, consistency_loss,
                             distinct_loss, total_loss)
@@ -64,9 +62,14 @@ def test_criterion_1_results_table_arithmetic():
                     f"{elapsed:.2f}s")
 
 
+def centering_matrix(n):
+    """R = I - (1/n) e e^T."""
+    return np.eye(n) - np.full((n, n), 1.0 / n)
+
+
 def hsic_trace_oracle(z1, z2):
     n = z1.shape[0]
-    r = tape.centering_matrix(n)
+    r = centering_matrix(n)
     return (n - 1.0) ** -2 * np.trace(r @ (z1 @ z1.T) @ r @ (z2 @ z2.T))
 
 
@@ -210,6 +213,25 @@ def test_criterion_5_graph_construction_golden(tmp_path):
              "files" + (f"; mismatched: {mismatches}" if mismatches else ""))
 
 
+def fused_entity_table(model, snapshot) -> np.ndarray:
+    """Training-time scoring table: text embedding plus projected GCN
+    embeddings of every snapshot entity (same-snapshot diagnostic; no
+    command scores through it)."""
+    snapshot.prepare()
+    y_e = model.encode_entities(snapshot.entities)
+    x = tape.const(snapshot.x_dense)
+    z_f, z_r, z_sf, z_sr = model.gcn.forward(snapshot.s_f, snapshot.s_r, x)
+    rows = list(range(len(snapshot.entities)))
+    return model.fusion.fuse(y_e, z_f, z_r, z_sf, z_sr, rows).data.copy()
+
+
+def mention_ranks(model, mentions, index, table) -> list:
+    """Gold ranks of the mentions whose gold qid ``index`` resolves."""
+    kept = [m for m in mentions if m.gold_qid in index]
+    return _gold_ranks(model.encode_mentions(kept).data, table,
+                       [index.row(m.gold_qid) for m in kept])
+
+
 def test_criterion_6_disambiguation_by_structure(tmp_path):
     start = time.monotonic()
     data = write_pair_dataset(tmp_path / "data")
@@ -236,10 +258,9 @@ def test_criterion_6_disambiguation_by_structure(tmp_path):
             # text-only scoring for the frozen run; the full run is scored
             # through the training-time fused table so graph information
             # can break the twin tie (same-snapshot diagnostic)
-            table = (text_entity_table(model, snap.entities) if frozen
+            table = (model.entity_table(snap.entities) if frozen
                      else fused_entity_table(model, snap))
-            ranks = evaluate_mentions(model, test_m, snap.entities,
-                                      snap.index, table)
+            ranks = mention_ranks(model, test_m, snap.index, table)
             per_seed[label] = recall_at(ranks, 1)
         results[seed] = per_seed
     elapsed = time.monotonic() - start
@@ -258,10 +279,11 @@ def test_criterion_7_recall_harness_oracle():
     for _ in range(100):
         table = rng.normal(size=(50, 8))
         y = rng.normal(size=8)
-        got = rank_candidates(y, table).tolist()
+        # every row as gold: the rank each row gets in the ranking that runs
+        got = _gold_ranks(np.tile(y, (50, 1)), table, np.arange(50))
         scores = [float(row @ y) for row in table]
         want = sorted(range(50), key=lambda i: (-scores[i], i))
-        exact = exact and got == want
+        exact = exact and got == [want.index(g) + 1 for g in range(50)]
     monotone = True
     for _ in range(1000):
         ranks = rng.integers(1, 100, size=rng.integers(1, 40))

@@ -235,6 +235,25 @@ class TestExperiment:
         assert ckpt.stat().st_mtime_ns == mtime
         assert ckpt.read_bytes() == before
 
+    def test_every_output_written_atomically(self, tmp_path, toy_data):
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
+        baseline = tmp_path / "baseline.csv"
+        baseline.write_text("metric,gap,category,value\n1,0,new,0.5\n")
+        assert main(["experiment", "--config", str(ini),
+                     "--baseline", str(baseline)]) == EXIT_OK
+        assert main(["report", "--config", str(ini),
+                     "--table", str(bundled_results_path())]) == EXIT_OK
+        files = [p for p in out.rglob("*") if p.is_file()]
+        names = {p.name for p in files}
+        assert {"resolved_config.json", "loss_curve_new_2019.csv",
+                "gap_matrix_new.csv", "aggregate_new.csv", "boost_new.csv",
+                "recall_vs_gap.svg", "table_boost.json"} <= names
+        assert {oct(p.stat().st_mode & 0o777) for p in files} == {"0o600"}
+        # csv writers keep their \r\n line ends
+        gap = (out / "gap_matrix_new.csv").read_bytes()
+        assert gap.count(b"\r\n") == gap.count(b"\n") == 1 + 4
+
     def test_gap_matrix_dimensions(self, tmp_path, toy_data):
         out = tmp_path / "out"
         ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from templink import evaluate
 from templink.evaluate import (RECALL_NS, GapMatrix, RecallReport,
-                               aggregate_gap, average_boost, boost,
-                               evaluate_mentions, gold_rank, rank_candidates,
-                               recall_at, recall_report, temporal_matrix,
-                               text_entity_table)
+                               _gold_ranks, aggregate_gap, average_boost,
+                               boost, gold_rank, rank_candidates, recall_at,
+                               recall_report, temporal_matrix)
 from templink.model import Model, ModelConfig
 from templink.records import EntityIndex, EntityRecord, MentionRecord
 from templink.reporting import (BaselineFormatError, bundled_results_path,
@@ -164,6 +163,17 @@ def year_test_set(year):
     return mentions, entities, EntityIndex([e.qid for e in entities])
 
 
+def evaluate_mentions(model, mentions, entities, index, table=None):
+    """One cell ranked per model: gold ranks of the mentions whose gold qid
+    ``index`` resolves, against ``table`` (the model's text table by
+    default)."""
+    if table is None:
+        table = model.entity_table(entities)
+    kept = [m for m in mentions if m.gold_qid in index]
+    return _gold_ranks(model.encode_mentions(kept).data, table,
+                       [index.row(m.gold_qid) for m in kept])
+
+
 class TestTemporalMatrix:
     def test_full_grid(self):
         models = {y: year_model(y) for y in (2019, 2020)}
@@ -214,7 +224,7 @@ class TestTemporalMatrix:
         for (t1, t2), rep in matrix.cells.items():
             model = models[t1]
             mentions, entities, index = tests[t2]
-            table = text_entity_table(model, entities)
+            table = model.entity_table(entities)
             want = recall_report(evaluate_mentions(model, mentions, entities,
                                                    index, table), t1, t2)
             assert rep == want
@@ -253,14 +263,18 @@ class TestTemporalMatrix:
         stray = MentionRecord("", "alpha", "", "Q404", "new", 2019)
         ranks = evaluate_mentions(model, mentions + [stray], entities, index)
         assert len(ranks) == 2
+        matrix = temporal_matrix(
+            [(0, 2019, model)], {2019: (mentions + [stray], entities, index)})[0]
+        assert matrix.cell(2019, 2019) == recall_report(ranks, 2019, 2019)
 
     def test_matrix_uses_text_table(self):
         model = year_model(1)
         mentions, entities, index = year_test_set(2019)
-        table = text_entity_table(model, entities)
+        table = model.entity_table(entities)
         direct = evaluate_mentions(model, mentions, entities, index, table)
-        default = evaluate_mentions(model, mentions, entities, index)
-        assert direct == default
+        matrix = temporal_matrix([(0, 2019, model)],
+                                 {2019: (mentions, entities, index)})[0]
+        assert matrix.cell(2019, 2019) == recall_report(direct, 2019, 2019)
 
 
 class TestBatchedRanks:

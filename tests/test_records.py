@@ -211,3 +211,45 @@ class TestIngest:
         assert n == 1
         (m,) = load_mentions(tmp_path / "m.tsv", 2020)
         assert (m.context_left, m.mention, m.context_right) == ("l", "x", "r")
+
+
+def failing_after(items, n):
+    """The first ``n`` items, then a crash, as an ingest that dies midway."""
+    yield from items[:n]
+    raise RuntimeError("crash mid-write")
+
+
+SAVERS = {
+    "entities": (records.save_entities,
+                 [EntityRecord("Q1", "a\tb", "d", 2020),
+                  EntityRecord("Q2", "", "e\\f", 2020)],
+                 b"Q1\ta\\tb\td\nQ2\t\te\\\\f\n"),
+    "mentions": (records.save_mentions,
+                 [MentionRecord("l", "m", "r\n", "Q1", "new", 2020),
+                  MentionRecord("", "x", "", "Q2", "continual", 2020)],
+                 b"Q1\tnew\tl\tm\tr\\n\nQ2\tcontinual\t\tx\t\n"),
+    "triples": (records.save_triples,
+                [RelationTriple("Q1", "P1", "Q2"),
+                 RelationTriple("Q3", "P9", "Q1")],
+                b"Q1\tP1\tQ2\nQ3\tP9\tQ1\n"),
+}
+
+
+class TestAtomicSave:
+    @pytest.mark.parametrize("kind", sorted(SAVERS))
+    def test_bytes_and_mode(self, tmp_path, kind):
+        save, items, want = SAVERS[kind]
+        p = tmp_path / f"{kind}.tsv"
+        save(items, p)
+        assert p.read_bytes() == want
+        assert p.stat().st_mode & 0o777 == 0o600
+
+    @pytest.mark.parametrize("kind", sorted(SAVERS))
+    def test_crash_keeps_previous_file(self, tmp_path, kind):
+        save, items, want = SAVERS[kind]
+        p = tmp_path / f"{kind}.tsv"
+        save(items, p)
+        with pytest.raises(RuntimeError):
+            save(failing_after(items[::-1], 1), p)
+        assert p.read_bytes() == want
+        assert [f.name for f in tmp_path.iterdir()] == [p.name]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -155,9 +157,7 @@ class TestTrain:
         snap = tiny_snapshot()
         model = tiny_model(snap)
         before = {n: p.data.copy() for n, p in model.params.items()}
-        _, opt, curve = train(snap, model, TrainConfig(epochs=0))
-        assert curve == []
-        assert opt.step_count == 0
+        assert train(snap, model, TrainConfig(epochs=0)) == []
         for n, p in model.params.items():
             assert np.array_equal(p.data, before[n])
 
@@ -165,16 +165,16 @@ class TestTrain:
         snap = tiny_snapshot()
         model = tiny_model(snap)
         cfg = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=3)
-        _, opt, curve = train(snap, model, cfg)
+        curve = train(snap, model, cfg)
         # 8 mentions / batch 3 -> 3 batches per epoch
-        assert opt.step_count == 6
+        assert len(curve) == 6
         assert [row[0] for row in curve] == list(range(1, 7))
 
     def test_objective_decreases(self):
         snap = tiny_snapshot()
         model = tiny_model(snap)
         cfg = TrainConfig(learning_rate=0.05, epochs=25, batch_size=4)
-        _, _, curve = train(snap, model, cfg)
+        curve = train(snap, model, cfg)
         first = np.mean([r[1] for r in curve[:4]])
         last = np.mean([r[1] for r in curve[-4:]])
         assert last < 0.25 * first
@@ -195,7 +195,7 @@ class TestTrain:
         snap = make_snapshot(cfg, 2019, corpora[2019], tok)
         model = Model(tok, snap.feature_matrix.m, cfg.model)
         tc = TrainConfig(learning_rate=0.05, epochs=13, batch_size=32, seed=0)
-        _, _, curve = train(snap, model, tc)   # 16 batches/epoch -> 208 steps
+        curve = train(snap, model, tc)   # 16 batches/epoch -> 208 steps
         initial = curve[0][1]
         final = np.mean([r[1] for r in curve[-16:]])
         assert final < 0.1 * initial
@@ -206,8 +206,8 @@ class TestTrain:
         for run in ("a", "b"):
             snap = tiny_snapshot()
             model = tiny_model(snap)
-            model, opt, _ = train(snap, model, cfg, out_dir=tmp_path / run)
-            save_model(tmp_path / run / "m.ckpt", model, cfg, opt)
+            train(snap, model, cfg, out_dir=tmp_path / run)
+            save_model(tmp_path / run / "m.ckpt", model, cfg)
             outs.append(run)
         assert ((tmp_path / "a" / "m.ckpt").read_bytes()
                 == (tmp_path / "b" / "m.ckpt").read_bytes())
@@ -228,62 +228,55 @@ class TestTrain:
 
 
 class TestCheckpointRoundTrip:
-    def test_params_and_optimizer_restored(self, tmp_path):
+    def test_params_restored(self, tmp_path):
         snap = tiny_snapshot()
         model = tiny_model(snap)
         cfg = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=4, seed=2)
-        model, opt, _ = train(snap, model, cfg)
+        train(snap, model, cfg)
         path = tmp_path / "m.ckpt"
-        save_model(path, model, cfg, opt, extra={"year": 2020})
+        save_model(path, model, cfg, extra={"year": 2020})
 
-        loaded, cfg2, opt2, meta = load_model(path)
-        assert cfg2 == cfg
-        assert meta["year"] == 2020
-        assert opt2.step_count == opt.step_count
+        loaded = load_model(path)
+        assert isinstance(loaded, Model)
         for name, p in model.params.items():
             assert np.array_equal(loaded.params[name].data, p.data)
-        # only parameters that actually received gradients have moments
-        assert opt.m
-        for name in opt.m:
-            assert np.array_equal(opt2.m[name], opt.m[name])
-            assert np.array_equal(opt2.v[name], opt.v[name])
+        _, meta = load_checkpoint(path)
+        assert TrainConfig(**meta["train_config"]) == cfg
+        assert meta["year"] == 2020
+
+    def test_manifest_names_exactly_the_params(self, tmp_path):
+        snap = tiny_snapshot()
+        model = tiny_model(snap)
+        train(snap, model, TrainConfig(learning_rate=1e-3, batch_size=4))
+        path = tmp_path / "m.ckpt"
+        save_model(path, model, TrainConfig())
+        header = json.loads(path.read_bytes().split(b"\x00", 1)[0])
+        assert [name for name, _, _ in header["manifest"]] == sorted(model.params)
+        assert "step" not in header
 
     def test_loads_mean_mode_checkpoint_with_pos_tables(self, tmp_path):
-        # mean-mode checkpoints once carried unread positional tables
+        # older checkpoints carried the Adam moments and step count, and in
+        # mean mode unread positional tables; none of them is model state
         snap = tiny_snapshot()
         model = tiny_model(snap)
         assert not any(name.endswith(".pos") for name in model.params)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=4)
+        opt = Adam(cfg.learning_rate)
+        for step, batch in enumerate(make_batches(snap.mentions, 4, 0)):
+            train_step(batch, snap, model, opt, cfg, np.random.default_rng(step))
         path = tmp_path / "m.ckpt"
-        save_model(path, model, TrainConfig())
+        save_model(path, model, cfg)
         tensors, meta = load_checkpoint(path)
+        assert opt.m
+        for name in opt.m:
+            tensors[f"opt.m.{name}"] = opt.m[name]
+            tensors[f"opt.v.{name}"] = opt.v[name]
         for prefix in ("m_enc", "e_enc"):
             tensors[f"{prefix}.pos"] = np.ones((16, 6), dtype=np.float32)
-        save_checkpoint(path, tensors, meta)
-        loaded, _, _, _ = load_model(path)
+        save_checkpoint(path, tensors, dict(meta, step=opt.step_count))
+        loaded = load_model(path)
+        assert isinstance(loaded, Model)
         assert set(loaded.params) == set(model.params)
         for name, p in model.params.items():
+            assert loaded.params[name].data.dtype == np.float32
             assert np.array_equal(loaded.params[name].data, p.data)
-
-    def test_resume_matches_uninterrupted(self, tmp_path):
-        cfg1 = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=4, seed=9)
-        cfg2 = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=4, seed=9)
-
-        # uninterrupted: two epochs straight through
-        snap = tiny_snapshot()
-        straight = tiny_model(snap)
-        straight, _, _ = train(snap, straight, cfg2)
-
-        # interrupted: one epoch, checkpoint, reload, second epoch
-        snap = tiny_snapshot()
-        model = tiny_model(snap)
-        model, opt, _ = train(snap, model, cfg1)
-        save_model(tmp_path / "half.ckpt", model, cfg1, opt)
-        resumed, _, opt2, _ = load_model(tmp_path / "half.ckpt")
-        batches = make_batches(snap.mentions, 4, cfg1.seed + 7919 * 1)
-        step = opt2.step_count
-        for batch in batches:
-            rng = np.random.default_rng(np.random.PCG64(cfg1.seed + step))
-            train_step(batch, snap, resumed, opt2, cfg1, rng)
-            step += 1
-        for name, p in straight.params.items():
-            assert np.array_equal(resumed.params[name].data, p.data), name
