@@ -56,19 +56,38 @@ def save_checkpoint(path, tensors: dict, meta: dict):
             fh.write(arr.tobytes(order="C"))
 
 
+def _read_header(fh) -> dict:
+    """Parse the JSON header of a checkpoint open at its start, leaving ``fh``
+    just past the NUL byte that ends it."""
+    head = b""
+    while (sep := head.find(b"\x00")) < 0:
+        chunk = fh.read(1 << 16)
+        if not chunk:
+            raise ValueError(f"{fh.name}: checkpoint header has no end")
+        head += chunk
+    fh.seek(sep + 1)
+    return json.loads(head[:sep].decode("utf-8"))
+
+
+def read_meta(path) -> dict:
+    """A checkpoint's header (its metadata and tensor ``manifest``), read
+    without the tensor payload."""
+    with open(path, "rb") as fh:
+        return _read_header(fh)
+
+
 def load_checkpoint(path):
     """Returns (tensors dict of float32 arrays, meta dict)."""
-    blob = Path(path).read_bytes()
-    sep = blob.index(b"\x00")
-    meta = json.loads(blob[:sep].decode("utf-8"))
+    with open(path, "rb") as fh:
+        meta = _read_header(fh)
+        payload = fh.read()
     manifest = meta.pop("manifest")
     tensors = {}
-    off = sep + 1
+    off = 0
     for name, r, c in manifest:
-        nbytes = 4 * r * c
-        arr = np.frombuffer(blob[off:off + nbytes], dtype="<f4").reshape(r, c)
-        tensors[name] = arr.copy()
-        off += nbytes
-    if off != len(blob):
+        arr = np.frombuffer(payload, dtype="<f4", count=r * c, offset=off)
+        tensors[name] = arr.reshape(r, c).copy()
+        off += 4 * r * c
+    if off != len(payload):
         raise ValueError(f"{path}: trailing bytes in checkpoint")
     return tensors, meta

@@ -13,15 +13,16 @@ import json
 import logging
 import os
 import sys
+from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
 
 from . import __version__
 from . import pipeline, records, reporting
 from .checkpoint import atomic_open
-from .model import ModelConfig
+from .evaluate import MODES
 from .pipeline import RunConfig, parse_years
 from .records import DataError
-from .trainer import NumericError, TrainConfig
+from .trainer import NumericError
 
 log = logging.getLogger(__name__)
 
@@ -35,91 +36,74 @@ class UsageError(Exception):
     pass
 
 
+# INI section of each RunConfig field not read from [graphs]
+SECTION_OF = {"data_dir": "paths", "out_dir": "paths", "baseline": "paths",
+              "years": "run", "mode": "run", "categories": "run",
+              "model": "model", "train": "train"}
+
+
+def _cast(name: str, default, text: str):
+    if name == "years":
+        return parse_years(text)
+    if isinstance(default, list):
+        return [c.strip() for c in text.split(",") if c.strip()]
+    return type(default)(text)
+
+
+def _from_ini(parser, cls, section: str, section_of: dict):
+    """A ``cls`` built through its constructor from the INI keys named after
+    its fields, each read from ``section_of.get(name, section)`` and cast by
+    the type of the field's default; a dataclass field reads its own fields
+    from that section. ``seed`` fields are set by ``--seed`` only, and keys
+    that name no field are ignored."""
+    values = {}
+    for f in fields(cls):
+        default = f.default if f.default is not MISSING else f.default_factory()
+        where = section_of.get(f.name, section)
+        if is_dataclass(default):
+            values[f.name] = _from_ini(parser, type(default), where, {})
+        elif f.name != "seed" and parser.has_option(where, f.name):
+            try:
+                values[f.name] = _cast(f.name, default,
+                                       parser.get(where, f.name))
+            except ValueError as exc:
+                raise ValueError(f"[{where}] {f.name}: {exc}") from exc
+    return cls(**values)
+
+
 def load_config_file(path) -> RunConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise UsageError(f"bad config file: {exc}") from exc
     if not read:
         raise UsageError(f"config file not found: {path}")
-    cfg = RunConfig()
-
-    def get(section, key, cast, default):
-        if parser.has_option(section, key):
-            return cast(parser.get(section, key))
-        return default
-
-    cfg.data_dir = get("paths", "data_dir", str, cfg.data_dir)
-    cfg.out_dir = get("paths", "out_dir", str, cfg.out_dir)
-    cfg.baseline = get("paths", "baseline", str, cfg.baseline)
-    years = get("run", "years", str, "")
-    if years:
-        cfg.years = _parse_years_arg(years)
-    cfg.mode = get("run", "mode", str, cfg.mode)
-    cats = get("run", "categories", str, "")
-    if cats:
-        cfg.categories = [c.strip() for c in cats.split(",") if c.strip()]
-
-    cfg.k = get("graphs", "k", int, cfg.k)
-    cfg.min_count = get("graphs", "min_count", int, cfg.min_count)
-    cfg.max_count = get("graphs", "max_count", int, cfg.max_count)
-    cfg.embed_dim = get("graphs", "embed_dim", int, cfg.embed_dim)
-    cfg.embed_seed = get("graphs", "embed_seed", int, cfg.embed_seed)
-
-    mc = ModelConfig()
-    mc.dim = get("model", "dim", int, mc.dim)
-    mc.gcn_hidden = get("model", "gcn_hidden", int, mc.gcn_hidden)
-    mc.gcn_out = get("model", "gcn_out", int, mc.gcn_out)
-    mc.gcn_layers = get("model", "gcn_layers", int, mc.gcn_layers)
-    mc.encoder_mode = get("model", "encoder_mode", str, mc.encoder_mode)
-    mc.encoder_layers = get("model", "encoder_layers", int, mc.encoder_layers)
-    mc.max_len = get("model", "max_len", int, mc.max_len)
-    cfg.model = mc
-
-    tc = TrainConfig()
-    tc.learning_rate = get("train", "learning_rate", float, tc.learning_rate)
-    tc.epochs = get("train", "epochs", int, tc.epochs)
-    tc.batch_size = get("train", "batch_size", int, tc.batch_size)
-    tc.loss_a = get("train", "loss_a", float, tc.loss_a)
-    tc.loss_b = get("train", "loss_b", float, tc.loss_b)
-    tc.gram_sample = get("train", "gram_sample", int, tc.gram_sample)
-    tc.grad_clip = get("train", "grad_clip", float, tc.grad_clip)
-    cfg.train = tc
-    return cfg
-
-
-def _parse_years_arg(spec: str) -> list:
-    try:
-        return parse_years(spec)
-    except ValueError as exc:
-        raise UsageError(f"bad years value {spec!r}: {exc}") from exc
+    return _from_ini(parser, RunConfig, "graphs", SECTION_OF)
 
 
 def apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "data_dir", None):
-        cfg.data_dir = args.data_dir
-    if getattr(args, "out_dir", None):
-        cfg.out_dir = args.out_dir
-    if getattr(args, "years", None):
-        cfg.years = _parse_years_arg(args.years)
-    if getattr(args, "k", None) is not None:
-        cfg.k = args.k
-    if getattr(args, "min_count", None) is not None:
-        cfg.min_count = args.min_count
-    if getattr(args, "max_count", None) is not None:
-        cfg.max_count = args.max_count
-    if getattr(args, "mode", None):
-        cfg.mode = args.mode
-    if getattr(args, "baseline", None):
-        cfg.baseline = args.baseline
+    changes = {name: getattr(args, name) for name in
+               ("data_dir", "out_dir", "k", "min_count", "max_count", "mode",
+                "baseline") if getattr(args, name, None) is not None}
+    if getattr(args, "years", None) is not None:
+        changes["years"] = parse_years(args.years)
     if getattr(args, "seed", None) is not None:
-        cfg.train.seed = args.seed
-        cfg.model.seed = args.seed
-        cfg.embed_seed = args.seed
-    return cfg
+        changes.update(embed_seed=args.seed,
+                       model=replace(cfg.model, seed=args.seed),
+                       train=replace(cfg.train, seed=args.seed))
+    return replace(cfg, **changes)
 
 
 def build_run_config(args) -> RunConfig:
-    cfg = load_config_file(args.config) if getattr(args, "config", None) else RunConfig()
-    return apply_overrides(cfg, args)
+    """The file config (if any) with the command-line flags applied; an
+    invalid value is a usage error."""
+    try:
+        cfg = (load_config_file(args.config) if getattr(args, "config", None)
+               else RunConfig())
+        return apply_overrides(cfg, args)
+    except ValueError as exc:
+        raise UsageError(f"bad config: {exc}") from exc
 
 
 class OutputLock:
@@ -195,8 +179,7 @@ def _emit_matrices(cfg: RunConfig, matrices: dict) -> None:
         reporting.write_gap_matrix_csv(matrix, out / f"gap_matrix_{category}.csv")
         reporting.write_aggregate_csv(matrix, out / f"aggregate_{category}.csv")
     reporting.write_recall_vs_gap_plot(
-        matrices, out / "recall_vs_gap.svg", metric=1,
-        mode=cfg.mode if cfg.mode else "forward_only")
+        matrices, out / "recall_vs_gap.svg", metric=1, mode=cfg.mode)
     if cfg.baseline:
         baseline = reporting.load_baseline_csv(cfg.baseline)
         for category, matrix in matrices.items():
@@ -281,7 +264,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate checkpoints over all year pairs")
     common(p)
-    p.add_argument("--mode", choices=["forward_only", "forward_and_backward"])
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--baseline", help="baseline CSV (metric,gap,category,value)")
     p.set_defaults(func=cmd_eval)
 
@@ -290,13 +273,13 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--min-count", dest="min_count", type=int)
     p.add_argument("--max-count", dest="max_count", type=int)
-    p.add_argument("--mode", choices=["forward_only", "forward_and_backward"])
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--baseline")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("report", help="emit CSVs, plots, and boost tables")
     common(p)
-    p.add_argument("--mode", choices=["forward_only", "forward_and_backward"])
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--baseline")
     p.add_argument("--table", help="transcribed results table CSV for "
                                    "boost arithmetic (see data/published_results.csv)")

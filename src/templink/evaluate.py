@@ -8,6 +8,7 @@ import numpy as np
 
 RECALL_NS = (1, 2, 4, 8, 16, 32, 64)
 SCORE_BLOCK = 1 << 20  # mention-entity scores held at once while ranking
+MODES = ("forward_only", "forward_and_backward")  # gap aggregation directions
 
 
 @dataclass
@@ -37,19 +38,6 @@ class GapMatrix:
                    for t1 in self.years for t2 in self.years)
 
 
-def rank_candidates(y_m: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Exact descending dot-product ranking; ties broken by lower row index."""
-    if table.shape[0] == 0:
-        raise ValueError("empty entity table")
-    scores = table.astype(np.float64) @ np.asarray(y_m, dtype=np.float64).ravel()
-    return np.argsort(-scores, kind="stable")
-
-
-def gold_rank(y_m, table, gold_row: int) -> int:
-    order = rank_candidates(y_m, table)
-    return int(np.where(order == gold_row)[0][0]) + 1
-
-
 def recall_at(ranks, n: int) -> float:
     ranks = np.asarray(ranks)
     if ranks.size == 0:
@@ -64,8 +52,9 @@ def recall_report(ranks, train_year, test_year) -> RecallReport:
 
 
 def _gold_ranks(y_m, table, gold) -> list:
-    """``gold_rank`` of row ``gold[i]`` for the mention encoded as ``y_m[i]``,
-    scoring at most ``SCORE_BLOCK`` pairs at a time."""
+    """1-based rank of row ``gold[i]`` of ``table`` for the mention encoded as
+    ``y_m[i]``: by descending float64 dot product, ties broken by lower row
+    index, scoring at most ``SCORE_BLOCK`` pairs at a time."""
     y_m, table = y_m.astype(np.float64), table.astype(np.float64)
     gold = np.asarray(gold, dtype=np.int64)[:, None]
     step = max(1, SCORE_BLOCK // max(1, len(table)))
@@ -76,6 +65,13 @@ def _gold_ranks(y_m, table, gold) -> list:
         ahead = (s > s_gold) | ((s == s_gold) & (np.arange(len(table)) < g))
         ranks.extend((ahead.sum(axis=1) + 1).tolist())
     return ranks
+
+
+def gold_rank(y_m, table, gold_row: int) -> int:
+    """``_gold_ranks`` of one mention encoding ``y_m``."""
+    if len(table) == 0:
+        raise ValueError("empty entity table")
+    return _gold_ranks(np.asarray(y_m).reshape(1, -1), table, [gold_row])[0]
 
 
 def temporal_matrix(models, test_sets_by_year: dict) -> dict:
@@ -123,7 +119,7 @@ def aggregate_gap(matrix: GapMatrix, mode: str) -> dict:
     forward_only averages cells with test year > train year (gap 0 is the
     diagonal in both modes); forward_and_backward averages both directions.
     """
-    if mode not in ("forward_only", "forward_and_backward"):
+    if mode not in MODES:
         raise ValueError(f"unknown aggregation mode {mode!r}")
     out = {}
     gaps = sorted({abs(t2 - t1) for t1 in matrix.years for t2 in matrix.years})

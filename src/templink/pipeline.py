@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import records
-from .checkpoint import atomic_open
-from .evaluate import temporal_matrix
+from .checkpoint import atomic_open, read_meta
+from .evaluate import MODES, temporal_matrix
 from .graphs import (VocabFilter, build_feature_matrix, build_knn_graph,
                      build_structure_graph, embed_descriptions, save_adjacency,
                      save_feature_matrix)
@@ -52,6 +52,13 @@ class RunConfig:
     mode: str = "forward_and_backward"
     categories: list = field(default_factory=lambda: ["continual", "new"])
     baseline: str = ""
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}, expected one of "
+                             f"{', '.join(MODES)}")
+        if not self.categories:
+            raise ValueError("no categories")
 
     def stamp(self, data_digest: str) -> str:
         """Digest of what shapes a checkpoint: the config without its path
@@ -147,28 +154,10 @@ def checkpoint_path(cfg: RunConfig, year: int, category: str) -> Path:
     return Path(cfg.out_dir) / "checkpoints" / f"{category}_{year}.ckpt"
 
 
-def _run_manifest_path(cfg: RunConfig) -> Path:
-    return Path(cfg.out_dir) / "run_manifest.json"
-
-
-def _load_run_manifest(cfg: RunConfig) -> dict:
-    p = _run_manifest_path(cfg)
-    if p.exists():
-        return json.loads(p.read_text())
-    return {}
-
-
-def _save_run_manifest(cfg: RunConfig, manifest: dict):
-    p = _run_manifest_path(cfg)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_open(p) as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=1).encode("utf-8"))
-
-
 def train_year(cfg: RunConfig, snapshot: Snapshot, category: str,
                tokenizer: Tokenizer, stamp: str) -> Path:
     """Train one (snapshot year, category) checkpoint on the snapshot's
-    mentions of that category and record its stamp."""
+    mentions of that category; its header records ``stamp``."""
     year = snapshot.year
     path = checkpoint_path(cfg, year, category)
     snapshot = replace(snapshot.prepare(), mentions=[
@@ -178,28 +167,27 @@ def train_year(cfg: RunConfig, snapshot: Snapshot, category: str,
     train(snapshot, model, cfg.train, out_dir=path.parent,
           curve_name=f"loss_curve_{category}_{year}.csv")
     save_model(path, model, cfg.train,
-               extra={"year": year, "category": category})
-    manifest = _load_run_manifest(cfg)
-    manifest[f"{category}_{year}"] = stamp
-    _save_run_manifest(cfg, manifest)
+               extra={"year": year, "category": category, "stamp": stamp})
     log.info("checkpoint %s", path)
     return path
 
 
 def train_years(cfg: RunConfig, corpora: dict, stamp: str):
     """Train every (year, category) checkpoint of the config, skipping those
-    recorded with the same ``stamp`` (``RunConfig.stamp``). A year with
+    whose header holds the same ``stamp`` (``RunConfig.stamp``). A year with
     work left gets one snapshot, shared by its categories."""
     tokenizer = build_tokenizer(cfg, corpora)
     for year in cfg.years:
-        manifest = _load_run_manifest(cfg)
         todo = []
         for category in cfg.categories:
             path = checkpoint_path(cfg, year, category)
-            if path.exists() and manifest.get(f"{category}_{year}") == stamp:
-                log.info("skipping completed checkpoint %s", path)
-            else:
-                todo.append(category)
+            old = read_meta(path).get("stamp", "none") if path.exists() else None
+            if old == stamp:
+                log.info("skipping %s: stamp %s unchanged", path, stamp)
+                continue
+            log.info("training %s: %s", path, "no checkpoint" if old is None
+                     else f"stamp changed {old} -> {stamp}")
+            todo.append(category)
         if todo:
             snapshot = make_snapshot(cfg, year, corpora[year], tokenizer)
             for category in todo:

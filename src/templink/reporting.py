@@ -12,7 +12,8 @@ from importlib import resources
 from pathlib import Path
 
 from .checkpoint import atomic_open
-from .evaluate import RECALL_NS, GapMatrix, aggregate_gap, average_boost, boost
+from .evaluate import (MODES, RECALL_NS, GapMatrix, aggregate_gap,
+                       average_boost, boost)
 
 
 class BaselineFormatError(Exception):
@@ -118,7 +119,7 @@ def write_aggregate_csv(matrix: GapMatrix, path):
     with atomic_open(path, text=True) as fh:
         w = csv.writer(fh)
         w.writerow(["mode", "gap"] + [f"recall@{n}" for n in RECALL_NS])
-        for mode in ("forward_only", "forward_and_backward"):
+        for mode in MODES:
             agg = aggregate_gap(matrix, mode)
             for gap in sorted(agg):
                 w.writerow([mode, gap] + [repr(agg[gap][n]) for n in RECALL_NS])

@@ -1,12 +1,16 @@
 import json
+import logging
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from templink import pipeline, records
+from templink.checkpoint import load_checkpoint, read_meta, save_checkpoint
 from templink.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, OutputLock,
                           UsageError, load_config_file, main, make_parser)
-from templink.pipeline import parse_years
+from templink.pipeline import RunConfig, parse_years
 from templink.reporting import bundled_results_path
 from templink.textenc import Tokenizer
 
@@ -73,6 +77,30 @@ class TestConfigFile:
         cfg = build_run_config(args)
         assert cfg.k == 7
         assert cfg.years == [2021]
+
+    def test_readme_config_block_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        ini = tmp_path / "readme.ini"
+        ini.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+        assert load_config_file(ini) == replace(RunConfig(),
+                                                years=[2019, 2020, 2021, 2022])
+
+    @pytest.mark.parametrize("edit", [
+        ("learning_rate = 0.01", "learning_rate = -1.0"),
+        ("batch_size = 4", "batch_size = 0"),
+        ("mode = forward_and_backward", "mode = forwards"),
+        ("mode = forward_and_backward", "categories ="),
+        ("[paths]\n", ""),
+    ], ids=["negative_learning_rate", "zero_batch_size", "unknown_mode",
+            "empty_categories", "missing_section_header"])
+    def test_invalid_value_is_usage_error(self, tmp_path, toy_data, edit):
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
+        text = ini.read_text()
+        assert edit[0] in text
+        ini.write_text(text.replace(*edit))
+        assert main(["experiment", "--config", str(ini)]) == EXIT_USAGE
+        assert not out.exists()
 
     def test_seed_flag_sets_all_seeds(self):
         parser = make_parser()
@@ -147,6 +175,12 @@ class TestIngest:
         assert code == EXIT_DATA
 
 
+def header_stamps(out) -> list:
+    """The stamp in each checkpoint header of a run, in path order."""
+    return [read_meta(p)["stamp"]
+            for p in sorted((out / "checkpoints").glob("*.ckpt"))]
+
+
 def toy_graphs_argv(data, out, extra=()):
     return (["build-graphs", "--data-dir", str(data), "--out-dir", str(out),
              "--years", "2019", "--min-count", "2", "--max-count", "5"]
@@ -218,10 +252,9 @@ class TestExperiment:
             for year in (2019, 2020):
                 assert (out / "checkpoints" / f"{category}_{year}.ckpt").exists()
         assert (out / "recall_vs_gap.svg").exists()
-        assert (out / "run_manifest.json").exists()
-        # 2 categories x 2 years = 4 recorded checkpoints
-        manifest = json.loads((out / "run_manifest.json").read_text())
-        assert len(manifest) == 4
+        # 2 categories x 2 years = 4 checkpoints, each stamped by this run
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert header_stamps(out) == [resolved["stamp"]] * 4
 
     def test_rerun_skips_and_reproduces(self, tmp_path, toy_data):
         out = tmp_path / "out"
@@ -231,7 +264,7 @@ class TestExperiment:
         before = ckpt.read_bytes()
         mtime = ckpt.stat().st_mtime_ns
         assert main(["experiment", "--config", str(ini)]) == EXIT_OK
-        # checkpoint untouched: the run manifest marked it complete
+        # checkpoint untouched: its header holds the run's stamp
         assert ckpt.stat().st_mtime_ns == mtime
         assert ckpt.read_bytes() == before
 
@@ -354,13 +387,67 @@ class TestPartialGraphBuild:
 
 def run_artifacts(out) -> dict:
     """relative path -> bytes of the graph files, checkpoints, loss curves
-    and gap matrices of a run."""
+    and report CSVs of a run."""
     paths = [*out.glob("graphs/*/*"), *out.glob("checkpoints/*"),
-             *out.glob("gap_matrix_*.csv")]
+             *out.glob("*.csv")]
     return {str(p.relative_to(out)): p.read_bytes() for p in sorted(paths)}
 
 
 class TestResumeStamp:
+    def test_crash_after_checkpoint_write_retrains(self, tmp_path, toy_data,
+                                                   monkeypatch):
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
+        assert main(["experiment", "--config", str(ini)]) == EXIT_OK
+        save_model = pipeline.save_model
+
+        def save_then_crash(*args, **kwargs):
+            save_model(*args, **kwargs)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(pipeline, "save_model", save_then_crash)
+        with pytest.raises(OSError):
+            main(["experiment", "--config", str(ini), "--k", "4"])
+        monkeypatch.undo()
+        assert main(["experiment", "--config", str(ini)]) == EXIT_OK
+        fresh = tmp_path / "fresh"
+        fresh_ini = write_experiment_ini(tmp_path / "fresh.ini", toy_data, fresh)
+        assert main(["experiment", "--config", str(fresh_ini)]) == EXIT_OK
+        assert run_artifacts(out) == run_artifacts(fresh)
+
+    def test_resume_logs_why(self, tmp_path, toy_data, caplog):
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
+        ckpts = [out / "checkpoints" / f"{c}_{y}.ckpt"
+                 for y in (2019, 2020) for c in ("continual", "new")]
+
+        def resume_lines(*flags):
+            caplog.clear()
+            assert main(["experiment", "--config", str(ini), *flags]) == EXIT_OK
+            stamp = json.loads(
+                (out / "resolved_config.json").read_text())["stamp"]
+            lines = [r.getMessage() for r in caplog.records
+                     if r.name == "templink.pipeline"
+                     and r.getMessage().startswith(("skipping", "training"))]
+            return stamp, lines
+
+        caplog.set_level(logging.INFO, logger="templink.pipeline")
+        k3, lines = resume_lines()
+        assert lines == [f"training {p}: no checkpoint" for p in ckpts]
+        k4, lines = resume_lines("--k", "4")
+        assert lines == [f"training {p}: stamp changed {k3} -> {k4}"
+                         for p in ckpts]
+        # a checkpoint from before stamps were stored retrains once
+        tensors, meta = load_checkpoint(ckpts[0])
+        del meta["stamp"]
+        save_checkpoint(ckpts[0], tensors, meta)
+        _, lines = resume_lines("--k", "4")
+        assert lines == ([f"training {ckpts[0]}: stamp changed none -> {k4}"]
+                         + [f"skipping {p}: stamp {k4} unchanged"
+                            for p in ckpts[1:]])
+        _, lines = resume_lines("--k", "4")
+        assert lines == [f"skipping {p}: stamp {k4} unchanged" for p in ckpts]
+
     def test_changed_k_equals_fresh_run(self, tmp_path, toy_data):
         out = tmp_path / "out"
         ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
@@ -401,9 +488,8 @@ class TestResumeStamp:
         ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
         assert main(["experiment", "--config", str(ini)]) == EXIT_OK
         resolved = json.loads((out / "resolved_config.json").read_text())
-        manifest = json.loads((out / "run_manifest.json").read_text())
         assert len(resolved["data_digest"]) == 64
-        assert set(manifest.values()) == {resolved["stamp"]}
+        assert header_stamps(out) == [resolved["stamp"]] * 4
 
 
 class TestReadersHoldLock:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from templink import evaluate
 from templink.evaluate import (RECALL_NS, GapMatrix, RecallReport,
                                _gold_ranks, aggregate_gap, average_boost,
-                               boost, gold_rank, rank_candidates, recall_at,
+                               boost, gold_rank, recall_at,
                                recall_report, temporal_matrix)
 from templink.model import Model, ModelConfig
 from templink.records import EntityIndex, EntityRecord, MentionRecord
@@ -22,18 +22,29 @@ from templink.reporting import (BaselineFormatError, bundled_results_path,
 from templink.textenc import Tokenizer
 
 
+def oracle_rank(y, table, gold_row: int) -> int:
+    """1-based position of ``gold_row`` when the rows are sorted by
+    (-score, index), scores taken in float64."""
+    scores = np.asarray(table, dtype=np.float64) @ np.asarray(
+        y, dtype=np.float64).ravel()
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    return order.index(gold_row) + 1
+
+
 class TestRanking:
     def test_descending_order(self):
         table = np.array([[1.0], [3.0], [2.0]])
-        assert rank_candidates(np.array([1.0]), table).tolist() == [1, 2, 0]
+        assert [gold_rank(np.array([1.0]), table, r)
+                for r in range(3)] == [3, 1, 2]
 
     def test_tie_prefers_lower_index(self):
         table = np.array([[2.0], [2.0], [3.0], [2.0]])
-        assert rank_candidates(np.array([1.0]), table).tolist() == [2, 0, 1, 3]
+        assert [gold_rank(np.array([1.0]), table, r)
+                for r in range(4)] == [2, 3, 1, 4]
 
     def test_empty_table(self):
         with pytest.raises(ValueError):
-            rank_candidates(np.array([1.0]), np.zeros((0, 1)))
+            gold_rank(np.array([1.0]), np.zeros((0, 1)), 0)
 
     def test_gold_rank(self):
         table = np.array([[1.0], [3.0], [2.0]])
@@ -45,10 +56,8 @@ class TestRanking:
         for _ in range(50):
             table = rng.normal(size=(20, 5))
             y = rng.normal(size=5)
-            got = rank_candidates(y, table).tolist()
-            scores = [float(row @ y) for row in table]
-            want = sorted(range(20), key=lambda i: (-scores[i], i))
-            assert got == want
+            for row in range(20):
+                assert gold_rank(y, table, row) == oracle_rank(y, table, row)
 
 
 class TestRecall:
@@ -302,8 +311,8 @@ class TestBatchedRanks:
             mp.setattr(evaluate, "SCORE_BLOCK", block)
             got = evaluate_mentions(model, mentions, entities, index, table)
         encode = model.mention_encoder.encode_ids
-        want = [gold_rank(encode(model.tokenizer.render_mention(m)), table,
-                          index.row(m.gold_qid))
+        want = [oracle_rank(encode(model.tokenizer.render_mention(m)),
+                            table, index.row(m.gold_qid))
                 for m in mentions if m.gold_qid in index]
         assert got == want
 
