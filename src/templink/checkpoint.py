@@ -1,9 +1,9 @@
 """Checkpoint file: JSON manifest + little-endian float32 tensor payload.
 
 Layout: one UTF-8 JSON header line (sorted keys) holding the model and
-train config, tokenizer vocabulary, and an ordered tensor manifest of
-(name, rows, cols); then a NUL byte; then the raw float32 values in
-manifest order. Deterministic byte-for-byte given identical state.
+train config and an ordered tensor manifest of (name, rows, cols); then a
+NUL byte; then the raw float32 values in manifest order. Deterministic
+byte-for-byte given identical state.
 """
 
 from __future__ import annotations

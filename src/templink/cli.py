@@ -169,7 +169,9 @@ def cmd_train(args) -> int:
     cfg = build_run_config(args)
     with OutputLock(cfg.out_dir):
         stamp = pipeline.write_resolved_config(cfg, __version__)
-        pipeline.train_years(cfg, pipeline.load_corpora(cfg), stamp)
+        corpora = pipeline.load_corpora(cfg)
+        pipeline.train_years(cfg, corpora,
+                             pipeline.build_tokenizer(cfg, corpora), stamp)
     return EXIT_OK
 
 
@@ -191,8 +193,10 @@ def _emit_matrices(cfg: RunConfig, matrices: dict) -> None:
 def cmd_eval(args) -> int:
     cfg = build_run_config(args)
     with OutputLock(cfg.out_dir):
+        stamp = cfg.stamp(pipeline.data_digest(cfg))
+        corpora = pipeline.load_corpora(cfg)
         _emit_matrices(cfg, pipeline.evaluate_checkpoints(
-            cfg, pipeline.load_corpora(cfg)))
+            cfg, corpora, pipeline.build_tokenizer(cfg, corpora), stamp))
     return EXIT_OK
 
 

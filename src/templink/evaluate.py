@@ -33,10 +33,6 @@ class GapMatrix:
     def cell(self, t1, t2) -> RecallReport:
         return self.cells[(t1, t2)]
 
-    def complete(self) -> bool:
-        return all((t1, t2) in self.cells
-                   for t1 in self.years for t2 in self.years)
-
 
 def recall_at(ranks, n: int) -> float:
     ranks = np.asarray(ranks)
@@ -74,34 +70,26 @@ def gold_rank(y_m, table, gold_row: int) -> int:
     return _gold_ranks(np.asarray(y_m).reshape(1, -1), table, [gold_row])[0]
 
 
-def temporal_matrix(models, test_sets_by_year: dict) -> dict:
+def temporal_matrix(models, test_sets_by_year: dict, tokenizer) -> dict:
     """Evaluate every (train year, test year) pair of each model group.
 
-    ``models`` yields (key, train year, model); each model is dropped before
-    the next is drawn, so a lazy iterable keeps at most one alive.
-    ``test_sets_by_year[year]`` is (mentions, entities, index). The entity
-    table for each pair is the train-year model's text encoding of the test
-    year's entities. Models whose tokenizers have equal vocabulary and
-    ``max_len`` share one rendering of every test year's entities and
-    mentions. Returns key -> GapMatrix over the test years.
+    ``models`` yields (key, train year, model), all built over ``tokenizer``;
+    each model is dropped before the next is drawn, so a lazy iterable keeps
+    at most one alive. ``test_sets_by_year[year]`` is (mentions, entities,
+    index), rendered once with ``tokenizer``. The entity table for each pair
+    is the train-year model's text encoding of the test year's entities.
+    Returns key -> GapMatrix over the test years.
     """
     years = sorted(test_sets_by_year)
-    kept, gold = {}, {}  # test year -> resolvable mentions, their gold rows
-    for t2, (mentions, _, index) in test_sets_by_year.items():
-        kept[t2] = [m for m in mentions if m.gold_qid in index]
-        gold[t2] = np.array([index.row(m.gold_qid) for m in kept[t2]],
+    seqs, gold = {}, {}  # test year -> (entity, kept mention) seqs, gold rows
+    for t2, (mentions, entities, index) in test_sets_by_year.items():
+        kept = [m for m in mentions if m.gold_qid in index]
+        gold[t2] = np.array([index.row(m.gold_qid) for m in kept],
                             dtype=np.int64)
-    rendered = []  # (tokenizer, test year -> (entity seqs, mention seqs))
+        seqs[t2] = ([tokenizer.render_entity(e) for e in entities],
+                    [tokenizer.render_mention(m) for m in kept])
     matrices = {}
     for key, t1, model in models:
-        tok = model.tokenizer
-        seqs = next((s for g, s in rendered if (g.vocab, g.max_len)
-                     == (tok.vocab, tok.max_len)), None)
-        if seqs is None:
-            seqs = {t2: ([tok.render_entity(e) for e in entities],
-                         [tok.render_mention(m) for m in kept[t2]])
-                    for t2, (_, entities, _) in test_sets_by_year.items()}
-            rendered.append((tok, seqs))
         matrix = matrices.setdefault(key, GapMatrix(years=years))
         for t2 in years:
             entity_seqs, mention_seqs = seqs[t2]

@@ -172,16 +172,22 @@ def train_year(cfg: RunConfig, snapshot: Snapshot, category: str,
     return path
 
 
-def train_years(cfg: RunConfig, corpora: dict, stamp: str):
+def checkpoint_stamp(path: Path):
+    """The stamp in a checkpoint's header: None when there is no checkpoint,
+    ``"none"`` when its header holds no stamp."""
+    return read_meta(path).get("stamp", "none") if path.exists() else None
+
+
+def train_years(cfg: RunConfig, corpora: dict, tokenizer: Tokenizer,
+                stamp: str):
     """Train every (year, category) checkpoint of the config, skipping those
     whose header holds the same ``stamp`` (``RunConfig.stamp``). A year with
     work left gets one snapshot, shared by its categories."""
-    tokenizer = build_tokenizer(cfg, corpora)
     for year in cfg.years:
         todo = []
         for category in cfg.categories:
             path = checkpoint_path(cfg, year, category)
-            old = read_meta(path).get("stamp", "none") if path.exists() else None
+            old = checkpoint_stamp(path)
             if old == stamp:
                 log.info("skipping %s: stamp %s unchanged", path, stamp)
                 continue
@@ -194,14 +200,26 @@ def train_years(cfg: RunConfig, corpora: dict, stamp: str):
                 train_year(cfg, snapshot, category, tokenizer, stamp)
 
 
-def evaluate_checkpoints(cfg: RunConfig, corpora: dict) -> dict:
+def evaluate_checkpoints(cfg: RunConfig, corpora: dict, tokenizer: Tokenizer,
+                         stamp: str) -> dict:
     """category -> GapMatrix over every (train year, test year) pair, in one
-    pass: each checkpoint is loaded once and released before the next."""
-    models = ((category, year, load_model(checkpoint_path(cfg, year, category)))
-              for category in cfg.categories for year in cfg.years)
+    pass: each checkpoint is loaded once, over ``tokenizer``, and released
+    before the next. Every checkpoint's header must hold the run's ``stamp``,
+    checked before any model is loaded; else a ``DataError``."""
+    paths = [(category, year, checkpoint_path(cfg, year, category))
+             for category in cfg.categories for year in cfg.years]
+    for _, _, path in paths:
+        found = checkpoint_stamp(path)
+        if found != stamp:
+            what = "no checkpoint" if found is None else f"stamp {found}"
+            raise records.DataError(
+                f"{path}: {what}, but the run's stamp is {stamp}; run "
+                "`templink train` with this config and data first")
+    models = ((category, year, load_model(path, tokenizer))
+              for category, year, path in paths)
     test_sets = {year: (test_m, entities, index)
                  for year, (entities, index, _, test_m) in corpora.items()}
-    return temporal_matrix(models, test_sets)
+    return temporal_matrix(models, test_sets, tokenizer)
 
 
 def write_resolved_config(cfg: RunConfig, version: str) -> str:
@@ -222,8 +240,9 @@ def run_experiment(cfg: RunConfig, version: str = "0"):
     """Train per (year, category), evaluate all year pairs, return matrices."""
     stamp = write_resolved_config(cfg, version)
     corpora = load_corpora(cfg)
-    train_years(cfg, corpora, stamp)
-    return evaluate_checkpoints(cfg, corpora)
+    tokenizer = build_tokenizer(cfg, corpora)
+    train_years(cfg, corpora, tokenizer, stamp)
+    return evaluate_checkpoints(cfg, corpora, tokenizer, stamp)
 
 
 def parse_years(spec: str) -> list:

@@ -25,6 +25,40 @@ def bundled_results_path() -> Path:
     return Path(resources.files("templink") / "data" / "published_results.csv")
 
 
+def _read_table(path, header: list, parse) -> list:
+    """``parse(*fields)`` of each non-blank row of the CSV file at ``path``,
+    whose first row must be ``header``. A row with another field count, or
+    a value ``parse`` rejects with ``ValueError``, is a
+    ``BaselineFormatError`` naming ``path:lineno``."""
+    out = []
+    with Path(path).open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        if got != header:
+            raise BaselineFormatError(f"{path}: unexpected header {got}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise BaselineFormatError(
+                    f"{path}:{lineno}: expected {len(header)} fields")
+            try:
+                out.append(parse(*row))
+            except ValueError as exc:
+                raise BaselineFormatError(f"{path}:{lineno}: {exc}") from exc
+    return out
+
+
+def _results_row(metric, gap, category, model, value):
+    return (model, (metric if metric == "ave" else int(metric), int(gap),
+                    category), float(value))
+
+
+def _baseline_row(metric, gap, category, value):
+    value = float(value)  # parsed first: a row bad in both names the value
+    return (int(metric), int(gap), category), value
+
+
 def load_results_table(path):
     """Parse ``metric,gap,category,model,value`` rows.
 
@@ -32,45 +66,25 @@ def load_results_table(path):
     where metric is an int recall cutoff or the string "ave".
     """
     rows = {}
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["metric", "gap", "category", "model", "value"]:
-            raise BaselineFormatError(f"{path}: unexpected header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise BaselineFormatError(f"{path}:{lineno}: expected 5 fields")
-            metric_s, gap_s, category, model, value_s = row
-            try:
-                metric = metric_s if metric_s == "ave" else int(metric_s)
-                gap = int(gap_s)
-                value = float(value_s)
-            except ValueError as exc:
-                raise BaselineFormatError(f"{path}:{lineno}: {exc}") from exc
-            rows.setdefault(model, {})[(metric, gap, category)] = value
+    for model, key, value in _read_table(
+            path, ["metric", "gap", "category", "model", "value"], _results_row):
+        rows.setdefault(model, {})[key] = value
     return rows
 
 
 def load_baseline_csv(path):
     """Parse a ``metric,gap,category,value`` baseline file."""
-    out = {}
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["metric", "gap", "category", "value"]:
-            raise BaselineFormatError(f"{path}: unexpected header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise BaselineFormatError(f"{path}:{lineno}: expected 4 fields")
-            try:
-                out[(int(row[0]), int(row[1]), row[2])] = float(row[3])
-            except ValueError as exc:
-                raise BaselineFormatError(f"{path}:{lineno}: {exc}") from exc
-    return out
+    return dict(_read_table(path, ["metric", "gap", "category", "value"],
+                            _baseline_row))
+
+
+def _average_boosts(cells: dict) -> dict:
+    """``average_boost`` per (category, gap) over the recall cutoffs of
+    ``cells`` keyed (metric, gap, category)."""
+    groups = sorted({(cat, gap) for (_, gap, cat) in cells})
+    return {(cat, gap): average_boost([cells[(n, gap, cat)] for n in RECALL_NS
+                                       if (n, gap, cat) in cells])
+            for cat, gap in groups}
 
 
 def recompute_boost(table, ours_model="TIGER", baseline_model="SpEL"):
@@ -78,29 +92,14 @@ def recompute_boost(table, ours_model="TIGER", baseline_model="SpEL"):
     per-(category, gap) averages of those recomputed cells."""
     ours = table[ours_model]
     base = table[baseline_model]
-    cells = {}
-    for key, value in ours.items():
-        if key[0] == "ave":
-            continue
-        if key in base:
-            cells[key] = boost(value, base[key])
-    averages = {}
-    groups = sorted({(cat, gap) for (_, gap, cat) in cells})
-    for cat, gap in groups:
-        averages[(cat, gap)] = average_boost(
-            [cells[(n, gap, cat)] for n in RECALL_NS if (n, gap, cat) in cells])
-    return cells, averages
+    cells = {key: boost(value, base[key]) for key, value in ours.items()
+             if key[0] != "ave" and key in base}
+    return cells, _average_boosts(cells)
 
 
 def printed_average_boost(table):
     """Averages of the table's printed Boost cells per (category, gap)."""
-    printed = table.get("Boost", {})
-    averages = {}
-    groups = sorted({(cat, gap) for (_, gap, cat) in printed})
-    for cat, gap in groups:
-        averages[(cat, gap)] = average_boost(
-            [printed[(n, gap, cat)] for n in RECALL_NS if (n, gap, cat) in printed])
-    return averages
+    return _average_boosts(table.get("Boost", {}))
 
 
 def write_gap_matrix_csv(matrix: GapMatrix, path):

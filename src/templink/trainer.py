@@ -164,13 +164,12 @@ def train_step(batch, snapshot: Snapshot, model: Model, optimizer: Adam,
 
 
 def save_model(path, model: Model, config: TrainConfig, extra: dict = None):
-    """Write the model's parameters and the config that rebuilds it."""
+    """Write the model's parameters and the config that rebuilds it over the
+    run's tokenizer (which the checkpoint does not hold)."""
     meta = {
         "format": "ckpt-v1",
         "model_config": asdict(model.config),
         "train_config": asdict(config),
-        "tokenizer_vocab": model.tokenizer.vocab,
-        "tokenizer_max_len": model.tokenizer.max_len,
         "feature_dim": model.gcn.params["gcn.wf.l0"].data.shape[0],
         "fusion_frozen": model.fusion.frozen,
         **(extra or {}),
@@ -179,11 +178,12 @@ def save_model(path, model: Model, config: TrainConfig, extra: dict = None):
                     meta)
 
 
-def load_model(path) -> Model:
-    """Rebuild a Model from a checkpoint file; tensors that are not model
-    parameters (such as ``opt.*`` moments in older files) are ignored."""
+def load_model(path, tokenizer: Tokenizer) -> Model:
+    """Rebuild a Model over ``tokenizer`` from a checkpoint file; tensors that
+    are not model parameters (such as ``opt.*`` moments in older files) and
+    the tokenizer vocabulary older headers carry are ignored. A tokenizer of
+    another vocabulary size fails the reshape with a ``ValueError``."""
     tensors, meta = load_checkpoint(path)
-    tokenizer = Tokenizer(meta["tokenizer_vocab"], meta["tokenizer_max_len"])
     model = Model(tokenizer, meta["feature_dim"],
                   ModelConfig(**meta["model_config"]),
                   fusion_frozen_zero=meta.get("fusion_frozen", False))

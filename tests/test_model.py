@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from checks import check_gradients
 from templink import tape
 from templink.graphs import AdjacencyMatrix, sym_normalize
 from templink.model import (FusionHead, GcnStack, LossWeights, Model,
@@ -161,7 +162,7 @@ class TestFusionHead:
         def loss():
             return tape.sum_squares(head.fuse(y_e, *zs, rows=[0, 3]))
 
-        report = tape.check_gradients(loss, [head.proj])
+        report = check_gradients(loss, [head.proj])
         assert report["ok"], report["failures"][:3]
 
 

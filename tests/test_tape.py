@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from checks import check_gradients
 from templink import tape
 
 
@@ -214,7 +215,7 @@ class TestMeanBags:
 class TestGradients:
     def test_quadratic_closed_form(self):
         theta = tape.param(np.array([[1.0, 2.0]]))
-        report = tape.check_gradients(lambda: tape.sum_squares(theta), [theta])
+        report = check_gradients(lambda: tape.sum_squares(theta), [theta])
         assert report["ok"], report
         assert report["max_rel_err"] < 1e-6
         theta.zero_grad()
@@ -275,5 +276,5 @@ def _op_cases():
 @pytest.mark.parametrize("name", sorted(_op_cases()))
 def test_op_gradient(name):
     params, loss_fn = _op_cases()[name]
-    report = tape.check_gradients(loss_fn, params, eps=1e-3, tol=1e-4)
+    report = check_gradients(loss_fn, params, eps=1e-3, tol=1e-4)
     assert report["ok"], (name, report["failures"][:3], report["max_rel_err"])

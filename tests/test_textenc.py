@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from checks import check_gradients
 from templink.records import EntityRecord, MentionRecord
 from templink.textenc import (CLS, ENT, M_END, M_START, PAD, SEP, N_SPECIAL,
                               TextEncoder, Tokenizer, split_text)
@@ -127,7 +128,7 @@ class TestEncoder:
         def loss():
             return tape.sum_squares(enc.encode_tensor([CLS, 8, 9, 10, SEP]))
 
-        report = tape.check_gradients(loss, params, eps=1e-4, tol=1e-4)
+        report = check_gradients(loss, params, eps=1e-4, tol=1e-4)
         assert report["ok"], report["failures"][:3]
 
     def test_batch_gradient_check(self):
@@ -142,7 +143,7 @@ class TestEncoder:
         def loss():
             return tape.sum_squares(tape.sub(enc.encode(batch), weights))
 
-        report = tape.check_gradients(loss, [emb], eps=1e-4, tol=1e-4)
+        report = check_gradients(loss, [emb], eps=1e-4, tol=1e-4)
         assert report["ok"], report["failures"][:3]
 
     @pytest.mark.parametrize("mode", ["mean", "attn"])

@@ -236,7 +236,7 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "m.ckpt"
         save_model(path, model, cfg, extra={"year": 2020})
 
-        loaded = load_model(path)
+        loaded = load_model(path, model.tokenizer)
         assert isinstance(loaded, Model)
         for name, p in model.params.items():
             assert np.array_equal(loaded.params[name].data, p.data)
@@ -253,6 +253,41 @@ class TestCheckpointRoundTrip:
         header = json.loads(path.read_bytes().split(b"\x00", 1)[0])
         assert [name for name, _, _ in header["manifest"]] == sorted(model.params)
         assert "step" not in header
+
+    def test_header_holds_no_tokenizer(self, tmp_path):
+        snap = tiny_snapshot()
+        model = tiny_model(snap)
+        path = tmp_path / "m.ckpt"
+        save_model(path, model, TrainConfig())
+        header = json.loads(path.read_bytes().split(b"\x00", 1)[0])
+        assert not {"tokenizer_vocab", "tokenizer_max_len"} & set(header)
+
+    def test_loads_checkpoint_with_tokenizer_vocab(self, tmp_path):
+        # older checkpoints stored the tokenizer; the run's own is used
+        snap = tiny_snapshot()
+        model = tiny_model(snap)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=4)
+        train(snap, model, cfg)
+        path = tmp_path / "m.ckpt"
+        save_model(path, model, cfg)
+        tensors, meta = load_checkpoint(path)
+        save_checkpoint(path, tensors, dict(
+            meta, tokenizer_vocab=model.tokenizer.vocab, tokenizer_max_len=16))
+        tok = tiny_model(snap).tokenizer
+        assert tok is not model.tokenizer and tok.vocab == model.tokenizer.vocab
+        loaded = load_model(path, tok)
+        assert loaded.tokenizer is tok
+        for name, p in model.params.items():
+            assert loaded.params[name].data.dtype == np.float32
+            assert loaded.params[name].data.tobytes() == p.data.tobytes()
+
+    def test_other_vocabulary_size_fails(self, tmp_path):
+        snap = tiny_snapshot()
+        model = tiny_model(snap)
+        path = tmp_path / "m.ckpt"
+        save_model(path, model, TrainConfig())
+        with pytest.raises(ValueError, match="reshape"):
+            load_model(path, Tokenizer.build(["apple pear"], max_len=16))
 
     def test_loads_mean_mode_checkpoint_with_pos_tables(self, tmp_path):
         # older checkpoints carried the Adam moments and step count, and in
@@ -274,7 +309,7 @@ class TestCheckpointRoundTrip:
         for prefix in ("m_enc", "e_enc"):
             tensors[f"{prefix}.pos"] = np.ones((16, 6), dtype=np.float32)
         save_checkpoint(path, tensors, dict(meta, step=opt.step_count))
-        loaded = load_model(path)
+        loaded = load_model(path, model.tokenizer)
         assert isinstance(loaded, Model)
         assert set(loaded.params) == set(model.params)
         for name, p in model.params.items():
