@@ -53,13 +53,18 @@ def _gold_ranks(y_m, table, gold) -> list:
     index, scoring at most ``SCORE_BLOCK`` pairs at a time."""
     y_m, table = y_m.astype(np.float64), table.astype(np.float64)
     gold = np.asarray(gold, dtype=np.int64)[:, None]
+    cols = np.arange(len(table))
     step = max(1, SCORE_BLOCK // max(1, len(table)))
     ranks = []
     for lo in range(0, len(gold), step):
         s, g = y_m[lo:lo + step] @ table.T, gold[lo:lo + step]
         s_gold = np.take_along_axis(s, g, axis=1)
-        ahead = (s > s_gold) | ((s == s_gold) & (np.arange(len(table)) < g))
-        ranks.extend((ahead.sum(axis=1) + 1).tolist())
+        mask = s > s_gold
+        ahead = np.count_nonzero(mask, axis=1)
+        np.equal(s, s_gold, out=mask)   # ties, counted left of gold only
+        mask &= cols < g
+        ahead += np.count_nonzero(mask, axis=1)
+        ranks.extend((ahead + 1).tolist())
     return ranks
 
 

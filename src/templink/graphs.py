@@ -82,6 +82,12 @@ class FeatureMatrix:
         x[self.ones[:, 0], self.ones[:, 1]] = 1
         return x
 
+    def to_csr(self):
+        """n x m 0/1 CSR matrix (float64)."""
+        rows, cols = self.ones.T
+        return sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
+                             shape=(self.n, self.m))
+
 
 @dataclass
 class VocabFilter:

@@ -54,21 +54,31 @@ class GcnStack:
                 self.params[name] = tape.param(
                     _uniform_init(rng, dims[layer], dims[layer + 1]), name=name)
 
-    def _propagate(self, s_csr, x: tape.Tensor, stack: str) -> tape.Tensor:
-        z = x
-        for layer in range(self.n_layers):
+    def _propagate(self, s_csr, sx: tape.Tensor, stack: str) -> tape.Tensor:
+        """The stack over one graph, from its layer-0 propagation S·X."""
+        z = tape.relu(tape.matmul(sx, self.params[f"gcn.{stack}.l0"]))
+        for layer in range(1, self.n_layers):
             w = self.params[f"gcn.{stack}.l{layer}"]
             z = tape.relu(tape.matmul(tape.spmm(s_csr, z), w))
         return z
 
-    def forward(self, s_f, s_r, x: tape.Tensor):
-        """Returns (Z_f, Z_r, Z_sf, Z_sr), each n x out, ReLU after every layer."""
-        if s_f.shape[0] != x.data.shape[0] or s_r.shape[0] != x.data.shape[0]:
+    def forward(self, s_f, s_r, x):
+        """Returns (Z_f, Z_r, Z_sf, Z_sr), each n x out, ReLU after every layer.
+
+        ``x`` is the n x m feature tensor X, or the pair (S_f·X, S_r·X) of
+        its layer-0 propagations, which do not depend on the parameters
+        (``Snapshot.prepare`` holds that pair for a training snapshot).
+        Each graph's product is shared by its distinct and shared stacks.
+        """
+        if isinstance(x, tape.Tensor):  # spmm raises on a row-count mismatch
+            x = (tape.spmm(s_f, x), tape.spmm(s_r, x))
+        sx_f, sx_r = x
+        if s_f.shape[0] != sx_f.data.shape[0] or s_r.shape[0] != sx_r.data.shape[0]:
             raise ValueError("graph size does not match feature matrix rows")
-        z_f = self._propagate(s_f, x, "wf")
-        z_r = self._propagate(s_r, x, "wr")
-        z_sf = self._propagate(s_f, x, "ws")
-        z_sr = self._propagate(s_r, x, "ws")
+        z_f = self._propagate(s_f, sx_f, "wf")
+        z_r = self._propagate(s_r, sx_r, "wr")
+        z_sf = self._propagate(s_f, sx_f, "ws")
+        z_sr = self._propagate(s_r, sx_r, "ws")
         return z_f, z_r, z_sf, z_sr
 
 
@@ -142,14 +152,15 @@ class Model:
             p.pop("fusion.proj")
         return p
 
-    def encode_mentions(self, mentions) -> tape.Tensor:
-        return self.mention_encoder.encode(
-            [self.tokenizer.render_mention(m) for m in mentions])
+    def encode_mentions(self, seqs) -> tape.Tensor:
+        """Mention encodings of ``Tokenizer.render_mention`` sequences."""
+        return self.mention_encoder.encode(seqs)
 
-    def encode_entities(self, entities) -> tape.Tensor:
-        return self.entity_encoder.encode(
-            [self.tokenizer.render_entity(e) for e in entities])
+    def encode_entities(self, seqs) -> tape.Tensor:
+        """Entity text encodings of ``Tokenizer.render_entity`` sequences."""
+        return self.entity_encoder.encode(seqs)
 
     def entity_table(self, entities) -> np.ndarray:
         """Inference-side entity embedding table; text branch only."""
-        return self.encode_entities(entities).data
+        return self.encode_entities(
+            [self.tokenizer.render_entity(e) for e in entities]).data

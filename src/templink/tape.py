@@ -176,15 +176,22 @@ def gram(z):
 
 
 def gather_rows(table, idx):
-    """Rows ``table[idx]``; backward scatter-adds into the table."""
+    """Rows ``table[idx]``; backward scatter-adds into the table. Strictly
+    increasing ``idx`` (no repeated row) is scattered by assignment, where
+    ``g + 0`` turns -0.0 into +0.0 as adding onto zeros does."""
     table = _as_tensor(table)
     idx = np.asarray(idx, dtype=np.intp)
     out_data = table.data[idx]
+    flat = idx.ravel()
+    increasing = bool(np.all(flat[1:] > flat[:-1]))
 
     def bwd(g):
         if table.requires_grad:
             full = np.zeros_like(table.data)
-            np.add.at(full, idx, g)
+            if increasing:
+                full[idx] = g + 0
+            else:
+                np.add.at(full, idx, g)
             table._accumulate(full)
 
     return Tensor(out_data, parents=(table,), backward=bwd)

@@ -16,6 +16,7 @@ from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .graphs import sym_normalize
 from .model import (LossWeights, Model, ModelConfig, consistency_loss,
                     distinct_loss, total_loss)
+from .records import DataError
 from .textenc import Tokenizer
 
 log = logging.getLogger(__name__)
@@ -57,18 +58,27 @@ class Snapshot:
     feature_matrix: object   # FeatureMatrix
     s_r: object = None       # normalized CSR, built lazily
     s_f: object = None
-    x_dense: np.ndarray = None
+    sx: tuple = None         # (S_f·X, S_r·X) const tensors, built lazily
 
     def prepare(self):
+        """Cache what no training step changes: the normalized graphs S_f
+        and S_r, and ``sx``, the pair (S_f·X, S_r·X) of layer-0
+        propagations of the feature matrix X that ``GcnStack.forward``
+        takes in place of X. Each is one CSR product, summed in float64 in
+        the order of the sparse-dense product and cast to float32."""
         if self.s_r is None:
             self.s_r = sym_normalize(self.structure)
             self.s_f = sym_normalize(self.feature_graph)
-            self.x_dense = self.feature_matrix.to_dense(np.float32)
+            x = self.feature_matrix.to_csr()
+            self.sx = tuple(tape.const((s @ x).astype(np.float32).toarray())
+                            for s in (self.s_f, self.s_r))
         return self
 
 
 class Adam:
-    """Adaptive-moment optimizer, beta=(0.9, 0.999), eps=1e-8, no decay."""
+    """Adaptive-moment optimizer, beta=(0.9, 0.999), eps=1e-8, no decay.
+    ``step`` updates the float32 moments and each parameter's ``data`` in
+    place, so a reference to a parameter array sees every update."""
 
     def __init__(self, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -87,21 +97,29 @@ class Adam:
                 grads = {n: g * factor for n, g in grads.items()}
         self.step_count += 1
         t = self.step_count
-        bias1 = 1.0 - self.beta1 ** t
-        bias2 = 1.0 - self.beta2 ** t
+        bias1 = np.float32(1.0 - self.beta1 ** t)
+        bias2 = np.float32(1.0 - self.beta2 ** t)
+        lr, eps = np.float32(self.lr), np.float32(self.eps)
         for name, g in sorted(grads.items()):
             p = params[name]
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
-            self.m[name] = (self.beta1 * self.m[name]
-                            + (1 - self.beta1) * g).astype(np.float32)
-            self.v[name] = (self.beta2 * self.v[name]
-                            + (1 - self.beta2) * g * g).astype(np.float32)
-            m_hat = self.m[name] / np.float32(bias1)
-            v_hat = self.v[name] / np.float32(bias2)
-            p.data = (p.data - np.float32(self.lr) * m_hat
-                      / (np.sqrt(v_hat) + np.float32(self.eps))).astype(np.float32)
+            m, v = self.m[name], self.v[name]
+            update = (1 - self.beta1) * g
+            m *= self.beta1
+            m += update
+            denom = (1 - self.beta2) * g
+            denom *= g
+            v *= self.beta2
+            v += denom
+            np.divide(v, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            np.divide(m, bias1, out=update)
+            update *= lr
+            update /= denom
+            p.data -= update
 
 
 def make_batches(mentions, batch_size: int, seed: int):
@@ -120,21 +138,25 @@ def _gram_rows(n: int, sample: int, rng) -> np.ndarray:
 
 
 def train_step(batch, snapshot: Snapshot, model: Model, optimizer: Adam,
-               config: TrainConfig, step_rng):
-    """One joint forward/backward/update; returns the loss breakdown."""
+               config: TrainConfig, step_rng, seqs: dict = None):
+    """One joint forward/backward/update; returns the loss breakdown.
+    ``seqs`` maps each mention and gold entity record to its rendered
+    sequence; records it lacks are rendered and added (``train`` passes
+    one map per call, so each is rendered once)."""
     snapshot.prepare()
     params = model.trainable_params()
     for p in model.params.values():
         p.zero_grad()
 
-    y_m = model.encode_mentions(batch)
-    gold_entities = [snapshot.entities[snapshot.index.row(m.gold_qid)]
-                     for m in batch]
+    seqs = {} if seqs is None else seqs
+    tok = model.tokenizer
     gold_rows = [snapshot.index.row(m.gold_qid) for m in batch]
-    y_e = model.encode_entities(gold_entities)
+    y_m = model.encode_mentions(_rendered(seqs, batch, tok.render_mention))
+    y_e = model.encode_entities(_rendered(
+        seqs, [snapshot.entities[r] for r in gold_rows], tok.render_entity))
 
-    x = tape.const(snapshot.x_dense)
-    z_f, z_r, z_sf, z_sr = model.gcn.forward(snapshot.s_f, snapshot.s_r, x)
+    z_f, z_r, z_sf, z_sr = model.gcn.forward(snapshot.s_f, snapshot.s_r,
+                                             snapshot.sx)
     y_e_fused = model.fusion.fuse(y_e, z_f, z_r, z_sf, z_sr, gold_rows)
 
     scores = tape.matmul(y_m, tape.transpose(y_e_fused))
@@ -163,6 +185,14 @@ def train_step(batch, snapshot: Snapshot, model: Model, optimizer: Adam,
     return breakdown
 
 
+def _rendered(seqs: dict, records, render) -> list:
+    """The sequences of ``records``, rendering only those ``seqs`` lacks."""
+    for r in records:
+        if r not in seqs:
+            seqs[r] = render(r)
+    return [seqs[r] for r in records]
+
+
 def save_model(path, model: Model, config: TrainConfig, extra: dict = None):
     """Write the model's parameters and the config that rebuilds it over the
     run's tokenizer (which the checkpoint does not hold)."""
@@ -181,9 +211,15 @@ def save_model(path, model: Model, config: TrainConfig, extra: dict = None):
 def load_model(path, tokenizer: Tokenizer) -> Model:
     """Rebuild a Model over ``tokenizer`` from a checkpoint file; tensors that
     are not model parameters (such as ``opt.*`` moments in older files) and
-    the tokenizer vocabulary older headers carry are ignored. A tokenizer of
-    another vocabulary size fails the reshape with a ``ValueError``."""
+    the tokenizer vocabulary older headers carry are ignored. A checkpoint
+    whose embedding tables do not have ``tokenizer.vocab_size`` rows is a
+    ``DataError``."""
     tensors, meta = load_checkpoint(path)
+    rows = tensors["m_enc.emb"].shape[0]
+    if rows != tokenizer.vocab_size:
+        raise DataError(
+            f"{path}: the checkpoint's embedding tables have {rows} rows, but "
+            f"the run's tokenizer has vocab_size {tokenizer.vocab_size}")
     model = Model(tokenizer, meta["feature_dim"],
                   ModelConfig(**meta["model_config"]),
                   fusion_frozen_zero=meta.get("fusion_frozen", False))
@@ -198,6 +234,7 @@ def train(snapshot: Snapshot, model: Model, config: TrainConfig,
     curve rows (step, L_e, L_s, L_d, L_total)."""
     snapshot.prepare()
     optimizer = Adam(config.learning_rate)
+    seqs = {}
     curve = []
     step = 0
     for epoch in range(config.epochs):
@@ -206,7 +243,7 @@ def train(snapshot: Snapshot, model: Model, config: TrainConfig,
         for batch in batches:
             step_rng = np.random.Generator(np.random.PCG64(config.seed + step))
             breakdown = train_step(batch, snapshot, model, optimizer,
-                                   config, step_rng)
+                                   config, step_rng, seqs)
             step += 1
             curve.append((step, breakdown["L_e"], breakdown["L_s"],
                           breakdown["L_d"], breakdown["L_total"]))

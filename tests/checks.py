@@ -1,5 +1,6 @@
 """Checks the tests share that no command runs: a finite-difference
-gradient checker for tape graphs and the completeness of a gap matrix."""
+gradient checker for tape graphs, the completeness of a gap matrix, and an
+out-of-place Adam update to hold the in-place one to."""
 
 import numpy as np
 
@@ -46,3 +47,41 @@ def complete(matrix) -> bool:
     """Whether a GapMatrix has a cell for every (train year, test year)."""
     return all((t1, t2) in matrix.cells
                for t1 in matrix.years for t2 in matrix.years)
+
+
+class OutOfPlaceAdam:
+    """``trainer.Adam`` written with one new array per operation, in the
+    same operation order; the in-place optimizer must equal it bit for bit."""
+
+    def __init__(self, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr = lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = {}
+        self.v = {}
+        self.step_count = 0
+
+    def step(self, params: dict, clip: float = 0.0):
+        grads = {n: p.grad for n, p in params.items() if p.grad is not None}
+        if clip > 0 and grads:
+            total = np.sqrt(np.float64(
+                sum((g.astype(np.float64) ** 2).sum() for g in grads.values())))
+            if total > clip:
+                factor = np.float32(clip / total)
+                grads = {n: g * factor for n, g in grads.items()}
+        self.step_count += 1
+        t = self.step_count
+        bias1 = 1.0 - self.beta1 ** t
+        bias2 = 1.0 - self.beta2 ** t
+        for name, g in sorted(grads.items()):
+            p = params[name]
+            if name not in self.m:
+                self.m[name] = np.zeros_like(p.data)
+                self.v[name] = np.zeros_like(p.data)
+            self.m[name] = (self.beta1 * self.m[name]
+                            + (1 - self.beta1) * g).astype(np.float32)
+            self.v[name] = (self.beta2 * self.v[name]
+                            + (1 - self.beta2) * g * g).astype(np.float32)
+            m_hat = self.m[name] / np.float32(bias1)
+            v_hat = self.v[name] / np.float32(bias2)
+            p.data = (p.data - np.float32(self.lr) * m_hat
+                      / (np.sqrt(v_hat) + np.float32(self.eps))).astype(np.float32)

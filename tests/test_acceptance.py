@@ -120,13 +120,15 @@ def test_criterion_3_gradient_suite():
     model, mentions, entities, s_r, s_f, x = joint_forward_fixture()
     params = list(model.params.values())
     gold_rows = [0, 1, 2]
+    m_seqs = [model.tokenizer.render_mention(m) for m in mentions]
+    e_seqs = [model.tokenizer.render_entity(e) for e in entities[:3]]
 
     def gcn():
         return model.gcn.forward(s_f, s_r, tape.const(x))
 
     def loss_el():
-        y_m = model.encode_mentions(mentions)
-        y_e = model.encode_entities(entities[:3])
+        y_m = model.encode_mentions(m_seqs)
+        y_e = model.encode_entities(e_seqs)
         z_f, z_r, z_sf, z_sr = gcn()
         fused = model.fusion.fuse(y_e, z_f, z_r, z_sf, z_sr, gold_rows)
         return tape.el_loss(tape.matmul(y_m, tape.transpose(fused)))
@@ -144,8 +146,8 @@ def test_criterion_3_gradient_suite():
         return tape.hsic(z_f, z_sf)
 
     def loss_total():
-        y_m = model.encode_mentions(mentions)
-        y_e = model.encode_entities(entities[:3])
+        y_m = model.encode_mentions(m_seqs)
+        y_e = model.encode_entities(e_seqs)
         z_f, z_r, z_sf, z_sr = gcn()
         fused = model.fusion.fuse(y_e, z_f, z_r, z_sf, z_sr, gold_rows)
         l_e = tape.el_loss(tape.matmul(y_m, tape.transpose(fused)))
@@ -219,9 +221,10 @@ def fused_entity_table(model, snapshot) -> np.ndarray:
     embeddings of every snapshot entity (same-snapshot diagnostic; no
     command scores through it)."""
     snapshot.prepare()
-    y_e = model.encode_entities(snapshot.entities)
-    x = tape.const(snapshot.x_dense)
-    z_f, z_r, z_sf, z_sr = model.gcn.forward(snapshot.s_f, snapshot.s_r, x)
+    y_e = model.encode_entities([model.tokenizer.render_entity(e)
+                                 for e in snapshot.entities])
+    z_f, z_r, z_sf, z_sr = model.gcn.forward(snapshot.s_f, snapshot.s_r,
+                                             snapshot.sx)
     rows = list(range(len(snapshot.entities)))
     return model.fusion.fuse(y_e, z_f, z_r, z_sf, z_sr, rows).data.copy()
 
@@ -229,7 +232,8 @@ def fused_entity_table(model, snapshot) -> np.ndarray:
 def mention_ranks(model, mentions, index, table) -> list:
     """Gold ranks of the mentions whose gold qid ``index`` resolves."""
     kept = [m for m in mentions if m.gold_qid in index]
-    return _gold_ranks(model.encode_mentions(kept).data, table,
+    seqs = [model.tokenizer.render_mention(m) for m in kept]
+    return _gold_ranks(model.encode_mentions(seqs).data, table,
                        [index.row(m.gold_qid) for m in kept])
 
 

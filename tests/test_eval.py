@@ -54,11 +54,17 @@ class TestRanking:
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            table = rng.normal(size=(20, 5))
-            y = rng.normal(size=5)
+        for trial in range(60):
+            if trial < 50:
+                table = rng.normal(size=(20, 5))
+                y = rng.normal(size=5)
+            else:  # tie-heavy: a handful of distinct small-integer scores
+                table = rng.integers(-1, 2, size=(20, 5)).astype(np.float64)
+                y = rng.integers(0, 2, size=5).astype(np.float64)
             for row in range(20):
                 assert gold_rank(y, table, row) == oracle_rank(y, table, row)
+            assert _gold_ranks(np.tile(y, (20, 1)), table, range(20)) == [
+                oracle_rank(y, table, row) for row in range(20)]
 
 
 class TestRecall:
@@ -182,7 +188,8 @@ def evaluate_mentions(model, mentions, entities, index, table=None):
     if table is None:
         table = model.entity_table(entities)
     kept = [m for m in mentions if m.gold_qid in index]
-    return _gold_ranks(model.encode_mentions(kept).data, table,
+    seqs = [model.tokenizer.render_mention(m) for m in kept]
+    return _gold_ranks(model.encode_mentions(seqs).data, table,
                        [index.row(m.gold_qid) for m in kept])
 
 

@@ -162,6 +162,10 @@ class TestIndexArrays:
         assert adj.degrees().tolist() == dense.sum(axis=1).astype(int).tolist()
         mat = FeatureMatrix(n=2, m=3, ones=[(1, 2), (0, 0)], column_tokens=[1, 2, 3])
         assert mat.to_dense().tolist() == [[1, 0, 0], [0, 0, 1]]
+        csr = mat.to_csr()
+        assert csr.dtype == np.float64 and csr.has_canonical_format
+        assert np.array_equal(csr.toarray(), mat.to_dense(np.float64))
+        assert FeatureMatrix(n=2, m=1, column_tokens=[1]).to_csr().nnz == 0
 
 
 def toy_tokenizer(entities):

@@ -82,6 +82,56 @@ class TestGcnStack:
             gcn.forward(norm_csr(3, []), norm_csr(3, []),
                         tape.const(np.zeros((4, 5))))
 
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_pair_equals_features(self, monkeypatch, n_layers):
+        # forward on X and on (S_f·X, S_r·X) give the bits, values and
+        # parameter gradients, of every stack propagating X through its
+        # own graph at every layer; on X it propagates each graph once
+        rng = np.random.default_rng(n_layers)
+        s_f = norm_csr(8, [(0, 1), (1, 2), (3, 4), (5, 7)])
+        s_r = norm_csr(8, [(0, 7), (2, 6), (4, 5)])
+        x = tape.const((rng.random((8, 5)) < 0.4).astype(np.float32))
+
+        def per_stack(gcn, s_f, s_r, x):
+            def stack(s, name):
+                z = x
+                for layer in range(n_layers):
+                    w = gcn.params[f"gcn.{name}.l{layer}"]
+                    z = tape.relu(tape.matmul(tape.spmm(s, z), w))
+                return z
+            return (stack(s_f, "wf"), stack(s_r, "wr"), stack(s_f, "ws"),
+                    stack(s_r, "ws"))
+
+        pair = (tape.spmm(s_f, x), tape.spmm(s_r, x))
+        calls = []
+        spmm = tape.spmm
+        monkeypatch.setattr(tape, "spmm",
+                            lambda s, z: calls.append(s) or spmm(s, z))
+        stacks, outs = [], []
+        for forward, features in ((per_stack, x), (GcnStack.forward, x),
+                                  (GcnStack.forward, pair)):
+            gcn = self.make(n_layers, seed=6)
+            zs = forward(gcn, s_f, s_r, features)
+            tape.add(tape.add(tape.sum_squares(zs[0]), tape.sum_squares(zs[1])),
+                     tape.add(tape.sum_squares(zs[2]),
+                              tape.sum_squares(zs[3]))).backward()
+            stacks.append(gcn)
+            outs.append(zs)
+        assert len(calls) == 4 * n_layers + 2 + 2 * 4 * (n_layers - 1)
+        assert all(z.data.any() for z in outs[0])  # no stack relu-dead
+        for want, got in ((0, 1), (0, 2)):
+            for a, b in zip(outs[want], outs[got]):
+                assert a.data.tobytes() == b.data.tobytes()
+            for name, p in stacks[want].params.items():
+                assert p.grad.tobytes() == stacks[got].params[name].grad.tobytes()
+
+    def test_pair_row_count_mismatch(self):
+        gcn = self.make()
+        with pytest.raises(ValueError, match="graph size"):
+            gcn.forward(norm_csr(3, []), norm_csr(3, []),
+                        (tape.const(np.zeros((3, 5))),
+                         tape.const(np.zeros((4, 5)))))
+
     def test_single_layer_oracle(self):
         # 1 layer, hand-computed: Z = relu(S X W)
         gcn = GcnStack(2, hidden=9, out=2, n_layers=1, seed=4)
@@ -214,9 +264,10 @@ class TestModel:
     def test_inference_ignores_graph_branch(self):
         # scoring through entity_table must not move when GCN or fusion
         # parameters are perturbed
-        model, _ = tiny_model()
+        model, tok = tiny_model()
         ents = [EntityRecord("Q1", "apple", "pie", 2020)]
-        ms = [MentionRecord("green", "apple", "fruit", "Q1", "new", 2020)]
+        ms = [tok.render_mention(
+            MentionRecord("green", "apple", "fruit", "Q1", "new", 2020))]
         before_e = model.entity_table(ents)
         before_m = model.encode_mentions(ms).data.copy()
         for name in list(model.gcn.params) + ["fusion.proj"]:
@@ -225,9 +276,9 @@ class TestModel:
         assert np.array_equal(model.encode_mentions(ms).data, before_m)
 
     def test_encode_mentions_stacks_rows(self):
-        model, _ = tiny_model()
-        ms = [MentionRecord("", "apple", "", "Q1", "new", 2020),
-              MentionRecord("", "orange", "", "Q2", "new", 2020)]
+        model, tok = tiny_model()
+        ms = [tok.render_mention(MentionRecord("", w, "", q, "new", 2020))
+              for w, q in (("apple", "Q1"), ("orange", "Q2"))]
         batch = model.encode_mentions(ms).data
         single = model.encode_mentions([ms[1]]).data
         assert batch.shape == (2, 6)

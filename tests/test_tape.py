@@ -241,6 +241,25 @@ class TestGradients:
         finally:
             gc.enable()
 
+class TestGatherRows:
+    @pytest.mark.parametrize("idx", [[0, 2, 3, 5], [5], [], [0, 2, 2, 5],
+                                     [3, 1]])
+    def test_scatter_matches_add_at(self, idx):
+        # increasing rows are assigned, others added; both give the bits
+        # add.at gives onto zeros, -0.0 mapped to +0.0 and NaN kept
+        table = tape.param(np.ones((6, 3), dtype=np.float32))
+        g = np.random.default_rng(len(idx)).normal(
+            size=(len(idx), 3)).astype(np.float32)
+        g.flat[::2] = np.float32(-0.0)
+        if len(idx) > 1:
+            g[1, 1] = np.float32("nan")
+        tape.gather_rows(table, idx).backward(g)
+        want = np.zeros_like(table.data)
+        np.add.at(want, np.asarray(idx, dtype=np.intp), g)
+        assert table.grad.tobytes() == want.tobytes()
+        assert not (np.signbit(table.grad) & (table.grad == 0)).any()
+
+
 def _op_cases():
     s = sp.csr_matrix(np.array([[0.5, 0.5, 0.0],
                                 [0.5, 0.3, 0.2],

@@ -1,13 +1,16 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from checks import OutOfPlaceAdam
 from templink import tape
 from templink.checkpoint import load_checkpoint, save_checkpoint
-from templink.graphs import AdjacencyMatrix, FeatureMatrix
+from templink.graphs import AdjacencyMatrix, FeatureMatrix, sym_normalize
 from templink.model import Model, ModelConfig
-from templink.records import EntityIndex, EntityRecord, MentionRecord
+from templink.records import (DataError, EntityIndex, EntityRecord,
+                              MentionRecord)
 from templink.textenc import Tokenizer
 from templink.trainer import (Adam, NumericError, Snapshot, TrainConfig,
                               load_model, make_batches, save_model, train,
@@ -31,12 +34,12 @@ def tiny_snapshot():
         feature_matrix=mat)
 
 
-def tiny_model(snapshot, seed=0):
+def tiny_model(snapshot, seed=0, gcn_layers=1):
     texts = [e.title + " " + e.description for e in snapshot.entities]
     texts += [m.context_left + " " + m.mention + " " + m.context_right
               for m in snapshot.mentions]
     tok = Tokenizer.build(texts, max_len=16)
-    cfg = ModelConfig(dim=6, gcn_hidden=4, gcn_out=3, gcn_layers=1,
+    cfg = ModelConfig(dim=6, gcn_hidden=4, gcn_out=3, gcn_layers=gcn_layers,
                       encoder_layers=1, max_len=16, seed=seed)
     return Model(tok, feature_dim=snapshot.feature_matrix.m, config=cfg)
 
@@ -102,6 +105,66 @@ class TestAdam:
         assert np.array_equal(p.data, np.ones((2, 2)))
         assert "p" not in opt.m
 
+    def test_in_place_equals_out_of_place(self):
+        # 6 steps, the first 3 clipped; "c" never has a gradient
+        rng = np.random.default_rng(3)
+        init = {"a": rng.normal(size=(50, 8)), "b": rng.normal(size=(8, 3)),
+                "c": rng.normal(size=(2, 2))}
+        sides = []
+        for opt in (Adam(lr=0.01), OutOfPlaceAdam(lr=0.01)):
+            sides.append((opt, {n: tape.param(v.astype(np.float32))
+                                for n, v in init.items()}))
+        arrays = {n: p.data for n, p in sides[0][1].items()}
+        for step in range(6):
+            scale = 10.0 if step < 3 else 1e-3
+            grads = {n: (scale * rng.normal(size=init[n].shape)).astype(
+                np.float32) for n in ("a", "b")}
+            grads["a"][0] = np.float32(-0.0)
+            norm = np.sqrt(sum((g.astype(np.float64) ** 2).sum()
+                               for g in grads.values()))
+            assert (norm > 1.0) == (step < 3)
+            for opt, params in sides:
+                for name, p in params.items():
+                    p.grad = grads[name].copy() if name in grads else None
+                opt.step(params, clip=1.0)
+            (opt, params), (ref, ref_params) = sides
+            for name, p in params.items():
+                assert p.data is arrays[name] and p.data.dtype == np.float32
+                assert p.data.tobytes() == ref_params[name].data.tobytes()
+            for name in ("a", "b"):
+                assert opt.m[name].tobytes() == ref.m[name].tobytes()
+                assert opt.v[name].tobytes() == ref.v[name].tobytes()
+            assert "c" not in opt.m
+        assert sides[0][1]["c"].data.tobytes() == init["c"].astype(
+            np.float32).tobytes()
+
+
+def random_snapshot(n, m, seed):
+    """Snapshot over seeded random graphs and a random 0/1 feature matrix."""
+    rng = np.random.default_rng(seed)
+
+    def graph(degree):
+        return AdjacencyMatrix(n=n, edges=[
+            (i, j) for i, j in rng.integers(n, size=(n * degree, 2)) if i != j])
+
+    ones = np.argwhere(rng.random((n, m)) < 0.05)
+    return Snapshot(year=2020, entities=[], mentions=[], index=None,
+                    structure=graph(3), feature_graph=graph(5),
+                    feature_matrix=FeatureMatrix(n=n, m=m, ones=ones,
+                                                 column_tokens=list(range(m))))
+
+
+class TestSnapshotPrepare:
+    @pytest.mark.parametrize("n,m,seed", [(40, 25, 0), (300, 120, 1),
+                                          (1200, 850, 2)])
+    def test_products_equal_dense_spmm(self, n, m, seed):
+        snap = random_snapshot(n, m, seed).prepare()
+        x = tape.const(snap.feature_matrix.to_dense(np.float32))
+        for sx, s in zip(snap.sx, (snap.s_f, snap.s_r)):
+            assert not sx.requires_grad and sx.data.dtype == np.float32
+            assert sx.data.tobytes() == tape.spmm(s, x).data.tobytes()
+        assert (snap.s_f != sym_normalize(snap.feature_graph)).nnz == 0
+
 
 class TestTrainStep:
     def test_breakdown_keys_and_total(self):
@@ -141,6 +204,20 @@ class TestTrainStep:
         out = train_step(snap.mentions[:4], snap, model, Adam(cfg.learning_rate),
                          cfg, np.random.default_rng(0))
         assert abs(out["L_e"] - np.log(4.0)) < 0.1
+
+    @pytest.mark.parametrize("gcn_layers", [1, 2, 3])
+    def test_spmm_only_above_layer_0(self, monkeypatch, gcn_layers):
+        # layer 0 is propagated once per snapshot, by prepare
+        snap = tiny_snapshot().prepare()
+        model = tiny_model(snap, gcn_layers=gcn_layers)
+        calls = []
+        spmm = tape.spmm
+        monkeypatch.setattr(tape, "spmm",
+                            lambda s, z: calls.append(s) or spmm(s, z))
+        cfg = TrainConfig(learning_rate=1e-3)
+        train_step(snap.mentions[:4], snap, model, Adam(cfg.learning_rate),
+                   cfg, np.random.default_rng(0))
+        assert len(calls) == 4 * (gcn_layers - 1)
 
     def test_nonfinite_raises(self):
         snap = tiny_snapshot()
@@ -199,6 +276,20 @@ class TestTrain:
         initial = curve[0][1]
         final = np.mean([r[1] for r in curve[-16:]])
         assert final < 0.1 * initial
+
+    def test_each_sequence_rendered_once(self, monkeypatch):
+        calls = []
+        for name in ("render_mention", "render_entity"):
+            render = getattr(Tokenizer, name)
+            monkeypatch.setattr(Tokenizer, name, lambda tok, r, _f=render:
+                                calls.append(r) or _f(tok, r))
+        snap = tiny_snapshot()
+        model = tiny_model(snap)
+        train(snap, model, TrainConfig(learning_rate=1e-3, epochs=3,
+                                       batch_size=3))
+        gold = [snap.entities[snap.index.row(m.gold_qid)]
+                for m in snap.mentions]
+        assert Counter(calls) == Counter(set(snap.mentions) | set(gold))
 
     def test_runs_byte_identical(self, tmp_path):
         cfg = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=3, seed=5)
@@ -286,8 +377,13 @@ class TestCheckpointRoundTrip:
         model = tiny_model(snap)
         path = tmp_path / "m.ckpt"
         save_model(path, model, TrainConfig())
-        with pytest.raises(ValueError, match="reshape"):
-            load_model(path, Tokenizer.build(["apple pear"], max_len=16))
+        tok = Tokenizer.build(["apple pear"], max_len=16)
+        rows = model.tokenizer.vocab_size
+        with pytest.raises(DataError) as err:
+            load_model(path, tok)
+        assert str(err.value) == (
+            f"{path}: the checkpoint's embedding tables have {rows} rows, "
+            f"but the run's tokenizer has vocab_size {tok.vocab_size}")
 
     def test_loads_mean_mode_checkpoint_with_pos_tables(self, tmp_path):
         # older checkpoints carried the Adam moments and step count, and in
