@@ -239,55 +239,41 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, summary, stamped=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="INI config file")
         p.add_argument("--data-dir", dest="data_dir")
         p.add_argument("--out-dir", dest="out_dir")
         p.add_argument("--years", help='e.g. "2019..2022" or "2019,2021"')
         p.add_argument("--seed", type=int)
+        if stamped:  # with --seed and --years, what shapes the stamp
+            p.add_argument("--k", type=int)
+            p.add_argument("--min-count", dest="min_count", type=int)
+            p.add_argument("--max-count", dest="max_count", type=int)
+        return p
 
-    p = sub.add_parser("ingest", help="convert JSONL dumps to canonical TSVs")
-    common(p)
+    p = command("ingest", cmd_ingest, "convert JSONL dumps to canonical TSVs",
+                stamped=False)
     p.add_argument("--year", type=int, required=True)
     p.add_argument("--entities", required=True, help="entity JSONL file")
     p.add_argument("--mentions", help="training-mention JSONL file")
     p.add_argument("--test-mentions", dest="test_mentions")
     p.add_argument("--triples", help="TSV triple file")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("build-graphs", help="construct snapshot graphs + matrices")
-    common(p)
-    p.add_argument("--k", type=int)
-    p.add_argument("--min-count", dest="min_count", type=int)
-    p.add_argument("--max-count", dest="max_count", type=int)
-    p.set_defaults(func=cmd_build_graphs)
-
-    p = sub.add_parser("train", help="train per-year checkpoints")
-    common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate checkpoints over all year pairs")
-    common(p)
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--baseline", help="baseline CSV (metric,gap,category,value)")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("experiment", help="build + train + eval + report")
-    common(p)
-    p.add_argument("--k", type=int)
-    p.add_argument("--min-count", dest="min_count", type=int)
-    p.add_argument("--max-count", dest="max_count", type=int)
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--baseline")
-    p.set_defaults(func=cmd_experiment)
-
-    p = sub.add_parser("report", help="emit CSVs, plots, and boost tables")
-    common(p)
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--baseline")
+    command("build-graphs", cmd_build_graphs,
+            "construct snapshot graphs + matrices")
+    command("train", cmd_train, "train per-year checkpoints")
+    for name, func, summary in (
+            ("eval", cmd_eval, "evaluate checkpoints over all year pairs"),
+            ("experiment", cmd_experiment, "build + train + eval + report"),
+            ("report", cmd_report, "emit CSVs, plots, and boost tables")):
+        p = command(name, func, summary)
+        p.add_argument("--mode", choices=MODES)
+        p.add_argument("--baseline",
+                       help="baseline CSV (metric,gap,category,value)")
+    # the loop's last parser is report's
     p.add_argument("--table", help="transcribed results table CSV for "
                                    "boost arithmetic (see data/published_results.csv)")
-    p.set_defaults(func=cmd_report)
     return parser
 
 

@@ -12,19 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tape
-from .textenc import TextEncoder, Tokenizer, _uniform_init
-
-
-@dataclass
-class LossWeights:
-    a: float = 0.5   # shared/consistency weight
-    b: float = 0.01  # distinct/disparity weight
-
-    def __post_init__(self):
-        if not (np.isfinite(self.a) and np.isfinite(self.b)):
-            raise ValueError("loss weights must be finite")
-        if self.a < 0 or self.b < 0:
-            raise ValueError("loss weights must be non-negative")
+from .textenc import ENCODER_MODES, TextEncoder, Tokenizer, _uniform_init
 
 
 @dataclass
@@ -37,6 +25,14 @@ class ModelConfig:
     encoder_layers: int = 2
     max_len: int = 128
     seed: int = 0
+
+    def __post_init__(self):
+        if min(self.dim, self.gcn_hidden, self.gcn_out, self.gcn_layers) < 1:
+            raise ValueError("dim, gcn_hidden, gcn_out, gcn_layers must be >= 1")
+        if self.max_len < 5:  # the mention template's 4 markers and 1 token
+            raise ValueError("max_len must be >= 5")
+        if self.encoder_mode not in ENCODER_MODES:
+            raise ValueError(f"encoder_mode must be one of {ENCODER_MODES}")
 
 
 class GcnStack:
@@ -85,12 +81,10 @@ class GcnStack:
 class FusionHead:
     """Training-time projection P: (4 g) x d added onto entity text embeddings."""
 
-    def __init__(self, gcn_out: int, dim: int, seed: int, frozen_zero: bool = False):
+    def __init__(self, gcn_out: int, dim: int, seed: int):
         rng = np.random.Generator(np.random.PCG64(seed))
-        init = (np.zeros((4 * gcn_out, dim), dtype=np.float32) if frozen_zero
-                else _uniform_init(rng, 4 * gcn_out, dim))
-        self.proj = tape.param(init, name="fusion.proj")
-        self.frozen = frozen_zero
+        self.proj = tape.param(_uniform_init(rng, 4 * gcn_out, dim),
+                               name="fusion.proj")
 
     def fuse(self, y_e: tape.Tensor, z_f, z_r, z_sf, z_sr, rows) -> tape.Tensor:
         """y_e + P-projection of concat(z_r, z_f, z_sr, z_sf) for the given rows."""
@@ -111,16 +105,16 @@ def distinct_loss(z_r, z_sr, z_f, z_sf) -> tape.Tensor:
     return tape.add(tape.hsic(z_r, z_sr), tape.hsic(z_f, z_sf))
 
 
-def total_loss(l_e, l_s, l_d, weights: LossWeights) -> tape.Tensor:
-    return tape.add(l_e, tape.add(tape.scale(l_s, weights.a),
-                                  tape.scale(l_d, weights.b)))
+def total_loss(l_e, l_s, l_d, a: float, b: float) -> tape.Tensor:
+    """L_e + a·L_s + b·L_d."""
+    return tape.add(l_e, tape.add(tape.scale(l_s, a), tape.scale(l_d, b)))
 
 
 class Model:
     """Owns the two text encoders, the GCN stacks, the fusion head, and config."""
 
     def __init__(self, tokenizer: Tokenizer, feature_dim: int,
-                 config: ModelConfig = None, fusion_frozen_zero: bool = False):
+                 config: ModelConfig = None):
         self.config = config or ModelConfig()
         c = self.config
         self.tokenizer = tokenizer
@@ -134,8 +128,7 @@ class Model:
             seed=c.seed * 4 + 2, prefix="e_enc")
         self.gcn = GcnStack(feature_dim, c.gcn_hidden, c.gcn_out,
                             c.gcn_layers, seed=c.seed * 4 + 3)
-        self.fusion = FusionHead(c.gcn_out, c.dim, seed=c.seed * 4 + 4,
-                                 frozen_zero=fusion_frozen_zero)
+        self.fusion = FusionHead(c.gcn_out, c.dim, seed=c.seed * 4 + 4)
 
     @property
     def params(self) -> dict:
@@ -145,12 +138,6 @@ class Model:
         out.update(self.gcn.params)
         out["fusion.proj"] = self.fusion.proj
         return out
-
-    def trainable_params(self) -> dict:
-        p = dict(self.params)
-        if self.fusion.frozen:
-            p.pop("fusion.proj")
-        return p
 
     def encode_mentions(self, seqs) -> tape.Tensor:
         """Mention encodings of ``Tokenizer.render_mention`` sequences."""

@@ -57,8 +57,14 @@ class RunConfig:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of "
                              f"{', '.join(MODES)}")
-        if not self.categories:
-            raise ValueError("no categories")
+        cats = self.categories
+        if not (cats and len(set(cats)) == len(cats)
+                and set(cats) <= set(records.CATEGORIES)):
+            raise ValueError(f"categories {cats} must name some of "
+                             f"{', '.join(records.CATEGORIES)}, each once")
+        if self.k < 1 or self.embed_dim < 1:
+            raise ValueError("k and embed_dim must be >= 1")
+        VocabFilter(self.min_count, self.max_count)
 
     def stamp(self, data_digest: str) -> str:
         """Digest of what shapes a checkpoint: the config without its path
@@ -246,7 +252,7 @@ def run_experiment(cfg: RunConfig, version: str = "0"):
 
 
 def parse_years(spec: str) -> list:
-    """Accept "A..B" (inclusive) or a comma-separated list."""
+    """Accept "A..B" (inclusive) or a non-empty comma-separated list."""
     spec = spec.strip()
     if ".." in spec:
         a, b = spec.split("..", 1)
@@ -254,4 +260,7 @@ def parse_years(spec: str) -> list:
         if b < a:
             raise ValueError(f"bad year range {spec!r}")
         return list(range(a, b + 1))
-    return [int(y) for y in spec.split(",") if y.strip()]
+    years = [int(y) for y in spec.split(",") if y.strip()]
+    if not years:
+        raise ValueError(f"no years in {spec!r}")
+    return years

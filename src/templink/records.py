@@ -185,6 +185,24 @@ def filter_mentions(mentions, index: EntityIndex):
     return kept, dropped
 
 
+def _read_jsonl(path):
+    """Yield (lineno, object) for each non-blank line of a JSON-lines file;
+    a line that is not a JSON object is a ``DataError`` naming path:lineno."""
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}:{lineno}: expected a JSON object, "
+                                f"got {type(obj).__name__}")
+            yield lineno, obj
+
+
 def ingest_jsonl_entities(src_path, dst_path, year: int) -> int:
     """Convert a JSON-lines entity dump to the canonical entities.tsv.
 
@@ -193,23 +211,18 @@ def ingest_jsonl_entities(src_path, dst_path, year: int) -> int:
     """
     records = []
     seen = set()
-    with Path(src_path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            qid = obj.get("qid") or obj.get("label_qid") or obj.get("entity_qid")
-            if not qid:
-                raise DataError(f"{src_path}:{lineno}: no qid key")
-            if qid in seen:
-                log.info("skipping repeated qid %s at line %d", qid, lineno)
-                continue
-            seen.add(qid)
-            title = obj.get("title") or obj.get("label_title") or obj.get("label") or ""
-            desc = obj.get("description") or obj.get("text") or ""
-            records.append(EntityRecord(qid=qid, title=title,
-                                        description=desc, year=year))
+    for lineno, obj in _read_jsonl(src_path):
+        qid = obj.get("qid") or obj.get("label_qid") or obj.get("entity_qid")
+        if not qid:
+            raise DataError(f"{src_path}:{lineno}: no qid key")
+        if qid in seen:
+            log.info("skipping repeated qid %s at line %d", qid, lineno)
+            continue
+        seen.add(qid)
+        title = obj.get("title") or obj.get("label_title") or obj.get("label") or ""
+        desc = obj.get("description") or obj.get("text") or ""
+        records.append(EntityRecord(qid=qid, title=title,
+                                    description=desc, year=year))
     save_entities(records, dst_path)
     return len(records)
 
@@ -217,22 +230,17 @@ def ingest_jsonl_entities(src_path, dst_path, year: int) -> int:
 def ingest_jsonl_mentions(src_path, dst_path, year: int) -> int:
     """Convert a JSON-lines mention dump to the canonical mentions.tsv."""
     records = []
-    with Path(src_path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            gold = obj.get("gold_qid") or obj.get("label_qid") or obj.get("qid")
-            if not gold:
-                raise DataError(f"{src_path}:{lineno}: no gold qid key")
-            category = obj.get("category", "continual")
-            if category not in CATEGORIES:
-                raise DataError(f"{src_path}:{lineno}: unknown category {category!r}")
-            records.append(MentionRecord(
-                context_left=obj.get("context_left", ""),
-                mention=obj.get("mention", ""),
-                context_right=obj.get("context_right", ""),
-                gold_qid=gold, category=category, year=year))
+    for lineno, obj in _read_jsonl(src_path):
+        gold = obj.get("gold_qid") or obj.get("label_qid") or obj.get("qid")
+        if not gold:
+            raise DataError(f"{src_path}:{lineno}: no gold qid key")
+        category = obj.get("category", "continual")
+        if category not in CATEGORIES:
+            raise DataError(f"{src_path}:{lineno}: unknown category {category!r}")
+        records.append(MentionRecord(
+            context_left=obj.get("context_left", ""),
+            mention=obj.get("mention", ""),
+            context_right=obj.get("context_right", ""),
+            gold_qid=gold, category=category, year=year))
     save_mentions(records, dst_path)
     return len(records)

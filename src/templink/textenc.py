@@ -21,6 +21,7 @@ from . import tape
 
 PAD, UNK, CLS, SEP, M_START, M_END, ENT = range(7)
 N_SPECIAL = 7
+ENCODER_MODES = ("mean", "attn")
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
@@ -97,7 +98,7 @@ class TextEncoder:
     def __init__(self, vocab_size: int, dim: int = 64, max_len: int = 128,
                  mode: str = "mean", n_layers: int = 2, seed: int = 0,
                  prefix: str = "enc"):
-        if mode not in ("mean", "attn"):
+        if mode not in ENCODER_MODES:
             raise ValueError(f"unknown encoder mode {mode!r}")
         self.dim = dim
         self.mode = mode

@@ -14,8 +14,8 @@ import numpy as np
 from . import tape
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .graphs import sym_normalize
-from .model import (LossWeights, Model, ModelConfig, consistency_loss,
-                    distinct_loss, total_loss)
+from .model import (Model, ModelConfig, consistency_loss, distinct_loss,
+                    total_loss)
 from .records import DataError
 from .textenc import Tokenizer
 
@@ -38,11 +38,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs < 0:
+        if (not 0 < self.learning_rate < np.inf or self.batch_size <= 0
+                or self.epochs < 0):
             raise ValueError("invalid train config")
-
-    def weights(self):
-        return LossWeights(a=self.loss_a, b=self.loss_b)
+        for name in ("loss_a", "loss_b", "grad_clip"):
+            if not 0 <= getattr(self, name) < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and >= 0")
+        if self.gram_sample < 2:
+            raise ValueError("gram_sample must be >= 2")
 
 
 @dataclass
@@ -142,10 +145,11 @@ def train_step(batch, snapshot: Snapshot, model: Model, optimizer: Adam,
     """One joint forward/backward/update; returns the loss breakdown.
     ``seqs`` maps each mention and gold entity record to its rendered
     sequence; records it lacks are rendered and added (``train`` passes
-    one map per call, so each is rendered once)."""
+    one map per call, so each is rendered once). A parameter whose
+    ``requires_grad`` is False gets no gradient, so Adam leaves it as is."""
     snapshot.prepare()
-    params = model.trainable_params()
-    for p in model.params.values():
+    params = model.params
+    for p in params.values():
         p.zero_grad()
 
     seqs = {} if seqs is None else seqs
@@ -172,7 +176,7 @@ def train_step(batch, snapshot: Snapshot, model: Model, optimizer: Adam,
                         tape.gather_rows(z_sr, rows),
                         tape.gather_rows(z_f, rows),
                         tape.gather_rows(z_sf, rows))
-    loss = total_loss(l_e, l_s, l_d, config.weights())
+    loss = total_loss(l_e, l_s, l_d, config.loss_a, config.loss_b)
 
     breakdown = {"L_e": float(l_e.data), "L_s": float(l_s.data),
                  "L_d": float(l_d.data), "L_total": float(loss.data)}
@@ -201,7 +205,6 @@ def save_model(path, model: Model, config: TrainConfig, extra: dict = None):
         "model_config": asdict(model.config),
         "train_config": asdict(config),
         "feature_dim": model.gcn.params["gcn.wf.l0"].data.shape[0],
-        "fusion_frozen": model.fusion.frozen,
         **(extra or {}),
     }
     save_checkpoint(path, {name: p.data for name, p in model.params.items()},
@@ -211,7 +214,8 @@ def save_model(path, model: Model, config: TrainConfig, extra: dict = None):
 def load_model(path, tokenizer: Tokenizer) -> Model:
     """Rebuild a Model over ``tokenizer`` from a checkpoint file; tensors that
     are not model parameters (such as ``opt.*`` moments in older files) and
-    the tokenizer vocabulary older headers carry are ignored. A checkpoint
+    the header keys older files carry (the tokenizer vocabulary,
+    ``fusion_frozen``) are ignored. A checkpoint
     whose embedding tables do not have ``tokenizer.vocab_size`` rows is a
     ``DataError``."""
     tensors, meta = load_checkpoint(path)
@@ -221,8 +225,7 @@ def load_model(path, tokenizer: Tokenizer) -> Model:
             f"{path}: the checkpoint's embedding tables have {rows} rows, but "
             f"the run's tokenizer has vocab_size {tokenizer.vocab_size}")
     model = Model(tokenizer, meta["feature_dim"],
-                  ModelConfig(**meta["model_config"]),
-                  fusion_frozen_zero=meta.get("fusion_frozen", False))
+                  ModelConfig(**meta["model_config"]))
     for name, p in model.params.items():
         p.data = tensors[name].reshape(p.data.shape)
     return model

@@ -153,7 +153,8 @@ def test_criterion_3_gradient_suite():
         l_e = tape.el_loss(tape.matmul(y_m, tape.transpose(fused)))
         l_s = consistency_loss(z_sr, z_sf)
         l_d = distinct_loss(z_r, z_sr, z_f, z_sf)
-        return total_loss(l_e, l_s, l_d, TrainConfig().weights())
+        defaults = TrainConfig()
+        return total_loss(l_e, l_s, l_d, defaults.loss_a, defaults.loss_b)
 
     worst = 0.0
     ok = True
@@ -257,8 +258,10 @@ def test_criterion_6_disambiguation_by_structure(tmp_path):
             tc = TrainConfig(learning_rate=0.05, epochs=120, batch_size=32,
                              loss_a=a, loss_b=b, seed=seed)
             mc = ModelConfig(dim=32, encoder_mode="mean", seed=seed)
-            model = Model(tok, snap.feature_matrix.m, mc,
-                          fusion_frozen_zero=frozen)
+            model = Model(tok, snap.feature_matrix.m, mc)
+            if frozen:  # text only: the fusion head held at zero
+                model.fusion.proj.data[:] = 0
+                model.fusion.proj.requires_grad = False
             train(snap, model, tc)
             # text-only scoring for the frozen run; the full run is scored
             # through the training-time fused table so graph information

@@ -1,6 +1,7 @@
 import json
 import logging
 import re
+import shlex
 from dataclasses import replace
 from pathlib import Path
 
@@ -86,21 +87,50 @@ class TestConfigFile:
         assert load_config_file(ini) == replace(RunConfig(),
                                                 years=[2019, 2020, 2021, 2022])
 
-    @pytest.mark.parametrize("edit", [
-        ("learning_rate = 0.01", "learning_rate = -1.0"),
-        ("batch_size = 4", "batch_size = 0"),
-        ("mode = forward_and_backward", "mode = forwards"),
-        ("mode = forward_and_backward", "categories ="),
-        ("[paths]\n", ""),
-    ], ids=["negative_learning_rate", "zero_batch_size", "unknown_mode",
-            "empty_categories", "missing_section_header"])
-    def test_invalid_value_is_usage_error(self, tmp_path, toy_data, edit):
+    @pytest.mark.parametrize("edit, flags", [
+        (("learning_rate = 0.01", "learning_rate = -1.0"), []),
+        (("learning_rate = 0.01", "learning_rate = nan"), []),
+        (("batch_size = 4", "batch_size = 0"), []),
+        (("mode = forward_and_backward", "mode = forwards"), []),
+        (("mode = forward_and_backward", "categories ="), []),
+        (("[paths]\n", ""), []),
+        (("gcn_layers = 1", "gcn_layers = 0"), []),
+        (("gcn_hidden = 4", "gcn_hidden = 0"), []),
+        (("max_len = 32", "max_len = 32\nencoder_mode = bogus"), []),
+        (("dim = 8", "dim = 0"), []),
+        (("max_len = 32", "max_len = 3"), []),
+        (("batch_size = 4", "batch_size = 4\ngram_sample = 1"), []),
+        (("batch_size = 4", "batch_size = 4\ngrad_clip = -1"), []),
+        (("batch_size = 4", "batch_size = 4\nloss_a = -0.5"), []),
+        (("batch_size = 4", "batch_size = 4\nloss_b = nan"), []),
+        (("min_count = 2", "min_count = 6"), []),
+        (("k = 3", "k = 0"), []),
+        (("embed_dim = 16", "embed_dim = 0"), []),
+        (("mode = forward_and_backward", "categories = foo"), []),
+        (("mode = forward_and_backward", "categories = continual,continual"),
+         []),
+        (("years = 2019..2020", "years = ,"), []),
+        (None, ["--years", ","]),
+        (None, ["--k", "0"]),
+        (None, ["--min-count", "9", "--max-count", "5"]),
+    ], ids=["negative_learning_rate", "nan_learning_rate", "zero_batch_size",
+            "unknown_mode", "empty_categories", "missing_section_header",
+            "zero_gcn_layers", "zero_gcn_hidden", "unknown_encoder_mode",
+            "zero_dim", "short_max_len", "gram_sample_1", "negative_grad_clip",
+            "negative_loss_a", "nan_loss_b", "min_count_above_max_count",
+            "zero_k", "zero_embed_dim", "unknown_category",
+            "repeated_category", "no_years", "no_years_flag", "zero_k_flag",
+            "min_count_above_max_count_flags"])
+    def test_invalid_value_is_usage_error(self, tmp_path, toy_data, edit,
+                                          flags):
         out = tmp_path / "out"
         ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
-        text = ini.read_text()
-        assert edit[0] in text
-        ini.write_text(text.replace(*edit))
-        assert main(["experiment", "--config", str(ini)]) == EXIT_USAGE
+        if edit:
+            text = ini.read_text()
+            assert edit[0] in text
+            ini.write_text(text.replace(*edit))
+        for command in ("experiment", "train"):
+            assert main([command, "--config", str(ini), *flags]) == EXIT_USAGE
         assert not out.exists()
 
     def test_seed_flag_sets_all_seeds(self):
@@ -136,6 +166,22 @@ class TestOutputLock:
 class TestMainDispatch:
     def test_no_command_is_usage_error(self):
         assert main([]) == EXIT_USAGE
+
+    def test_readme_cli_block_parses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+        lines = block.replace("\\\n", " ").splitlines()
+        parser = make_parser()
+        commands = set()
+        for line in lines:
+            argv = shlex.split(line, comments=True)
+            assert argv[0] == "templink", line
+            try:
+                commands.add(parser.parse_args(argv[1:]).command)
+            except SystemExit:
+                pytest.fail(f"README CLI line does not parse: {line}")
+        assert commands == {"ingest", "build-graphs", "train", "eval",
+                            "experiment", "report"}
 
     def test_version_exits_ok(self):
         assert main(["--version"]) == EXIT_OK
@@ -174,6 +220,31 @@ class TestIngest:
                      "--year", "2020",
                      "--entities", str(tmp_path / "absent.jsonl")])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("flag, line, message", [
+        ("--entities", '{"qid": "Q2", ', "malformed JSON"),
+        ("--entities", '["Q2"]', "expected a JSON object, got list"),
+        ("--mentions", '{"gold_qid": "Q1",', "malformed JSON"),
+        ("--mentions", '"Q1"', "expected a JSON object, got str"),
+    ], ids=["entities_malformed", "entities_not_object", "mentions_malformed",
+            "mentions_not_object"])
+    def test_bad_jsonl_line_is_data_error_naming_it(self, tmp_path, caplog,
+                                                    flag, line, message):
+        # a good line and a blank one before the bad line 3
+        ents = tmp_path / "ents.jsonl"
+        ents.write_text('{"qid": "Q1", "title": "A"}\n')
+        src = tmp_path / "bad.jsonl"
+        src.write_text((ents.read_text() if flag == "--entities"
+                        else '{"gold_qid": "Q1", "mention": "a"}\n')
+                       + f"\n{line}\n")
+        inputs = {"--entities": ents, flag: src}
+        argv = ["ingest", "--data-dir", str(tmp_path / "data"), "--year", "2020"]
+        for name, path in inputs.items():
+            argv += [name, str(path)]
+        assert main(argv) == EXIT_DATA
+        assert f"{src}:3: {message}" in caplog.text
+        target = {"--entities": "entities.tsv", "--mentions": "mentions_train.tsv"}
+        assert not (tmp_path / "data" / "2020" / target[flag]).exists()
 
 
 def header_stamps(out) -> list:
@@ -548,6 +619,24 @@ class TestEvalTrustsStamp:
         path = out / "checkpoints" / "continual_2019.ckpt"
         assert (f"{path}: stamp {trained}, but the run's stamp is {run}; "
                 "run `templink train`") in caplog.text
+
+    def test_stamp_flags_reach_eval(self, tmp_path, toy_data):
+        # --k shapes the stamp, so eval and report must take it to find the
+        # checkpoints experiment trained; train then skips every one
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
+        flags = ["--config", str(ini), "--k", "4", "--min-count", "2",
+                 "--max-count", "5"]
+        assert main(["experiment", *flags]) == EXIT_OK
+        before = report_bytes(out)
+        ckpts = {p: p.stat().st_mtime_ns for p in out.glob("checkpoints/*.ckpt")}
+        for command in ("eval", "report"):
+            for path in out.glob("gap_matrix_*.csv"):
+                path.unlink()
+            assert main([command, *flags]) == EXIT_OK
+            assert report_bytes(out) == before
+        assert main(["train", *flags]) == EXIT_OK
+        assert {p: p.stat().st_mtime_ns for p in ckpts} == ckpts
 
     def test_train_then_eval_equals_experiment(self, tmp_path, toy_data):
         runs = {}

@@ -3,12 +3,12 @@ import pytest
 
 from checks import check_gradients
 from templink import tape
-from templink.graphs import AdjacencyMatrix, sym_normalize
-from templink.model import (FusionHead, GcnStack, LossWeights, Model,
-                            ModelConfig, consistency_loss, distinct_loss,
-                            total_loss)
-from templink.records import EntityRecord, MentionRecord
+from templink.graphs import AdjacencyMatrix, FeatureMatrix, sym_normalize
+from templink.model import (FusionHead, GcnStack, Model, ModelConfig,
+                            consistency_loss, distinct_loss, total_loss)
+from templink.records import EntityIndex, EntityRecord, MentionRecord
 from templink.textenc import Tokenizer
+from templink.trainer import Adam, Snapshot, TrainConfig, train_step
 
 
 def rnd(shape, seed):
@@ -17,20 +17,6 @@ def rnd(shape, seed):
 
 def norm_csr(n, edges):
     return sym_normalize(AdjacencyMatrix(n=n, edges=edges))
-
-
-class TestLossWeights:
-    def test_defaults(self):
-        w = LossWeights()
-        assert (w.a, w.b) == (0.5, 0.01)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            LossWeights(a=-0.1)
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            LossWeights(b=float("nan"))
 
 
 class TestGcnStack:
@@ -174,23 +160,16 @@ class TestDistinctLoss:
 class TestTotalLoss:
     def test_arithmetic(self):
         v = total_loss(tape.const(np.array(1.0)), tape.const(np.array(2.0)),
-                       tape.const(np.array(3.0)), LossWeights()).item()
+                       tape.const(np.array(3.0)), 0.5, 0.01).item()
         assert np.isclose(v, 1.0 + 0.5 * 2.0 + 0.01 * 3.0)
 
     def test_zero_weights_drop_terms(self):
         v = total_loss(tape.const(np.array(1.5)), tape.const(np.array(99.0)),
-                       tape.const(np.array(99.0)), LossWeights(0.0, 0.0)).item()
+                       tape.const(np.array(99.0)), 0.0, 0.0).item()
         assert v == 1.5
 
 
 class TestFusionHead:
-    def test_frozen_zero_is_identity(self):
-        head = FusionHead(gcn_out=3, dim=4, seed=0, frozen_zero=True)
-        y_e = tape.const(rnd((2, 4), 13))
-        zs = [tape.const(rnd((5, 3), 14 + i)) for i in range(4)]
-        fused = head.fuse(y_e, *zs, rows=[0, 2])
-        assert np.array_equal(fused.data, y_e.data)
-
     def test_additive_shift(self):
         head = FusionHead(gcn_out=3, dim=4, seed=1)
         y_e = rnd((2, 4), 18)
@@ -216,11 +195,27 @@ class TestFusionHead:
         assert report["ok"], report["failures"][:3]
 
 
-def tiny_model(**kw):
+def tiny_model():
     tok = Tokenizer.build(["apple pie", "orange tree", "green fruit"], max_len=16)
     cfg = ModelConfig(dim=6, gcn_hidden=4, gcn_out=3, gcn_layers=1,
                       encoder_layers=1, max_len=16, seed=0)
-    return Model(tok, feature_dim=5, config=cfg, **kw), tok
+    return Model(tok, feature_dim=5, config=cfg), tok
+
+
+def tiny_snapshot():
+    """Three entities over tiny_model's vocabulary and feature_dim."""
+    entities = [EntityRecord(f"Q{i}", t, d, 2020) for i, (t, d) in
+                enumerate((("apple", "pie"), ("orange", "tree"),
+                           ("green", "fruit")))]
+    mentions = [MentionRecord("green", e.title, "", e.qid, "new", 2020)
+                for e in entities]
+    return Snapshot(year=2020, entities=entities, mentions=mentions,
+                    index=EntityIndex([e.qid for e in entities]),
+                    structure=AdjacencyMatrix(n=3, edges=[(0, 1)]),
+                    feature_graph=AdjacencyMatrix(n=3, edges=[(1, 2)]),
+                    feature_matrix=FeatureMatrix(
+                        n=3, m=5, ones=[(0, 0), (1, 2), (2, 4)],
+                        column_tokens=list(range(5))))
 
 
 class TestModel:
@@ -237,9 +232,27 @@ class TestModel:
         assert len(names) == total
 
     def test_frozen_fusion_excluded_from_training(self):
-        model, _ = tiny_model(fusion_frozen_zero=True)
-        assert "fusion.proj" not in model.trainable_params()
+        # the text-only arm: a zeroed projection adds nothing to y_e, and
+        # with requires_grad off it gets no gradient, so Adam never moves it
+        model, _ = tiny_model()
+        proj = model.fusion.proj
+        proj.data[:] = 0
+        proj.requires_grad = False
+        y_e = tape.const(rnd((2, 6), 13))
+        zs = [tape.const(rnd((5, 3), 14 + i)) for i in range(4)]
+        fused = model.fusion.fuse(y_e, *zs, rows=[0, 2])
+        assert np.array_equal(fused.data, y_e.data)
+        snap = tiny_snapshot()
+        before = {n: p.data.copy() for n, p in model.params.items()}
+        opt = Adam(lr=0.01)
+        train_step(snap.mentions, snap, model, opt,
+                   TrainConfig(learning_rate=0.01), np.random.default_rng(0))
+        assert proj.grad is None and "fusion.proj" not in opt.m
+        assert proj.data.tobytes() == before["fusion.proj"].tobytes()
         assert "fusion.proj" in model.params
+        moved = {n for n, p in model.params.items()
+                 if not np.array_equal(p.data, before[n])}
+        assert moved == set(model.params) - {"fusion.proj"}
 
     def test_encoder_seeds_differ(self):
         model, _ = tiny_model()

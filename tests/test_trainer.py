@@ -48,13 +48,28 @@ class TestTrainConfig:
     def test_defaults(self):
         c = TrainConfig()
         assert c.batch_size == 32 and c.grad_clip == 1.0
-        assert (c.weights().a, c.weights().b) == (0.5, 0.01)
+        assert (c.loss_a, c.loss_b) == (0.5, 0.01)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
+
+    @pytest.mark.parametrize("field", ["loss_a", "loss_b"])
+    def test_negative_loss_weight_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: -0.1})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["loss_a", "loss_b"])
+    def test_nonfinite_loss_weight_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_zero_loss_weights_and_clip_accepted(self):
+        c = TrainConfig(loss_a=0.0, loss_b=0.0, grad_clip=0.0, gram_sample=2)
+        assert (c.loss_a, c.loss_b, c.grad_clip) == (0.0, 0.0, 0.0)
 
 
 class TestMakeBatches:
