@@ -169,7 +169,24 @@ class TestTotalLoss:
         assert v == 1.5
 
 
+class TestLossWeights:
+    def test_defaults(self):
+        # the paper's loss weights (a, b) are TrainConfig's defaults
+        c = TrainConfig()
+        assert (c.loss_a, c.loss_b) == (0.5, 0.01)
+
+
 class TestFusionHead:
+    def test_frozen_zero_is_identity(self):
+        # the text-only arm: a zeroed, frozen projection adds nothing to y_e
+        head = FusionHead(gcn_out=3, dim=4, seed=0)
+        head.proj.data[:] = 0
+        head.proj.requires_grad = False
+        y_e = tape.const(rnd((2, 4), 13))
+        zs = [tape.const(rnd((5, 3), 14 + i)) for i in range(4)]
+        fused = head.fuse(y_e, *zs, rows=[0, 2])
+        assert np.array_equal(fused.data, y_e.data)
+
     def test_additive_shift(self):
         head = FusionHead(gcn_out=3, dim=4, seed=1)
         y_e = rnd((2, 4), 18)
@@ -232,16 +249,12 @@ class TestModel:
         assert len(names) == total
 
     def test_frozen_fusion_excluded_from_training(self):
-        # the text-only arm: a zeroed projection adds nothing to y_e, and
-        # with requires_grad off it gets no gradient, so Adam never moves it
+        # with requires_grad off the projection gets no gradient, so Adam
+        # never moves it
         model, _ = tiny_model()
         proj = model.fusion.proj
         proj.data[:] = 0
         proj.requires_grad = False
-        y_e = tape.const(rnd((2, 6), 13))
-        zs = [tape.const(rnd((5, 3), 14 + i)) for i in range(4)]
-        fused = model.fusion.fuse(y_e, *zs, rows=[0, 2])
-        assert np.array_equal(fused.data, y_e.data)
         snap = tiny_snapshot()
         before = {n: p.data.copy() for n, p in model.params.items()}
         opt = Adam(lr=0.01)

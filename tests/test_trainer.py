@@ -48,7 +48,6 @@ class TestTrainConfig:
     def test_defaults(self):
         c = TrainConfig()
         assert c.batch_size == 32 and c.grad_clip == 1.0
-        assert (c.loss_a, c.loss_b) == (0.5, 0.01)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
