@@ -106,6 +106,15 @@ def build_run_config(args) -> RunConfig:
         raise UsageError(f"bad config: {exc}") from exc
 
 
+def pipeline_config(args) -> RunConfig:
+    """``build_run_config`` for a command that runs over years: with none
+    given it is a usage error, raised before the output dir exists."""
+    cfg = build_run_config(args)
+    if not cfg.years:
+        raise UsageError("no years given: set [run] years or pass --years")
+    return cfg
+
+
 class OutputLock:
     """Guards an output directory against concurrent writers."""
 
@@ -129,29 +138,30 @@ class OutputLock:
 
 
 def cmd_ingest(args) -> int:
+    """Read and check every input, then write the year's TSVs."""
     cfg = build_run_config(args)
     year = args.year
+    entities = records.read_jsonl_entities(args.entities, year)
+    mentions = {name: records.read_jsonl_mentions(src, year)
+                for name, src in (("mentions_train.tsv", args.mentions),
+                                  ("mentions_test.tsv", args.test_mentions))
+                if src}
+    triples = records.load_triples(args.triples) if args.triples else None
     out = Path(cfg.data_dir) / str(year)
     out.mkdir(parents=True, exist_ok=True)
-    n_e = records.ingest_jsonl_entities(args.entities, out / "entities.tsv", year)
-    log.info("wrote %d entities", n_e)
-    if args.mentions:
-        n_m = records.ingest_jsonl_mentions(
-            args.mentions, out / "mentions_train.tsv", year)
-        log.info("wrote %d training mentions", n_m)
-    if args.test_mentions:
-        n_t = records.ingest_jsonl_mentions(
-            args.test_mentions, out / "mentions_test.tsv", year)
-        log.info("wrote %d test mentions", n_t)
-    if args.triples:
-        triples = records.load_triples(args.triples)
+    records.save_entities(entities, out / "entities.tsv")
+    log.info("wrote %d entities", len(entities))
+    for name, rows in mentions.items():
+        records.save_mentions(rows, out / name)
+        log.info("wrote %d mentions to %s", len(rows), name)
+    if triples is not None:
         records.save_triples(triples, out / "triples.tsv")
         log.info("wrote %d triples", len(triples))
     return EXIT_OK
 
 
 def cmd_build_graphs(args) -> int:
-    cfg = build_run_config(args)
+    cfg = pipeline_config(args)
     with OutputLock(cfg.out_dir):
         pipeline.write_resolved_config(cfg, __version__)
         corpora = pipeline.load_corpora(cfg)
@@ -166,7 +176,7 @@ def cmd_build_graphs(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = build_run_config(args)
+    cfg = pipeline_config(args)
     with OutputLock(cfg.out_dir):
         stamp = pipeline.write_resolved_config(cfg, __version__)
         corpora = pipeline.load_corpora(cfg)
@@ -191,7 +201,7 @@ def _emit_matrices(cfg: RunConfig, matrices: dict) -> None:
 
 
 def cmd_eval(args) -> int:
-    cfg = build_run_config(args)
+    cfg = pipeline_config(args)
     with OutputLock(cfg.out_dir):
         stamp = cfg.stamp(pipeline.data_digest(cfg))
         corpora = pipeline.load_corpora(cfg)
@@ -201,7 +211,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    cfg = build_run_config(args)
+    cfg = pipeline_config(args)
     with OutputLock(cfg.out_dir):
         matrices = pipeline.run_experiment(cfg, version=__version__)
         _emit_matrices(cfg, matrices)

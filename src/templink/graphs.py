@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from . import tape
 from .checkpoint import atomic_open
 
 log = logging.getLogger(__name__)
@@ -125,27 +126,25 @@ def embed_descriptions(entities, dim: int = 64, seed: int = 0) -> np.ndarray:
     """n x d seeded feature-hashing embedding of each entity's title and
     description, over whitespace/punctuation tokens.
 
-    A row is the mean of per-token gaussian vectors, summed per occurrence
-    in float64 in token order; a row without tokens is zero. A token's
-    vector is drawn from a PCG64 generator seeded with CRC32(token) mixed
-    with the global seed, so embeddings are stable across processes and
-    runs, and it is drawn once per call.
+    A row is the ``tape.mean_bags`` mean, in float64, of the gaussian
+    vectors of its token occurrences; a row without tokens is zero. A
+    token's vector is drawn from a PCG64 generator seeded with CRC32(token)
+    mixed with the global seed, so embeddings are stable across processes
+    and runs, and it is drawn once per call.
     """
     from .textenc import split_text
     mix = seed * 0x9E3779B1 & 0xFFFFFFFF
-    drawn = {}
+    number = {}  # token -> row of the drawn table, in first-seen order
+    bags = [[number.setdefault(tok, len(number))
+             for tok in split_text(e.title + " " + e.description)]
+            for e in entities]
+    drawn = np.empty((len(number), dim))
+    for tok, row in number.items():
+        key = zlib.crc32(tok.encode("utf-8")) ^ mix
+        drawn[row] = np.random.Generator(np.random.PCG64(key)).standard_normal(dim)
     out = np.zeros((len(entities), dim), dtype=np.float32)
-    for i, e in enumerate(entities):
-        tokens = split_text(e.title + " " + e.description)
-        acc = np.zeros(dim, dtype=np.float64)
-        for tok in tokens:
-            if tok not in drawn:
-                key = zlib.crc32(tok.encode("utf-8")) ^ mix
-                drawn[tok] = np.random.Generator(
-                    np.random.PCG64(key)).standard_normal(dim)
-            acc += drawn[tok]
-        if tokens:
-            out[i] = acc / len(tokens)
+    has = [i for i, bag in enumerate(bags) if bag]
+    out[has] = tape.mean_bags(drawn, [bags[i] for i in has]).data
     return out
 
 

@@ -203,8 +203,9 @@ def _read_jsonl(path):
             yield lineno, obj
 
 
-def ingest_jsonl_entities(src_path, dst_path, year: int) -> int:
-    """Convert a JSON-lines entity dump to the canonical entities.tsv.
+def read_jsonl_entities(src_path, year: int) -> list[EntityRecord]:
+    """The entity records of a JSON-lines dump; a repeated qid keeps its
+    first line.
 
     Accepted keys per object: qid (or label_qid / entity_qid), title
     (or label_title / label), and description (or text).
@@ -223,12 +224,11 @@ def ingest_jsonl_entities(src_path, dst_path, year: int) -> int:
         desc = obj.get("description") or obj.get("text") or ""
         records.append(EntityRecord(qid=qid, title=title,
                                     description=desc, year=year))
-    save_entities(records, dst_path)
-    return len(records)
+    return records
 
 
-def ingest_jsonl_mentions(src_path, dst_path, year: int) -> int:
-    """Convert a JSON-lines mention dump to the canonical mentions.tsv."""
+def read_jsonl_mentions(src_path, year: int) -> list[MentionRecord]:
+    """The mention records of a JSON-lines dump."""
     records = []
     for lineno, obj in _read_jsonl(src_path):
         gold = obj.get("gold_qid") or obj.get("label_qid") or obj.get("qid")
@@ -242,5 +242,4 @@ def ingest_jsonl_mentions(src_path, dst_path, year: int) -> int:
             mention=obj.get("mention", ""),
             context_right=obj.get("context_right", ""),
             gold_qid=gold, category=category, year=year))
-    save_mentions(records, dst_path)
-    return len(records)
+    return records

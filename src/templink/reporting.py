@@ -8,7 +8,6 @@ plots are hand-written SVG with no timestamps or generated ids.
 from __future__ import annotations
 
 import csv
-from importlib import resources
 from pathlib import Path
 
 from .checkpoint import atomic_open
@@ -18,11 +17,6 @@ from .evaluate import (MODES, RECALL_NS, GapMatrix, aggregate_gap,
 
 class BaselineFormatError(Exception):
     pass
-
-
-def bundled_results_path() -> Path:
-    """Transcribed published recall/boost table shipped with the package."""
-    return Path(resources.files("templink") / "data" / "published_results.csv")
 
 
 def _read_table(path, header: list, parse) -> list:

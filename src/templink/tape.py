@@ -8,10 +8,10 @@ leaves, as the gradient tests do, runs the whole graph in float64.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 import scipy.sparse as sp
-
-BAG_BLOCK = 256  # bags per block in mean_bags; bounds its float64 token array
 
 
 class Tensor:
@@ -158,7 +158,7 @@ def spmm(S: sp.csr_matrix, z: Tensor):
 
     def bwd(g):
         if z.requires_grad:
-            z._accumulate(np.asarray(S.T.tocsr() @ g))
+            z._accumulate(np.asarray(S.T @ g))
 
     return Tensor(out_data, parents=(z,), backward=bwd)
 
@@ -230,40 +230,33 @@ def concat_rows(tensors):
 def mean_bags(table, bags):
     """Row i is the mean of the table rows listed in the non-empty id list
     ``bags[i]``, with the arithmetic of one ``mean(axis=0, dtype=float64)``
-    per bag. The backward sums each bag's share per distinct id, then adds
+    per bag: one float64 product with a CSR bag matrix whose row i holds
+    ``bags[i]`` in order, duplicates included, which scipy sums in stored
+    order. The backward sums each bag's share per distinct id, then adds
     the sums into the table gradient later bags first, as one node per bag
-    would. Both directions work on ``BAG_BLOCK`` bags at a time.
+    would.
     """
     table = _as_tensor(table)
     n_rows, dim = table.data.shape
-    out_data = np.empty((len(bags), dim), dtype=table.dtype)
-    blocks = []  # (first bag, left-aligned ids, mask of real ids, lengths)
-    for lo in range(0, len(bags), BAG_BLOCK):
-        block = bags[lo:lo + BAG_BLOCK]
-        lens = np.fromiter(map(len, block), dtype=np.intp)
-        mask = np.arange(lens.max()) < lens[:, None]
-        ids = np.zeros(mask.shape, dtype=np.intp)
-        ids[mask] = np.concatenate(block)
-        tok = table.data[ids]
-        tok[~mask] = 0
-        out_data[lo:lo + len(block)] = (tok.sum(axis=1, dtype=np.float64)
-                                        / lens[:, None])
-        blocks.append((lo, ids, mask, lens))
+    lens = np.fromiter(map(len, bags), dtype=np.intp)
+    ids = np.fromiter(chain.from_iterable(bags), dtype=np.intp)
+    used, col = np.unique(ids, return_inverse=True)
+    b = sp.csr_matrix((np.ones(len(ids)), col, np.concatenate([[0], lens.cumsum()])),
+                      shape=(len(bags), len(used)))
+    out_data = ((b @ table.data[used].astype(np.float64)) / lens[:, None]
+                ).astype(table.dtype)
 
     def bwd(g):
-        if not table.requires_grad:
-            return
-        full = np.zeros_like(table.data)
-        for lo, ids, mask, lens in reversed(blocks):
-            share = g[lo:lo + len(lens)] / lens[:, None].astype(g.dtype)
-            bag = np.nonzero(mask)[0]
-            pairs, pair_of = np.unique(bag * n_rows + ids[mask],
-                                       return_inverse=True)
+        if table.requires_grad:
+            # keys ascend later bags first, ids ascending within a bag
+            later = np.repeat(np.arange(len(lens))[::-1], lens)
+            pairs, pair_of = np.unique(later * n_rows + ids, return_inverse=True)
             sums = np.zeros((len(pairs), dim), dtype=g.dtype)
-            np.add.at(sums, pair_of, share[bag])
-            later_first = np.argsort(-(pairs // n_rows), kind="stable")
-            np.add.at(full, pairs[later_first] % n_rows, sums[later_first])
-        table._accumulate(full)
+            np.add.at(sums, pair_of,
+                      np.repeat(g / lens[:, None].astype(g.dtype), lens, axis=0))
+            full = np.zeros_like(table.data)
+            np.add.at(full, pairs % n_rows, sums)
+            table._accumulate(full)
 
     return Tensor(out_data, parents=(table,), backward=bwd)
 

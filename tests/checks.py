@@ -1,6 +1,10 @@
 """Checks the tests share that no command runs: a finite-difference
-gradient checker for tape graphs, the completeness of a gap matrix, and an
-out-of-place Adam update to hold the in-place one to."""
+gradient checker for tape graphs, the completeness of a gap matrix, an
+out-of-place Adam update to hold the in-place one to, and the path of the
+results table the package ships."""
+
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -47,6 +51,12 @@ def complete(matrix) -> bool:
     """Whether a GapMatrix has a cell for every (train year, test year)."""
     return all((t1, t2) in matrix.cells
                for t1 in matrix.years for t2 in matrix.years)
+
+
+def bundled_results_path() -> Path:
+    """The transcribed published recall/boost table shipped with the
+    package, which ``report --table`` reads."""
+    return Path(resources.files("templink") / "data" / "published_results.csv")
 
 
 class OutOfPlaceAdam:

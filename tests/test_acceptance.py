@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import conftest
-from checks import check_gradients, complete
+from checks import bundled_results_path, check_gradients, complete
 from fixtures import write_pair_dataset, write_toy_dataset
 from templink import records, tape
 from templink.evaluate import RECALL_NS, _gold_ranks, aggregate_gap, recall_at
@@ -22,9 +22,9 @@ from templink.model import (Model, ModelConfig, consistency_loss,
 from templink.pipeline import (RunConfig, build_tokenizer, build_year_graphs,
                                load_corpora, make_snapshot, run_experiment)
 from templink.records import EntityRecord, MentionRecord
-from templink.reporting import (bundled_results_path, load_results_table,
-                                printed_average_boost, recompute_boost,
-                                write_aggregate_csv, write_gap_matrix_csv)
+from templink.reporting import (load_results_table, printed_average_boost,
+                                recompute_boost, write_aggregate_csv,
+                                write_gap_matrix_csv)
 from templink.textenc import Tokenizer
 from templink.trainer import TrainConfig, train
 

@@ -7,13 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from checks import bundled_results_path
 from templink import pipeline, records
 from templink.checkpoint import load_checkpoint, read_meta, save_checkpoint
 from templink.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, OutputLock,
                           UsageError, build_run_config, load_config_file, main,
                           make_parser)
 from templink.pipeline import RunConfig, parse_years
-from templink.reporting import bundled_results_path
 from templink.textenc import Tokenizer
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -133,6 +133,15 @@ class TestConfigFile:
             assert main([command, "--config", str(ini), *flags]) == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["build-graphs", "train", "eval",
+                                         "experiment", "report"])
+    def test_no_years_at_all_is_usage_error(self, tmp_path, toy_data, command):
+        # neither [run] years nor --years: a run over nothing is no success
+        out = tmp_path / "out"
+        assert main([command, "--data-dir", str(toy_data),
+                     "--out-dir", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
     def test_seed_flag_sets_all_seeds(self):
         parser = make_parser()
         args = parser.parse_args(["train", "--seed", "11"])
@@ -245,6 +254,31 @@ class TestIngest:
         assert f"{src}:3: {message}" in caplog.text
         target = {"--entities": "entities.tsv", "--mentions": "mentions_train.tsv"}
         assert not (tmp_path / "data" / "2020" / target[flag]).exists()
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--mentions", '["Q1"]\n'), ("--test-mentions", '["Q1"]\n'),
+        ("--triples", "Q1\tP1\n")], ids=["mentions", "test_mentions", "triples"])
+    def test_bad_input_leaves_the_year_untouched(self, tmp_path, flag, text):
+        # every input is read and checked before any TSV is written
+        year = tmp_path / "data" / "2020"
+        year.mkdir(parents=True)
+        before = {"entities.tsv": b"Q0\told\tkept\n",
+                  "mentions_train.tsv": b"Q0\tcontinual\t\tx\t\n",
+                  "mentions_test.tsv": b"Q0\tnew\t\ty\t\n",
+                  "triples.tsv": b"Q0\tP1\tQ0\n"}
+        for name, data in before.items():
+            (year / name).write_bytes(data)
+        good = {"--entities": '{"qid": "Q1", "title": "A"}\n',
+                "--mentions": '{"gold_qid": "Q1", "mention": "a"}\n',
+                "--test-mentions": '{"gold_qid": "Q1", "mention": "b"}\n',
+                "--triples": "Q1\tP1\tQ1\n"}
+        argv = ["ingest", "--data-dir", str(tmp_path / "data"), "--year", "2020"]
+        for i, (name, line) in enumerate(good.items()):
+            src = tmp_path / f"in{i}"
+            src.write_text(text if name == flag else line)
+            argv += [name, str(src)]
+        assert main(argv) == EXIT_DATA
+        assert {p.name: p.read_bytes() for p in year.iterdir()} == before
 
 
 def header_stamps(out) -> list:

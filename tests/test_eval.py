@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checks import complete
+from checks import bundled_results_path, complete
 from templink import evaluate
 from templink.evaluate import (RECALL_NS, GapMatrix, RecallReport,
                                _gold_ranks, aggregate_gap, average_boost,
@@ -14,12 +14,11 @@ from templink.evaluate import (RECALL_NS, GapMatrix, RecallReport,
                                recall_report, temporal_matrix)
 from templink.model import Model, ModelConfig
 from templink.records import EntityIndex, EntityRecord, MentionRecord
-from templink.reporting import (BaselineFormatError, bundled_results_path,
-                                load_baseline_csv, load_results_table,
-                                printed_average_boost, recompute_boost,
-                                svg_line_plot, write_aggregate_csv,
-                                write_boost_csv, write_gap_matrix_csv,
-                                write_recall_vs_gap_plot)
+from templink.reporting import (BaselineFormatError, load_baseline_csv,
+                                load_results_table, printed_average_boost,
+                                recompute_boost, svg_line_plot,
+                                write_aggregate_csv, write_boost_csv,
+                                write_gap_matrix_csv, write_recall_vs_gap_plot)
 from templink.textenc import Tokenizer
 
 

@@ -6,6 +6,8 @@ rename in the package must fail here and not only under
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
@@ -29,3 +31,32 @@ def test_tracer_installs_and_probes_run(monkeypatch):
         assert probes.encoder_ms(100, mode=mode, batch=4, length=8) > 0
     assert probes.knn_s(50) > 0
     assert probes.gold_rank_ms(n=100, mentions=2) > 0
+
+
+def test_traced_experiment_embeds_through_the_bag_mean(monkeypatch, tmp_path):
+    # a traced command end to end; the description embedding's bag mean is
+    # the tape op, so its span sits under graphs.embed_descriptions
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    from fixtures import write_toy_dataset
+    from templink import cli
+
+    data = write_toy_dataset(tmp_path / "data", years=(2019, 2020))
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        f"[paths]\ndata_dir = {data}\nout_dir = {tmp_path / 'out'}\n"
+        "[run]\nyears = 2019..2020\n"
+        "[graphs]\nk = 3\nmin_count = 2\nmax_count = 5\nembed_dim = 16\n"
+        "[model]\ndim = 8\ngcn_hidden = 4\ngcn_out = 4\ngcn_layers = 1\n"
+        "[train]\nepochs = 1\nbatch_size = 4\n")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        code = cli.main(["experiment", "--config", str(ini)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    name_ids, _, _, parent, _ = tracer.arrays()
+    names = np.array(tracer.names)[name_ids]
+    bag_means = np.flatnonzero(names == "tape.mean_bags")
+    assert "graphs.embed_descriptions" in set(names[parent[bag_means]])

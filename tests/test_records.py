@@ -190,25 +190,29 @@ class TestIngest:
         src = write(tmp_path / "e.jsonl",
                     '{"qid": "Q1", "title": "A", "text": "desc a"}\n'
                     '{"qid": "Q2", "label": "B", "description": "desc b"}\n')
-        n = records.ingest_jsonl_entities(src, tmp_path / "e.tsv", 2020)
-        assert n == 2
+        ents = records.read_jsonl_entities(src, 2020)
+        assert len(ents) == 2
+        records.save_entities(ents, tmp_path / "e.tsv")
         ents = load_entities(tmp_path / "e.tsv", 2020)
         assert ents[0].description == "desc a"
         assert ents[1].title == "B"
 
     def test_jsonl_idempotent(self, tmp_path):
         src = write(tmp_path / "e.jsonl", '{"qid": "Q1", "title": "A"}\n')
-        records.ingest_jsonl_entities(src, tmp_path / "e.tsv", 2020)
+        records.save_entities(records.read_jsonl_entities(src, 2020),
+                              tmp_path / "e.tsv")
         first = (tmp_path / "e.tsv").read_bytes()
-        records.ingest_jsonl_entities(src, tmp_path / "e.tsv", 2020)
+        records.save_entities(records.read_jsonl_entities(src, 2020),
+                              tmp_path / "e.tsv")
         assert (tmp_path / "e.tsv").read_bytes() == first
 
     def test_jsonl_mentions(self, tmp_path):
         src = write(tmp_path / "m.jsonl",
                     '{"gold_qid": "Q1", "category": "new", "mention": "x",'
                     ' "context_left": "l", "context_right": "r"}\n')
-        n = records.ingest_jsonl_mentions(src, tmp_path / "m.tsv", 2020)
-        assert n == 1
+        ms = records.read_jsonl_mentions(src, 2020)
+        assert len(ms) == 1
+        records.save_mentions(ms, tmp_path / "m.tsv")
         (m,) = load_mentions(tmp_path / "m.tsv", 2020)
         assert (m.context_left, m.mention, m.context_right) == ("l", "x", "r")
 

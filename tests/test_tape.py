@@ -192,14 +192,20 @@ class TestMeanBags:
         return np.stack(rows), grad
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("block", [2, 5, 256])
-    def test_matches_per_sequence_tape(self, monkeypatch, block, dtype):
-        monkeypatch.setattr(tape, "BAG_BLOCK", block)
+    @pytest.mark.parametrize("rows, n_bags, longest, pool", [
+        (30, 13, 39, 30), (30, 13, 1, 30), (3000, 40, 70, 5),
+        (3000, 300, 70, 3000)], ids=["mixed", "single_id", "five_ids", "wide"])
+    def test_matches_per_sequence_tape(self, rows, n_bags, longest, pool, dtype):
+        # the forward sums in scipy's csr_matvecs order, which scipy does not
+        # document: one-id bags, bags over 5 ids and long bags over a wide
+        # table pin it
         rng = np.random.default_rng(40)
-        table = rng.uniform(-0.2, 0.2, size=(30, 16)).astype(dtype)
-        bags = [rng.integers(0, 30, size=rng.integers(1, 40)).tolist()
-                for _ in range(13)]
-        g = rng.normal(size=(13, 16)).astype(dtype)
+        table = rng.uniform(-0.2, 0.2, size=(rows, 16)).astype(dtype)
+        pick = (np.arange(rows) if pool == rows
+                else rng.choice(rows, size=pool, replace=False))
+        bags = [pick[rng.integers(0, pool, size=rng.integers(1, longest + 1))]
+                .tolist() for _ in range(n_bags)]
+        g = rng.normal(size=(n_bags, 16)).astype(dtype)
         want_rows, want_grad = self.per_sequence(table, bags, g)
         theta = tape.param(table)
         out = tape.mean_bags(theta, bags)
