@@ -115,6 +115,23 @@ def pipeline_config(args) -> RunConfig:
     return cfg
 
 
+def _lock_holder(path: Path) -> str:
+    """The PID in the lock file at ``path``, and whether it is running."""
+    try:
+        pid = int(path.read_text())
+    except (OSError, ValueError):
+        pid = 0
+    if pid <= 0:
+        return "holds no PID"
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):
+        return f"holds PID {pid}, which is not running"
+    except PermissionError:  # running as another user
+        pass
+    return f"holds PID {pid}, which is running"
+
+
 class OutputLock:
     """Guards an output directory against concurrent writers."""
 
@@ -126,7 +143,8 @@ class OutputLock:
         try:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise UsageError(f"output dir locked by another run: {self.path}")
+            raise UsageError(f"output dir locked by another run: {self.path} "
+                             f"{_lock_holder(self.path)}") from None
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
         return self

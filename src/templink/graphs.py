@@ -122,25 +122,28 @@ def build_structure_graph(triples, index) -> AdjacencyMatrix:
     return AdjacencyMatrix(n=len(index), edges=pairs)
 
 
-def embed_descriptions(entities, dim: int = 64, seed: int = 0) -> np.ndarray:
+def embed_descriptions(entities, tokenizer, dim: int = 64,
+                       seed: int = 0) -> np.ndarray:
     """n x d seeded feature-hashing embedding of each entity's title and
-    description, over whitespace/punctuation tokens.
+    description, over the tokenizer's ids of the two texts.
 
     A row is the ``tape.mean_bags`` mean, in float64, of the gaussian
     vectors of its token occurrences; a row without tokens is zero. A
     token's vector is drawn from a PCG64 generator seeded with CRC32(token)
     mixed with the global seed, so embeddings are stable across processes
-    and runs, and it is drawn once per call.
+    and runs, and it is drawn once per call. Every token of the texts must
+    be in the tokenizer's vocabulary.
     """
-    from .textenc import split_text
     mix = seed * 0x9E3779B1 & 0xFFFFFFFF
-    number = {}  # token -> row of the drawn table, in first-seen order
-    bags = [[number.setdefault(tok, len(number))
-             for tok in split_text(e.title + " " + e.description)]
+    token_of = {i: tok for tok, i in tokenizer.vocab.items()}
+    number = {}  # token id -> row of the drawn table, in first-seen order
+    bags = [[number.setdefault(i, len(number))
+             for i in tokenizer.token_ids(e.title)
+             + tokenizer.token_ids(e.description)]
             for e in entities]
     drawn = np.empty((len(number), dim))
-    for tok, row in number.items():
-        key = zlib.crc32(tok.encode("utf-8")) ^ mix
+    for i, row in number.items():
+        key = zlib.crc32(token_of[i].encode("utf-8")) ^ mix
         drawn[row] = np.random.Generator(np.random.PCG64(key)).standard_normal(dim)
     out = np.zeros((len(entities), dim), dtype=np.float32)
     has = [i for i, bag in enumerate(bags) if bag]

@@ -132,7 +132,8 @@ def build_year_graphs(cfg: RunConfig, year: int, corpus, tokenizer: Tokenizer):
     out.mkdir(parents=True, exist_ok=True)
 
     structure = build_structure_graph(triples, index)
-    emb = embed_descriptions(entities, dim=cfg.embed_dim, seed=cfg.embed_seed)
+    emb = embed_descriptions(entities, tokenizer, dim=cfg.embed_dim,
+                             seed=cfg.embed_seed)
     feature_graph = build_knn_graph(emb, min(cfg.k, len(entities) - 1))
     fmat = build_feature_matrix(
         entities, tokenizer, VocabFilter(cfg.min_count, cfg.max_count))

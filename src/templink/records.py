@@ -164,9 +164,6 @@ class EntityIndex:
     def row(self, qid):
         return self.qid_to_row[qid]
 
-    def qid(self, row):
-        return self.row_to_qid[row]
-
     def save(self, path):
         with atomic_open(path) as fh:
             fh.write("".join(q + "\n" for q in self.row_to_qid).encode("utf-8"))

@@ -31,26 +31,40 @@ def split_text(text: str) -> list:
 
 
 class Tokenizer:
-    """Corpus-built vocabulary with reserved special-token ids 0..6."""
+    """Corpus-built vocabulary with reserved special-token ids 0..6. It keeps
+    the ids of every text it splits, so it splits each distinct text once."""
 
     def __init__(self, vocab: dict, max_len: int = 128):
         self.vocab = dict(vocab)
         self.max_len = max_len
+        self._ids = {}  # text -> its token ids
 
     @classmethod
     def build(cls, texts, max_len: int = 128):
-        tokens = set()
-        for t in texts:
-            tokens.update(split_text(t))
-        vocab = {tok: N_SPECIAL + i for i, tok in enumerate(sorted(tokens))}
-        return cls(vocab, max_len=max_len)
+        """Vocabulary of the sorted tokens of ``texts``. While each distinct
+        text is split, its tokens are numbered in first-seen order; the
+        numbers become vocabulary ids once every text is split."""
+        number = {}  # token -> first-seen number
+        seen = {t: [number.setdefault(tok, len(number)) for tok in split_text(t)]
+                for t in dict.fromkeys(texts)}
+        vocab = {tok: N_SPECIAL + i for i, tok in enumerate(sorted(number))}
+        id_of = [vocab[tok] for tok in number]  # indexed by first-seen number
+        tokenizer = cls(vocab, max_len=max_len)
+        tokenizer._ids = {t: [id_of[n] for n in ns] for t, ns in seen.items()}
+        return tokenizer
 
     @property
     def vocab_size(self):
         return N_SPECIAL + len(self.vocab)
 
     def token_ids(self, text: str) -> list:
-        return [self.vocab.get(t, UNK) for t in split_text(text)]
+        """The stored ids of ``text``'s tokens, UNK outside the vocabulary;
+        no caller may mutate the list."""
+        ids = self._ids.get(text)
+        if ids is None:
+            ids = self._ids[text] = [self.vocab.get(t, UNK)
+                                     for t in split_text(text)]
+        return ids
 
     def render_mention(self, mention_record) -> list:
         left = self.token_ids(mention_record.context_left)

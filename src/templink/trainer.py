@@ -81,7 +81,9 @@ class Snapshot:
 class Adam:
     """Adaptive-moment optimizer, beta=(0.9, 0.999), eps=1e-8, no decay.
     ``step`` updates the float32 moments and each parameter's ``data`` in
-    place, so a reference to a parameter array sees every update."""
+    place, so a reference to a parameter array sees every update. When
+    clipping fires it scales each ``grad`` in place too (``train_step``
+    zeroes every gradient before the next backward)."""
 
     def __init__(self, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -94,10 +96,11 @@ class Adam:
         grads = {n: p.grad for n, p in params.items() if p.grad is not None}
         if clip > 0 and grads:
             total = np.sqrt(np.float64(
-                sum((g.astype(np.float64) ** 2).sum() for g in grads.values())))
+                sum(np.square(g, dtype=np.float64).sum() for g in grads.values())))
             if total > clip:
                 factor = np.float32(clip / total)
-                grads = {n: g * factor for n, g in grads.items()}
+                for g in grads.values():
+                    g *= factor
         self.step_count += 1
         t = self.step_count
         bias1 = np.float32(1.0 - self.beta1 ** t)
@@ -141,23 +144,20 @@ def _gram_rows(n: int, sample: int, rng) -> np.ndarray:
 
 
 def train_step(batch, snapshot: Snapshot, model: Model, optimizer: Adam,
-               config: TrainConfig, step_rng, seqs: dict = None):
+               config: TrainConfig, step_rng):
     """One joint forward/backward/update; returns the loss breakdown.
-    ``seqs`` maps each mention and gold entity record to its rendered
-    sequence; records it lacks are rendered and added (``train`` passes
-    one map per call, so each is rendered once). A parameter whose
-    ``requires_grad`` is False gets no gradient, so Adam leaves it as is."""
+    A parameter whose ``requires_grad`` is False gets no gradient, so Adam
+    leaves it as is."""
     snapshot.prepare()
     params = model.params
     for p in params.values():
         p.zero_grad()
 
-    seqs = {} if seqs is None else seqs
     tok = model.tokenizer
     gold_rows = [snapshot.index.row(m.gold_qid) for m in batch]
-    y_m = model.encode_mentions(_rendered(seqs, batch, tok.render_mention))
-    y_e = model.encode_entities(_rendered(
-        seqs, [snapshot.entities[r] for r in gold_rows], tok.render_entity))
+    y_m = model.encode_mentions([tok.render_mention(m) for m in batch])
+    y_e = model.encode_entities([tok.render_entity(snapshot.entities[r])
+                                 for r in gold_rows])
 
     z_f, z_r, z_sf, z_sr = model.gcn.forward(snapshot.s_f, snapshot.s_r,
                                              snapshot.sx)
@@ -187,14 +187,6 @@ def train_step(batch, snapshot: Snapshot, model: Model, optimizer: Adam,
     loss.backward()
     optimizer.step(params, clip=config.grad_clip)
     return breakdown
-
-
-def _rendered(seqs: dict, records, render) -> list:
-    """The sequences of ``records``, rendering only those ``seqs`` lacks."""
-    for r in records:
-        if r not in seqs:
-            seqs[r] = render(r)
-    return [seqs[r] for r in records]
 
 
 def save_model(path, model: Model, config: TrainConfig, extra: dict = None):
@@ -237,7 +229,6 @@ def train(snapshot: Snapshot, model: Model, config: TrainConfig,
     curve rows (step, L_e, L_s, L_d, L_total)."""
     snapshot.prepare()
     optimizer = Adam(config.learning_rate)
-    seqs = {}
     curve = []
     step = 0
     for epoch in range(config.epochs):
@@ -246,7 +237,7 @@ def train(snapshot: Snapshot, model: Model, config: TrainConfig,
         for batch in batches:
             step_rng = np.random.Generator(np.random.PCG64(config.seed + step))
             breakdown = train_step(batch, snapshot, model, optimizer,
-                                   config, step_rng, seqs)
+                                   config, step_rng)
             step += 1
             curve.append((step, breakdown["L_e"], breakdown["L_s"],
                           breakdown["L_d"], breakdown["L_total"]))

@@ -82,8 +82,8 @@ def test_criterion_2_hsic_oracle():
         rng = np.random.default_rng(seed)
         z1 = rng.normal(size=(6, 3))
         z2 = rng.normal(size=(6, 4))
-        got = tape.hsic(tape.const(z1), tape.const(z2)).item()
-        sym = tape.hsic(tape.const(z2), tape.const(z1)).item()
+        got = float(tape.hsic(tape.const(z1), tape.const(z2)).data)
+        sym = float(tape.hsic(tape.const(z2), tape.const(z1)).data)
         worst = max(worst, abs(got - hsic_trace_oracle(z1, z2)))
         ok = ok and np.isclose(got, sym) and got >= 0.0
     elapsed = time.monotonic() - start
@@ -175,7 +175,7 @@ def test_criterion_3_gradient_suite():
 
 def test_criterion_4_degenerate_identities():
     # batch of one: in-batch softmax loss is exactly zero
-    single = tape.el_loss(tape.const(np.array([[3.7]]))).item() == 0.0
+    single = float(tape.el_loss(tape.const(np.array([[3.7]]))).data) == 0.0
 
     # identical adjacencies: shared-stack outputs agree bit for bit
     model, _, _, s_r, _, x = joint_forward_fixture()
@@ -185,12 +185,12 @@ def test_criterion_4_degenerate_identities():
     # orthogonal right-rotation leaves the gram matrix unchanged
     z = np.random.default_rng(0).normal(size=(5, 3))
     q, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(3, 3)))
-    rotated = consistency_loss(tape.const(z), tape.const(z @ q)).item()
+    rotated = float(consistency_loss(tape.const(z), tape.const(z @ q)).data)
 
     # constant rows are annihilated by centering
     c1 = np.ones((6, 3)) * 2.5
     c2 = np.ones((6, 4)) * -7.0
-    hsic_const = tape.hsic(tape.const(c1), tape.const(c2)).item()
+    hsic_const = float(tape.hsic(tape.const(c1), tape.const(c2)).data)
 
     ok = single and shared and abs(rotated) < 1e-24 and abs(hsic_const) < 1e-24
     announce(4, ok, f"batch-1 loss {0.0}, shared-stack bit-equality {shared}, "

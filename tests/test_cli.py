@@ -1,14 +1,17 @@
 import json
 import logging
+import os
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from checks import bundled_results_path
-from templink import pipeline, records
+from templink import pipeline, records, textenc
 from templink.checkpoint import load_checkpoint, read_meta, save_checkpoint
 from templink.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, OutputLock,
                           UsageError, build_run_config, load_config_file, main,
@@ -152,6 +155,13 @@ class TestConfigFile:
         assert cfg.embed_seed == 11
 
 
+def reaped_pid() -> int:
+    """The PID of a child process that has exited and been waited for."""
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()
+    return child.pid
+
+
 class TestOutputLock:
     def test_acquire_release(self, tmp_path):
         with OutputLock(tmp_path):
@@ -166,10 +176,27 @@ class TestOutputLock:
     def test_stale_lock_blocks_main(self, tmp_path, toy_data):
         out = tmp_path / "out"
         out.mkdir()
-        (out / ".lock").write_text("12345")
+        (out / ".lock").write_text(str(reaped_pid()))
         code = main(["build-graphs", "--data-dir", str(toy_data),
                      "--out-dir", str(out), "--years", "2019"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("holder", ["reaped", "self", "empty"])
+    def test_locked_message_names_holder(self, tmp_path, toy_data, caplog,
+                                         holder):
+        pid = {"reaped": reaped_pid(), "self": os.getpid(), "empty": ""}[holder]
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".lock").write_text(str(pid))
+        with caplog.at_level(logging.ERROR):
+            code = main(["build-graphs", "--data-dir", str(toy_data),
+                         "--out-dir", str(out), "--years", "2019"])
+        assert code == EXIT_USAGE
+        assert (out / ".lock").read_text() == str(pid)
+        want = {"reaped": f"holds PID {pid}, which is not running",
+                "self": f"holds PID {pid}, which is running",
+                "empty": "holds no PID"}[holder]
+        assert want in caplog.text
 
 
 class TestMainDispatch:
@@ -419,6 +446,22 @@ class TestReadsOncePerYear:
             triple = count_calls(monkeypatch, records, "load_triples")
             assert main(["experiment", "--config", str(ini)]) == EXIT_OK, phase
             assert (len(corpus), len(triple)) == (3, triples), phase
+            monkeypatch.undo()
+
+    def test_each_text_split_once(self, tmp_path, toy_data, monkeypatch):
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out,
+                                   years="2019..2021")
+        texts = set()
+        for entities, _, train_m, test_m in pipeline.load_corpora(
+                load_config_file(ini)).values():
+            texts.update(t for e in entities for t in (e.title, e.description))
+            texts.update(t for m in train_m + test_m
+                         for t in (m.context_left, m.mention, m.context_right))
+        for phase in ("cold", "resume"):
+            calls = count_calls(monkeypatch, textenc, "split_text")
+            assert main(["experiment", "--config", str(ini)]) == EXIT_OK, phase
+            assert sorted(text for text, in calls) == sorted(texts), phase
             monkeypatch.undo()
 
     def test_resumed_eval_renders_and_loads_once(self, tmp_path, toy_data,

@@ -216,15 +216,22 @@ class TestFeatureMatrix:
         assert mat.m == len(mat.column_tokens)
 
 
+def tokenizer_of(entities) -> Tokenizer:
+    """A tokenizer whose vocabulary holds every title and description token."""
+    return Tokenizer.build([t for e in entities
+                            for t in (e.title, e.description)])
+
+
 class TestEmbedDescriptions:
     def test_identical_entities_identical_rows(self):
         ents = [EntityRecord("Q1", "apple", "fruit", 2020),
                 EntityRecord("Q2", "apple", "fruit", 2020)]
-        emb = embed_descriptions(ents, dim=8, seed=0)
+        emb = embed_descriptions(ents, tokenizer_of(ents), dim=8, seed=0)
         assert np.array_equal(emb[0], emb[1])
 
     def test_empty_corpus(self):
-        assert embed_descriptions([], dim=8, seed=0).shape == (0, 8)
+        emb = embed_descriptions([], tokenizer_of([]), dim=8, seed=0)
+        assert emb.shape == (0, 8)
 
     def test_matches_per_occurrence_formula(self):
         ents = [EntityRecord("Q1", "apple", "sweet apple, sweet fruit", 2020),
@@ -240,17 +247,17 @@ class TestEmbedDescriptions:
                 acc += np.random.Generator(np.random.PCG64(key)).standard_normal(16)
             if tokens:
                 want[i] = (acc / len(tokens)).astype(np.float32)
-        got = embed_descriptions(ents, dim=16, seed=7)
+        got = embed_descriptions(ents, tokenizer_of(ents), dim=16, seed=7)
         assert got.dtype == np.float32
         assert got.tobytes() == want.tobytes()
         assert not got[1].any()
 
     def test_deterministic_across_calls(self):
         ents = [EntityRecord("Q1", "apple", "sweet fruit", 2020)]
-        a = embed_descriptions(ents, dim=16, seed=3)
-        b = embed_descriptions(ents, dim=16, seed=3)
+        a = embed_descriptions(ents, tokenizer_of(ents), dim=16, seed=3)
+        b = embed_descriptions(ents, tokenizer_of(ents), dim=16, seed=3)
         assert a.tobytes() == b.tobytes()
-        c = embed_descriptions(ents, dim=16, seed=4)
+        c = embed_descriptions(ents, tokenizer_of(ents), dim=16, seed=4)
         assert a.tobytes() != c.tobytes()
 
 

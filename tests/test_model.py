@@ -132,17 +132,17 @@ class TestGcnStack:
 class TestConsistencyLoss:
     def test_identical_inputs(self):
         z = tape.const(rnd((4, 3), 5))
-        assert consistency_loss(z, z).item() == 0.0
+        assert float(consistency_loss(z, z).data) == 0.0
 
     def test_rotation_invariance(self):
         z = rnd((5, 3), 6)
         q, _ = np.linalg.qr(rnd((3, 3), 7))
-        v = consistency_loss(tape.const(z), tape.const(z @ q)).item()
+        v = float(consistency_loss(tape.const(z), tape.const(z @ q)).data)
         assert abs(v) < 1e-18
 
     def test_scaling_sensitivity(self):
         z = rnd((4, 3), 8)
-        v = consistency_loss(tape.const(z), tape.const(2.0 * z)).item()
+        v = float(consistency_loss(tape.const(z), tape.const(2.0 * z)).data)
         assert np.isclose(v, 9.0 * np.sum((z @ z.T) ** 2))
 
 
@@ -150,22 +150,24 @@ class TestDistinctLoss:
     def test_sum_of_pairs(self):
         z_r, z_sr = rnd((6, 3), 9), rnd((6, 3), 10)
         z_f, z_sf = rnd((6, 3), 11), rnd((6, 3), 12)
-        got = distinct_loss(tape.const(z_r), tape.const(z_sr),
-                            tape.const(z_f), tape.const(z_sf)).item()
-        want = (tape.hsic(tape.const(z_r), tape.const(z_sr)).item()
-                + tape.hsic(tape.const(z_f), tape.const(z_sf)).item())
+        got = float(distinct_loss(tape.const(z_r), tape.const(z_sr),
+                                  tape.const(z_f), tape.const(z_sf)).data)
+        want = (float(tape.hsic(tape.const(z_r), tape.const(z_sr)).data)
+                + float(tape.hsic(tape.const(z_f), tape.const(z_sf)).data))
         assert np.isclose(got, want)
 
 
 class TestTotalLoss:
     def test_arithmetic(self):
-        v = total_loss(tape.const(np.array(1.0)), tape.const(np.array(2.0)),
-                       tape.const(np.array(3.0)), 0.5, 0.01).item()
+        v = float(total_loss(tape.const(np.array(1.0)),
+                             tape.const(np.array(2.0)),
+                             tape.const(np.array(3.0)), 0.5, 0.01).data)
         assert np.isclose(v, 1.0 + 0.5 * 2.0 + 0.01 * 3.0)
 
     def test_zero_weights_drop_terms(self):
-        v = total_loss(tape.const(np.array(1.5)), tape.const(np.array(99.0)),
-                       tape.const(np.array(99.0)), 0.0, 0.0).item()
+        v = float(total_loss(tape.const(np.array(1.5)),
+                             tape.const(np.array(99.0)),
+                             tape.const(np.array(99.0)), 0.0, 0.0).data)
         assert v == 1.5
 
 

@@ -88,7 +88,7 @@ class TestEntityIndex:
     def test_bijection(self):
         idx = records.EntityIndex([f"Q{i}" for i in range(10)])
         for i in range(10):
-            assert idx.row(idx.qid(i)) == i
+            assert idx.row(idx.row_to_qid[i]) == i
 
     def test_save_manifest_bytes(self, tmp_path):
         idx = records.EntityIndex(["Q5", "Q1", "Q9"])

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from checks import check_gradients
 from templink.records import EntityRecord, MentionRecord
 from templink.textenc import (CLS, ENT, M_END, M_START, PAD, SEP, N_SPECIAL,
-                              TextEncoder, Tokenizer, split_text)
+                              UNK, TextEncoder, Tokenizer, split_text)
 
 
 def mention(left="", span="apple", right=""):
@@ -23,6 +25,22 @@ class TestSplit:
 
     def test_empty(self):
         assert split_text("") == []
+
+    # The description embedding bags token_ids(title) + token_ids(description),
+    # which is the split of the joined text only if this holds.
+    @given(st.text(), st.text())
+    def test_joined_text_splits_as_its_parts(self, a, b):
+        assert split_text(a + " " + b) == split_text(a) + split_text(b)
+
+    @pytest.mark.parametrize("a, b", [
+        ("ΟΔΟΣ", "ΣΟΦΙΑ"),        # capital sigma lowers to ς at a word end
+        ("ΑΣ", "Σ"), ("Σ", "ΑΣ"), ("ΑΣ'", "'Σ"), ("ΑΣ\u0301", "\u0301Σ"),
+        ("cafe\u0301", "\u0301e"),  # combining marks
+        ("don't", "'quoted'"), ("snake_case_", "_x_"),
+        ("", ""), ("", "ΑΣ"), ("ΑΣ", ""),
+    ])
+    def test_joined_text_splits_as_its_parts_at_edges(self, a, b):
+        assert split_text(a + " " + b) == split_text(a) + split_text(b)
 
 
 class TestRenderMention:
@@ -86,6 +104,34 @@ class TestRenderEntity:
 class TestTokenizerVocab:
     def test_special_ids_reserved(self, tok):
         assert min(tok.vocab.values()) >= N_SPECIAL
+
+    def test_stored_ids_are_vocabulary_lookups(self):
+        texts = ["pear, apple", "zebra apple", "", "pear, apple", "Apple b"]
+        tok = Tokenizer.build(texts)
+        assert sorted(tok.vocab) == [",", "apple", "b", "pear", "zebra"]
+        for t in texts + ["apple unseen"]:
+            assert tok.token_ids(t) == [tok.vocab.get(w, UNK)
+                                        for w in split_text(t)]
+
+    def test_rendering_twice_mutates_no_stored_ids(self):
+        long = " ".join(f"w{i}" for i in range(40))
+        mentions = [mention(long, "apple", long), mention("", long, ""),
+                    mention("w1", "apple", "w2 w3")]
+        entities = [EntityRecord("Q1", "apple", long, 2020),
+                    EntityRecord("Q2", long, "pear", 2020)]
+        texts = [t for m in mentions
+                 for t in (m.context_left, m.mention, m.context_right)]
+        texts += [t for e in entities for t in (e.title, e.description)]
+        tok = Tokenizer.build(texts, max_len=16)
+        stored = {t: list(tok.token_ids(t)) for t in texts}
+
+        def render():
+            return ([tok.render_mention(m) for m in mentions]
+                    + [tok.render_entity(e) for e in entities])
+
+        first = render()
+        assert render() == first
+        assert {t: tok.token_ids(t) for t in texts} == stored
 
     def test_build_deterministic(self):
         a = Tokenizer.build(["b a c", "a d"])

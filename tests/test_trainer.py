@@ -1,5 +1,4 @@
 import json
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -290,20 +289,6 @@ class TestTrain:
         initial = curve[0][1]
         final = np.mean([r[1] for r in curve[-16:]])
         assert final < 0.1 * initial
-
-    def test_each_sequence_rendered_once(self, monkeypatch):
-        calls = []
-        for name in ("render_mention", "render_entity"):
-            render = getattr(Tokenizer, name)
-            monkeypatch.setattr(Tokenizer, name, lambda tok, r, _f=render:
-                                calls.append(r) or _f(tok, r))
-        snap = tiny_snapshot()
-        model = tiny_model(snap)
-        train(snap, model, TrainConfig(learning_rate=1e-3, epochs=3,
-                                       batch_size=3))
-        gold = [snap.entities[snap.index.row(m.gold_qid)]
-                for m in snap.mentions]
-        assert Counter(calls) == Counter(set(snap.mentions) | set(gold))
 
     def test_runs_byte_identical(self, tmp_path):
         cfg = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=3, seed=5)
