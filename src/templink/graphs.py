@@ -6,6 +6,9 @@ File format (text, tab-separated): header ``SPARSE v1 \\t n \\t m \\t nnz
 order. Adjacency files use m = n and store each undirected edge once with
 i < j. The checksum is the CRC32 of the body bytes, in hex. The files are
 outputs for inspection; nothing reads them back.
+
+Only the CSR forms training multiplies by (``to_csr``, ``sym_normalize``)
+import scipy, so building and writing graphs runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import tape
 from .checkpoint import atomic_open
@@ -53,6 +55,8 @@ class AdjacencyMatrix:
 
     def to_csr(self):
         """Symmetric 0/1 CSR matrix (both directions materialized)."""
+        import scipy.sparse as sp
+
         rows, cols = np.concatenate([self.edges, self.edges[:, ::-1]]).T
         return sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
                              shape=(self.n, self.n))
@@ -85,6 +89,8 @@ class FeatureMatrix:
 
     def to_csr(self):
         """n x m 0/1 CSR matrix (float64)."""
+        import scipy.sparse as sp
+
         rows, cols = self.ones.T
         return sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
                              shape=(self.n, self.m))
@@ -215,11 +221,14 @@ def save_feature_matrix(mat: FeatureMatrix, path):
         fh.write("".join(f"{t}\n" for t in mat.column_tokens).encode("utf-8"))
 
 
-def sym_normalize(adj: AdjacencyMatrix) -> sp.csr_matrix:
-    """S = D̃^{-1/2} (A + I) D̃^{-1/2} with degrees taken from A + I.
+def sym_normalize(adj: AdjacencyMatrix):
+    """S = D̃^{-1/2} (A + I) D̃^{-1/2} as a scipy.sparse CSR matrix, with
+    degrees taken from A + I.
 
     Isolated nodes get S[i, i] = 1 through the added self-loop.
     """
+    import scipy.sparse as sp
+
     a_tilde = adj.to_csr() + sp.identity(adj.n, format="csr", dtype=np.float64)
     d = sp.diags(1.0 / np.sqrt(adj.degrees() + 1.0))
     return (d @ a_tilde @ d).tocsr()

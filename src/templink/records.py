@@ -60,13 +60,14 @@ _UNESCAPED = {"t": "\t", "n": "\n", "\\": "\\"}
 
 def unescape_field(s: str) -> str:
     """Undo ``escape_field``; a backslash before any other character stays."""
+    if "\\" not in s:
+        return s
     return _ESCAPED.sub(lambda m: _UNESCAPED[m.group(1)], s)
 
 
 def _read_rows(path, n_fields, what):
-    path = Path(path)
-    rows = []
-    with path.open("r", encoding="utf-8") as fh:
+    """Yield ``(lineno, fields)`` for each non-blank line, fields unescaped."""
+    with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -76,21 +77,20 @@ def _read_rows(path, n_fields, what):
                 raise DataError(
                     f"{path}:{lineno}: malformed {what} line, "
                     f"expected {n_fields} fields, got {len(parts)}")
-            rows.append([unescape_field(p) for p in parts])
-    return rows
+            yield lineno, [unescape_field(p) for p in parts]
 
 
 def load_entities(path, year: int) -> list[EntityRecord]:
     """Parse ``qid \\t title \\t description`` lines; duplicate qids rejected."""
     records = []
-    seen = set()
-    for row in _read_rows(path, 3, "entity"):
-        qid, title, description = row
+    first_line = {}
+    for lineno, (qid, title, description) in _read_rows(path, 3, "entity"):
         if not qid:
-            raise DataError(f"{path}: empty qid")
-        if qid in seen:
-            raise DataError(f"{path}: duplicate qid {qid}")
-        seen.add(qid)
+            raise DataError(f"{path}:{lineno}: empty qid")
+        if qid in first_line:
+            raise DataError(f"{path}:{lineno}: duplicate qid {qid} "
+                            f"(first on line {first_line[qid]})")
+        first_line[qid] = lineno
         records.append(EntityRecord(qid=qid, title=title,
                                     description=description, year=year))
     return records
@@ -99,12 +99,12 @@ def load_entities(path, year: int) -> list[EntityRecord]:
 def load_mentions(path, year: int) -> list[MentionRecord]:
     """Parse ``gold_qid \\t category \\t context_left \\t mention \\t context_right``."""
     records = []
-    for row in _read_rows(path, 5, "mention"):
+    for lineno, row in _read_rows(path, 5, "mention"):
         gold_qid, category, left, mention, right = row
         if category not in CATEGORIES:
-            raise DataError(f"{path}: unknown category {category!r}")
+            raise DataError(f"{path}:{lineno}: unknown category {category!r}")
         if not mention:
-            raise DataError(f"{path}: empty mention span")
+            raise DataError(f"{path}:{lineno}: empty mention span")
         records.append(MentionRecord(context_left=left, mention=mention,
                                      context_right=right, gold_qid=gold_qid,
                                      category=category, year=year))
@@ -114,10 +114,10 @@ def load_mentions(path, year: int) -> list[MentionRecord]:
 def load_triples(path) -> list[RelationTriple]:
     """Parse ``head \\t relation \\t tail`` lines; endpoint filtering happens later."""
     triples = []
-    for row in _read_rows(path, 3, "triple"):
+    for lineno, row in _read_rows(path, 3, "triple"):
         head, rel, tail = row
         if not (head and rel and tail):
-            raise DataError(f"{path}: empty field in triple {row}")
+            raise DataError(f"{path}:{lineno}: empty field in triple {row}")
         triples.append(RelationTriple(head_qid=head, relation_id=rel, tail_qid=tail))
     return triples
 

@@ -2,8 +2,10 @@
 
 Every loss in the package is assembled from the primitives here. Tensors
 carry float32 data by default; reductions (trace, Frobenius norms,
-logsumexp) accumulate in float64 before casting back. Passing float64
-leaves, as the gradient tests do, runs the whole graph in float64.
+logsumexp, bag means) accumulate in float64 before casting back. Passing
+float64 leaves, as the gradient tests do, runs the whole graph in float64.
+The module needs numpy alone: ``spmm`` multiplies by whatever sparse
+matrix its caller built, so only the code that builds one imports scipy.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from itertools import chain
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class Tensor:
@@ -146,8 +147,9 @@ def relu(a):
     return Tensor(np.where(mask, a.data, 0), parents=(a,), backward=bwd)
 
 
-def spmm(S: sp.csr_matrix, z: Tensor):
-    """Sparse-dense product S @ Z; grad_Z = S.T @ grad_out."""
+def spmm(S, z: Tensor):
+    """Sparse-dense product S @ Z for a scipy.sparse CSR matrix S;
+    grad_Z = S.T @ grad_out."""
     z = _as_tensor(z)
     if S.shape[1] != z.data.shape[0]:
         raise ValueError(f"spmm shape mismatch: {S.shape} @ {z.data.shape}")
@@ -227,21 +229,30 @@ def concat_rows(tensors):
 def mean_bags(table, bags):
     """Row i is the mean of the table rows listed in the non-empty id list
     ``bags[i]``, with the arithmetic of one ``mean(axis=0, dtype=float64)``
-    per bag: one float64 product with a CSR bag matrix whose row i holds
-    ``bags[i]`` in order, duplicates included, which scipy sums in stored
-    order. The backward sums each bag's share per distinct id, then adds
-    the sums into the table gradient later bags first, as one node per bag
-    would.
+    per bag: a zeroed float64 row to which the bag's rows are added in
+    order, duplicates included, then divided by the bag's length. The bags
+    are summed longest first, one vectorised addition per token position
+    over every bag that reaches it. The backward sums each bag's share per
+    distinct id, then adds the sums into the table gradient later bags
+    first, as one node per bag would.
     """
     table = _as_tensor(table)
     n_rows, dim = table.data.shape
     lens = np.fromiter(map(len, bags), dtype=np.intp)
+    empty = np.flatnonzero(lens == 0)
+    if empty.size:
+        raise ValueError(f"mean_bags: bag {empty[0]} is empty")
     ids = np.fromiter(chain.from_iterable(bags), dtype=np.intp)
-    used, col = np.unique(ids, return_inverse=True)
-    b = sp.csr_matrix((np.ones(len(ids)), col, np.concatenate([[0], lens.cumsum()])),
-                      shape=(len(bags), len(used)))
-    out_data = ((b @ table.data[used].astype(np.float64)) / lens[:, None]
-                ).astype(table.dtype)
+    order = np.argsort(-lens, kind="stable")
+    sorted_lens = lens[order]
+    first = (lens.cumsum() - lens)[order]
+    acc = np.zeros((len(bags), dim))
+    for p in range(lens.max(initial=0)):
+        alive = first[:np.count_nonzero(sorted_lens > p)]
+        acc[:len(alive)] += table.data[ids[alive + p]]
+    acc /= sorted_lens[:, None]
+    out_data = np.empty((len(bags), dim), dtype=table.dtype)
+    out_data[order] = acc
 
     def bwd(g):
         if table.requires_grad:

@@ -779,3 +779,38 @@ class TestReport:
         code = main(["report", "--out-dir", str(tmp_path / "out"),
                      "--table", str(bad)])
         assert code == EXIT_DATA
+
+
+# Runs ``templink.cli.main`` on the given argv in a fresh interpreter; the
+# last line it prints is the exit code and the scipy modules loaded.
+SCIPY_PROBE = """
+import json, sys
+from templink.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.partition(".")[0] == "scipy")]))
+"""
+
+
+def scipy_modules_after(argv) -> list:
+    src = str(Path(textenc.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv],
+                         capture_output=True, text=True, env=env, check=True)
+    code, loaded = json.loads(run.stdout.splitlines()[-1])
+    assert code == EXIT_OK, run.stderr
+    return loaded
+
+
+class TestOnlyTrainingImportsScipy:
+    def test_commands_without_training_load_no_scipy(self, tmp_path, toy_data):
+        # criterion 9's toy config; the cold run shows the probe sees scipy
+        ini = str(write_experiment_ini(tmp_path / "run.ini", toy_data,
+                                       tmp_path / "out", years="2019..2022"))
+        assert "scipy.sparse" in scipy_modules_after(
+            ["experiment", "--config", ini])
+        for argv in (["--version"], ["experiment", "--config", ini],
+                     ["eval", "--config", ini], ["report", "--config", ini],
+                     ["build-graphs", "--config", ini]):
+            assert scipy_modules_after(argv) == [], argv

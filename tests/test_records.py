@@ -38,6 +38,17 @@ class TestLoadEntities:
         with pytest.raises(DataError, match=":2"):
             load_entities(p, 2020)
 
+    def test_empty_qid_names_line(self, tmp_path):
+        p = write(tmp_path / "e.tsv", "Q1\ta\tb\n\n\tc\td\n")
+        with pytest.raises(DataError, match=r"e\.tsv:3: empty qid$"):
+            load_entities(p, 2020)
+
+    def test_duplicate_qid_names_both_lines(self, tmp_path):
+        p = write(tmp_path / "e.tsv", "Q1\ta\tb\nQ2\tc\td\nQ1\te\tf\n")
+        with pytest.raises(DataError, match=r"e\.tsv:3: duplicate qid Q1 "
+                                            r"\(first on line 1\)$"):
+            load_entities(p, 2020)
+
 
 class TestLoadMentions:
     def test_basic_parse(self, tmp_path):
@@ -57,6 +68,16 @@ class TestLoadMentions:
         with pytest.raises(DataError, match=":1"):
             load_mentions(p, 2021)
 
+    def test_unknown_category_names_line(self, tmp_path):
+        p = write(tmp_path / "m.tsv", "Q7\tnew\ta\tb\tc\nQ8\tbogus\ta\tb\tc\n")
+        with pytest.raises(DataError, match=r"m\.tsv:2: unknown category 'bogus'$"):
+            load_mentions(p, 2021)
+
+    def test_empty_mention_names_line(self, tmp_path):
+        p = write(tmp_path / "m.tsv", "Q7\tnew\ta\tb\tc\nQ8\tnew\ta\t\tc\n")
+        with pytest.raises(DataError, match=r"m\.tsv:2: empty mention span$"):
+            load_mentions(p, 2021)
+
 
 class TestLoadTriples:
     def test_basic_parse(self, tmp_path):
@@ -69,6 +90,12 @@ class TestLoadTriples:
     def test_malformed(self, tmp_path):
         with pytest.raises(DataError):
             load_triples(write(tmp_path / "t.tsv", "Q1\tP31\n"))
+
+    def test_empty_field_names_line(self, tmp_path):
+        p = write(tmp_path / "t.tsv", "Q1\tP31\tQ2\nQ1\t\tQ2\n")
+        with pytest.raises(DataError, match=r"t\.tsv:2: empty field in triple "
+                                            r"\['Q1', '', 'Q2'\]$"):
+            load_triples(p)
 
 
 class TestEntityIndex:

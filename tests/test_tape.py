@@ -221,6 +221,42 @@ class TestMeanBags:
         out = tape.mean_bags(tape.param(np.ones((4, 3), dtype=np.float32)), [])
         assert out.shape == (0, 3)
 
+    def test_empty_bag_rejected(self):
+        with pytest.raises(ValueError, match="bag 1 is empty"):
+            tape.mean_bags(np.ones((4, 2)), [[1, 2], [], [3]])
+
+    @staticmethod
+    def csr_product(table, bags):
+        """The forward as one float64 product with a CSR bag matrix (row i
+        holds ``bags[i]`` in order, duplicates included), divided by the bag
+        lengths: scipy's csr_matvecs adds each bag's rows into a zeroed row
+        in stored order."""
+        lens = np.array([len(b) for b in bags])
+        ids = np.concatenate(bags)
+        used, col = np.unique(ids, return_inverse=True)
+        b = sp.csr_matrix((np.ones(len(ids)), col,
+                           np.concatenate([[0], lens.cumsum()])),
+                          shape=(len(bags), len(used)))
+        return ((b @ table[used].astype(np.float64)) / lens[:, None]
+                ).astype(table.dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["one_id", "duplicates", "one_long_bag",
+                                      "mixed_wide"])
+    def test_forward_matches_csr_product(self, case, dtype):
+        rng = np.random.default_rng(41)
+        table = rng.normal(size=(3000, 16)).astype(dtype)
+        table[0] = -0.0  # a zeroed sum turns it into +0.0
+        bags = {
+            "one_id": [[int(i)] for i in rng.integers(0, 3000, size=50)] + [[0]],
+            "duplicates": [[7, 7, 7], [3, 9, 3, 9, 3], [0] * 12, [9, 3, 9]],
+            "one_long_bag": [rng.integers(0, 3000, size=2000).tolist()],
+            "mixed_wide": [rng.integers(0, 3000, size=rng.integers(1, 121))
+                           .tolist() for _ in range(300)],
+        }[case]
+        out = tape.mean_bags(table, bags).data
+        assert out.tobytes() == self.csr_product(table, bags).tobytes()
+
 
 class TestGradients:
     def test_quadratic_closed_form(self):
