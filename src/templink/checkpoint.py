@@ -77,7 +77,9 @@ def read_meta(path) -> dict:
 
 
 def load_checkpoint(path):
-    """Returns (tensors dict of float32 arrays, meta dict)."""
+    """Returns (tensors dict of float32 arrays, meta dict). A payload
+    shorter or longer than its manifest is a ``ValueError`` naming the
+    file."""
     with open(path, "rb") as fh:
         meta = _read_header(fh)
         payload = fh.read()
@@ -85,6 +87,9 @@ def load_checkpoint(path):
     tensors = {}
     off = 0
     for name, r, c in manifest:
+        if off + 4 * r * c > len(payload):
+            raise ValueError(f"{path}: checkpoint ends inside tensor {name} "
+                             f"({r} x {c})")
         arr = np.frombuffer(payload, dtype="<f4", count=r * c, offset=off)
         tensors[name] = arr.reshape(r, c).copy()
         off += 4 * r * c

@@ -184,9 +184,10 @@ def cmd_build_graphs(args) -> int:
         pipeline.write_resolved_config(cfg, __version__)
         corpora = pipeline.load_corpora(cfg)
         tokenizer = pipeline.build_tokenizer(cfg, corpora)
+        drawn = {}  # token vectors of the years' graphs, each drawn once
         for year in cfg.years:
             structure, feature_graph, fmat = pipeline.build_year_graphs(
-                cfg, year, corpora[year], tokenizer)
+                cfg, year, corpora[year], tokenizer, drawn)
             log.info("year %d: %d entities, %d structure edges, %d knn edges, "
                      "%d feature columns", year, structure.n, structure.nnz,
                      feature_graph.nnz, fmat.m)

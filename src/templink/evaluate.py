@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .textenc import TextEncoder
+
 RECALL_NS = (1, 2, 4, 8, 16, 32, 64)
 SCORE_BLOCK = 1 << 20  # mention-entity scores held at once while ranking
 MODES = ("forward_only", "forward_and_backward")  # gap aggregation directions
@@ -78,30 +80,44 @@ def gold_rank(y_m, table, gold_row: int) -> int:
 def temporal_matrix(models, test_sets_by_year: dict, tokenizer) -> dict:
     """Evaluate every (train year, test year) pair of each model group.
 
-    ``models`` yields (key, train year, model), all built over ``tokenizer``;
-    each model is dropped before the next is drawn, so a lazy iterable keeps
-    at most one alive. ``test_sets_by_year[year]`` is (mentions, entities,
-    index), rendered once with ``tokenizer``. The entity table for each pair
-    is the train-year model's text encoding of the test year's entities.
+    ``models`` yields (key, train year, model), all built over ``tokenizer``
+    and its ``max_len``; each model is dropped before the next is drawn, so
+    a lazy iterable keeps at most one alive. ``test_sets_by_year[year]`` is
+    (mentions, entities, index), rendered once with ``tokenizer``. The
+    entity table for each pair is the train-year model's text encoding of
+    the test year's entities.
+
+    The distinct entity and mention sequences of all test years are packed
+    into bags once; each model encodes each set in one pass, and a cell
+    takes its rows. A row depends on its own sequence alone, so every cell
+    ranks the arrays an encoding of its test year alone would give.
     Returns key -> GapMatrix over the test years.
     """
     years = sorted(test_sets_by_year)
-    seqs, gold = {}, {}  # test year -> (entity, kept mention) seqs, gold rows
+    distinct = ({}, {})  # entity, mention sequence -> row of its encoding
+    rows, gold = {}, {}  # test year -> (entity, kept mention) rows, gold rows
     for t2, (mentions, entities, index) in test_sets_by_year.items():
         kept = [m for m in mentions if m.gold_qid in index]
         gold[t2] = np.array([index.row(m.gold_qid) for m in kept],
                             dtype=np.int64)
-        seqs[t2] = ([tokenizer.render_entity(e) for e in entities],
-                    [tokenizer.render_mention(m) for m in kept])
+        seqs = ([tokenizer.render_entity(e) for e in entities],
+                [tokenizer.render_mention(m) for m in kept])
+        rows[t2] = tuple(
+            np.array([row_of.setdefault(tuple(s), len(row_of)) for s in ss],
+                     dtype=np.intp)
+            for row_of, ss in zip(distinct, seqs))
+    entity_bags, mention_bags = (TextEncoder.pack(row_of, tokenizer.max_len)
+                                 for row_of in distinct)
     matrices = {}
     for key, t1, model in models:
         matrix = matrices.setdefault(key, GapMatrix(years=years))
+        table = model.entity_encoder.encode(entity_bags).data
+        y_m = model.mention_encoder.encode(mention_bags).data
         for t2 in years:
-            entity_seqs, mention_seqs = seqs[t2]
-            table = model.entity_encoder.encode(entity_seqs).data
-            y_m = model.mention_encoder.encode(mention_seqs).data
+            entity_rows, mention_rows = rows[t2]
             matrix.cells[(t1, t2)] = recall_report(
-                _gold_ranks(y_m, table, gold[t2]), t1, t2)
+                _gold_ranks(y_m[mention_rows], table[entity_rows], gold[t2]),
+                t1, t2)
         del model
     return matrices
 

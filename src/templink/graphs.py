@@ -128,8 +128,8 @@ def build_structure_graph(triples, index) -> AdjacencyMatrix:
     return AdjacencyMatrix(n=len(index), edges=pairs)
 
 
-def embed_descriptions(entities, tokenizer, dim: int = 64,
-                       seed: int = 0) -> np.ndarray:
+def embed_descriptions(entities, tokenizer, dim: int = 64, seed: int = 0,
+                       drawn: dict = None) -> np.ndarray:
     """n x d seeded feature-hashing embedding of each entity's title and
     description, over the tokenizer's ids of the two texts.
 
@@ -137,23 +137,28 @@ def embed_descriptions(entities, tokenizer, dim: int = 64,
     vectors of its token occurrences; a row without tokens is zero. A
     token's vector is drawn from a PCG64 generator seeded with CRC32(token)
     mixed with the global seed, so embeddings are stable across processes
-    and runs, and it is drawn once per call. Every token of the texts must
-    be in the tokenizer's vocabulary.
+    and runs. ``drawn`` maps token ids to the vectors drawn so far, and a
+    token is drawn only when it has none: calls that share one dict (and
+    the tokenizer, ``dim`` and ``seed``) draw each token once between them.
+    Every token of the texts must be in the tokenizer's vocabulary.
     """
-    mix = seed * 0x9E3779B1 & 0xFFFFFFFF
-    token_of = {i: tok for tok, i in tokenizer.vocab.items()}
-    number = {}  # token id -> row of the drawn table, in first-seen order
+    drawn = {} if drawn is None else drawn
+    number = {}  # token id -> row of the vector table, in first-seen order
     bags = [[number.setdefault(i, len(number))
              for i in tokenizer.token_ids(e.title)
              + tokenizer.token_ids(e.description)]
             for e in entities]
-    drawn = np.empty((len(number), dim))
-    for i, row in number.items():
-        key = zlib.crc32(token_of[i].encode("utf-8")) ^ mix
-        drawn[row] = np.random.Generator(np.random.PCG64(key)).standard_normal(dim)
+    new = [i for i in number if i not in drawn]
+    if new:
+        mix = seed * 0x9E3779B1 & 0xFFFFFFFF
+        token_of = {i: tok for tok, i in tokenizer.vocab.items()}
+        for i in new:
+            key = zlib.crc32(token_of[i].encode("utf-8")) ^ mix
+            drawn[i] = np.random.Generator(np.random.PCG64(key)).standard_normal(dim)
+    vectors = np.array([drawn[i] for i in number]).reshape(len(number), dim)
     out = np.zeros((len(entities), dim), dtype=np.float32)
     has = [i for i, bag in enumerate(bags) if bag]
-    out[has] = tape.mean_bags(drawn, [bags[i] for i in has]).data
+    out[has] = tape.mean_bags(vectors, tape.Bags([bags[i] for i in has])).data
     return out
 
 

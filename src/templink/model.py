@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tape
-from .textenc import ENCODER_MODES, TextEncoder, Tokenizer, _uniform_init
+from .textenc import ENCODER_MODES, TextEncoder, Tokenizer, _initializer
 
 
 @dataclass
@@ -39,16 +39,15 @@ class GcnStack:
     """Distinct stacks W_f, W_r plus one shared stack W_s applied to both graphs."""
 
     def __init__(self, input_dim: int, hidden: int, out: int, n_layers: int,
-                 seed: int):
-        rng = np.random.Generator(np.random.PCG64(seed))
+                 seed: int, tensors: dict = None):
+        init = _initializer(seed, tensors)
         dims = [input_dim] + [hidden] * (n_layers - 1) + [out]
         self.n_layers = n_layers
         self.params = {}
         for stack in ("wf", "wr", "ws"):
             for layer in range(n_layers):
                 name = f"gcn.{stack}.l{layer}"
-                self.params[name] = tape.param(
-                    _uniform_init(rng, dims[layer], dims[layer + 1]), name=name)
+                self.params[name] = init(name, dims[layer], dims[layer + 1])
 
     def _propagate(self, s_csr, sx: tape.Tensor, stack: str) -> tape.Tensor:
         """The stack over one graph, from its layer-0 propagation S·X."""
@@ -81,10 +80,8 @@ class GcnStack:
 class FusionHead:
     """Training-time projection P: (4 g) x d added onto entity text embeddings."""
 
-    def __init__(self, gcn_out: int, dim: int, seed: int):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        self.proj = tape.param(_uniform_init(rng, 4 * gcn_out, dim),
-                               name="fusion.proj")
+    def __init__(self, gcn_out: int, dim: int, seed: int, tensors: dict = None):
+        self.proj = _initializer(seed, tensors)("fusion.proj", 4 * gcn_out, dim)
 
     def fuse(self, y_e: tape.Tensor, z_f, z_r, z_sf, z_sr, rows) -> tape.Tensor:
         """y_e + P-projection of concat(z_r, z_f, z_sr, z_sf) for the given rows."""
@@ -114,21 +111,25 @@ class Model:
     """Owns the two text encoders, the GCN stacks, the fusion head, and config."""
 
     def __init__(self, tokenizer: Tokenizer, feature_dim: int,
-                 config: ModelConfig = None):
+                 config: ModelConfig = None, tensors: dict = None):
+        """Parameters drawn from the config's seed, or with ``tensors`` (a
+        checkpoint's arrays by name) taken from them; a missing or misshapen
+        one is a ``ValueError`` naming it."""
         self.config = config or ModelConfig()
         c = self.config
         self.tokenizer = tokenizer
         self.mention_encoder = TextEncoder(
             tokenizer.vocab_size, dim=c.dim, max_len=c.max_len,
             mode=c.encoder_mode, n_layers=c.encoder_layers,
-            seed=c.seed * 4 + 1, prefix="m_enc")
+            seed=c.seed * 4 + 1, prefix="m_enc", tensors=tensors)
         self.entity_encoder = TextEncoder(
             tokenizer.vocab_size, dim=c.dim, max_len=c.max_len,
             mode=c.encoder_mode, n_layers=c.encoder_layers,
-            seed=c.seed * 4 + 2, prefix="e_enc")
+            seed=c.seed * 4 + 2, prefix="e_enc", tensors=tensors)
         self.gcn = GcnStack(feature_dim, c.gcn_hidden, c.gcn_out,
-                            c.gcn_layers, seed=c.seed * 4 + 3)
-        self.fusion = FusionHead(c.gcn_out, c.dim, seed=c.seed * 4 + 4)
+                            c.gcn_layers, seed=c.seed * 4 + 3, tensors=tensors)
+        self.fusion = FusionHead(c.gcn_out, c.dim, seed=c.seed * 4 + 4,
+                                 tensors=tensors)
 
     @property
     def params(self) -> dict:
@@ -141,11 +142,13 @@ class Model:
 
     def encode_mentions(self, seqs) -> tape.Tensor:
         """Mention encodings of ``Tokenizer.render_mention`` sequences."""
-        return self.mention_encoder.encode(seqs)
+        enc = self.mention_encoder
+        return enc.encode(enc.pack(seqs, enc.max_len))
 
     def encode_entities(self, seqs) -> tape.Tensor:
         """Entity text encodings of ``Tokenizer.render_entity`` sequences."""
-        return self.entity_encoder.encode(seqs)
+        enc = self.entity_encoder
+        return enc.encode(enc.pack(seqs, enc.max_len))
 
     def entity_table(self, entities) -> np.ndarray:
         """Inference-side entity embedding table; text branch only."""

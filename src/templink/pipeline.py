@@ -122,10 +122,12 @@ def graphs_dir(cfg: RunConfig, year: int) -> Path:
     return Path(cfg.out_dir) / "graphs" / str(year)
 
 
-def build_year_graphs(cfg: RunConfig, year: int, corpus, tokenizer: Tokenizer):
+def build_year_graphs(cfg: RunConfig, year: int, corpus, tokenizer: Tokenizer,
+                      drawn: dict = None):
     """Construct structure graph, kNN feature graph and feature matrix, and
     write them out for inspection. The year's ``triples.tsv`` is read here
-    and nowhere else."""
+    and nowhere else. ``drawn`` is the command's ``embed_descriptions``
+    token vectors, shared by its years."""
     entities, index, _, _ = corpus
     triples = records.load_triples(year_dir(cfg, year) / "triples.tsv")
     out = graphs_dir(cfg, year)
@@ -133,7 +135,7 @@ def build_year_graphs(cfg: RunConfig, year: int, corpus, tokenizer: Tokenizer):
 
     structure = build_structure_graph(triples, index)
     emb = embed_descriptions(entities, tokenizer, dim=cfg.embed_dim,
-                             seed=cfg.embed_seed)
+                             seed=cfg.embed_seed, drawn=drawn)
     feature_graph = build_knn_graph(emb, min(cfg.k, len(entities) - 1))
     fmat = build_feature_matrix(
         entities, tokenizer, VocabFilter(cfg.min_count, cfg.max_count))
@@ -145,13 +147,13 @@ def build_year_graphs(cfg: RunConfig, year: int, corpus, tokenizer: Tokenizer):
     return structure, feature_graph, fmat
 
 
-def make_snapshot(cfg: RunConfig, year: int, corpus,
-                  tokenizer: Tokenizer) -> Snapshot:
+def make_snapshot(cfg: RunConfig, year: int, corpus, tokenizer: Tokenizer,
+                  drawn: dict = None) -> Snapshot:
     """The year's training snapshot over all its training mentions, on the
     graphs ``build_year_graphs`` builds (and writes out) for it."""
     entities, index, train_m, _ = corpus
     structure, feature_graph, fmat = build_year_graphs(cfg, year, corpus,
-                                                       tokenizer)
+                                                       tokenizer, drawn)
     return Snapshot(year=year, entities=entities, mentions=train_m, index=index,
                     structure=structure, feature_graph=feature_graph,
                     feature_matrix=fmat)
@@ -189,9 +191,11 @@ def train_years(cfg: RunConfig, corpora: dict, tokenizer: Tokenizer,
                 stamp: str):
     """Train every (year, category) checkpoint of the config, skipping those
     whose header holds the same ``stamp`` (``RunConfig.stamp``). A year with
-    work left gets one snapshot, shared by its categories."""
+    work left gets one snapshot, shared by its categories. The years' graph
+    builds share one table of ``embed_descriptions`` token vectors, emptied
+    before the last of those years trains."""
+    todo = {}  # year -> categories to train
     for year in cfg.years:
-        todo = []
         for category in cfg.categories:
             path = checkpoint_path(cfg, year, category)
             old = checkpoint_stamp(path)
@@ -200,11 +204,14 @@ def train_years(cfg: RunConfig, corpora: dict, tokenizer: Tokenizer,
                 continue
             log.info("training %s: %s", path, "no checkpoint" if old is None
                      else f"stamp changed {old} -> {stamp}")
-            todo.append(category)
-        if todo:
-            snapshot = make_snapshot(cfg, year, corpora[year], tokenizer)
-            for category in todo:
-                train_year(cfg, snapshot, category, tokenizer, stamp)
+            todo.setdefault(year, []).append(category)
+    drawn = {}
+    for year, categories in todo.items():
+        snapshot = make_snapshot(cfg, year, corpora[year], tokenizer, drawn)
+        if year == next(reversed(todo)):  # no later build reads the table
+            drawn.clear()
+        for category in categories:
+            train_year(cfg, snapshot, category, tokenizer, stamp)
 
 
 def evaluate_checkpoints(cfg: RunConfig, corpora: dict, tokenizer: Tokenizer,

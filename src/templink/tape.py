@@ -226,39 +226,58 @@ def concat_rows(tensors):
     return Tensor(out_data, parents=tuple(tensors), backward=bwd)
 
 
-def mean_bags(table, bags):
-    """Row i is the mean of the table rows listed in the non-empty id list
-    ``bags[i]``, with the arithmetic of one ``mean(axis=0, dtype=float64)``
-    per bag: a zeroed float64 row to which the bag's rows are added in
-    order, duplicates included, then divided by the bag's length. The bags
-    are summed longest first, one vectorised addition per token position
-    over every bag that reaches it. The backward sums each bag's share per
-    distinct id, then adds the sums into the table gradient later bags
-    first, as one node per bag would.
+class Bags:
+    """Non-empty lists of table row ids, packed once for any number of
+    ``mean_bags`` calls. ``lists`` keeps the lists, ``lens`` their lengths
+    and ``ids`` their concatenation; ``order`` ranks the bags longest first
+    (stable), and ``gather[p]`` holds the id at position p of each bag, in
+    that order, that reaches it."""
+
+    __slots__ = ("lists", "lens", "ids", "order", "gather")
+
+    def __init__(self, lists):
+        self.lists = lists
+        self.lens = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+        empty = np.flatnonzero(self.lens == 0)
+        if empty.size:
+            raise ValueError(f"bag {empty[0]} is empty")
+        self.ids = np.fromiter(chain.from_iterable(lists), dtype=np.intp)
+        self.order = np.argsort(-self.lens, kind="stable")
+        sorted_lens = self.lens[self.order]
+        first = (self.lens.cumsum() - self.lens)[self.order]
+        self.gather = [self.ids[first[:np.count_nonzero(sorted_lens > p)] + p]
+                       for p in range(self.lens.max(initial=0))]
+
+    def __len__(self):
+        return len(self.lists)
+
+
+def mean_bags(table, bags: Bags):
+    """Row i is the mean of the table rows listed in bag i, with the
+    arithmetic of one ``mean(axis=0, dtype=float64)`` per bag: a zeroed
+    float64 row to which the bag's rows are added in order, duplicates
+    included, then divided by the bag's length. The bags are summed longest
+    first, one vectorised addition per token position over every bag that
+    reaches it, so each row depends on its own bag alone. The backward sums
+    each bag's share per distinct id, then adds the sums into the table
+    gradient later bags first, as one node per bag would.
     """
     table = _as_tensor(table)
     n_rows, dim = table.data.shape
-    lens = np.fromiter(map(len, bags), dtype=np.intp)
-    empty = np.flatnonzero(lens == 0)
-    if empty.size:
-        raise ValueError(f"mean_bags: bag {empty[0]} is empty")
-    ids = np.fromiter(chain.from_iterable(bags), dtype=np.intp)
-    order = np.argsort(-lens, kind="stable")
-    sorted_lens = lens[order]
-    first = (lens.cumsum() - lens)[order]
-    acc = np.zeros((len(bags), dim))
-    for p in range(lens.max(initial=0)):
-        alive = first[:np.count_nonzero(sorted_lens > p)]
-        acc[:len(alive)] += table.data[ids[alive + p]]
-    acc /= sorted_lens[:, None]
-    out_data = np.empty((len(bags), dim), dtype=table.dtype)
+    lens, order = bags.lens, bags.order
+    acc = np.zeros((len(lens), dim))
+    for idx in bags.gather:
+        acc[:len(idx)] += table.data[idx]
+    acc /= lens[order][:, None]
+    out_data = np.empty((len(lens), dim), dtype=table.dtype)
     out_data[order] = acc
 
     def bwd(g):
         if table.requires_grad:
             # keys ascend later bags first, ids ascending within a bag
             later = np.repeat(np.arange(len(lens))[::-1], lens)
-            pairs, pair_of = np.unique(later * n_rows + ids, return_inverse=True)
+            pairs, pair_of = np.unique(later * n_rows + bags.ids,
+                                       return_inverse=True)
             sums = np.zeros((len(pairs), dim), dtype=g.dtype)
             np.add.at(sums, pair_of,
                       np.repeat(g / lens[:, None].astype(g.dtype), lens, axis=0))

@@ -96,9 +96,29 @@ class Tokenizer:
         return seq
 
 
-def _uniform_init(rng, rows, cols):
-    bound = 1.0 / np.sqrt(rows)
-    return rng.uniform(-bound, bound, size=(rows, cols)).astype(np.float32)
+def _initializer(seed: int, tensors: dict = None):
+    """``init(name, rows, cols)``: a new float32 parameter named ``name``.
+    With ``tensors`` its value is the array of that name, which must be
+    rows x cols (else ``ValueError``); without, each call draws uniformly
+    in +-1/sqrt(rows) from one PCG64 generator seeded with ``seed``."""
+    if tensors is not None:
+        def given(name, rows, cols):
+            arr = tensors.get(name)
+            if arr is None:
+                raise ValueError(f"no tensor {name}")
+            if arr.shape != (rows, cols):
+                raise ValueError(f"tensor {name} is {arr.shape[0]} x "
+                                 f"{arr.shape[1]}, but the config makes it "
+                                 f"{rows} x {cols}")
+            return tape.param(arr, name=name)
+        return given
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    def draw(name, rows, cols):
+        bound = 1.0 / np.sqrt(rows)
+        return tape.param(rng.uniform(-bound, bound, size=(rows, cols))
+                          .astype(np.float32), name=name)
+    return draw
 
 
 class TextEncoder:
@@ -111,36 +131,41 @@ class TextEncoder:
 
     def __init__(self, vocab_size: int, dim: int = 64, max_len: int = 128,
                  mode: str = "mean", n_layers: int = 2, seed: int = 0,
-                 prefix: str = "enc"):
+                 prefix: str = "enc", tensors: dict = None):
+        """Parameters drawn from ``seed``, or taken from ``tensors``
+        (see ``_initializer``)."""
         if mode not in ENCODER_MODES:
             raise ValueError(f"unknown encoder mode {mode!r}")
         self.dim = dim
         self.mode = mode
         self.max_len = max_len
         self.n_layers = n_layers
-        rng = np.random.Generator(np.random.PCG64(seed))
-        self.params = {}
-        self.params[f"{prefix}.emb"] = tape.param(
-            _uniform_init(rng, vocab_size, dim), name=f"{prefix}.emb")
+        init = _initializer(seed, tensors)
+        names = [(f"{prefix}.emb", vocab_size)]
         if mode == "attn":
-            self.params[f"{prefix}.pos"] = tape.param(
-                _uniform_init(rng, max_len, dim), name=f"{prefix}.pos")
-            for layer in range(n_layers):
-                for w in ("wq", "wk", "wv", "wo"):
-                    name = f"{prefix}.l{layer}.{w}"
-                    self.params[name] = tape.param(_uniform_init(rng, dim, dim),
-                                                   name=name)
+            names.append((f"{prefix}.pos", max_len))
+            names += [(f"{prefix}.l{layer}.{w}", dim) for layer in range(n_layers)
+                      for w in ("wq", "wk", "wv", "wo")]
+        self.params = {name: init(name, rows, dim) for name, rows in names}
         self.prefix = prefix
 
-    def encode(self, seqs) -> tape.Tensor:
-        """Differentiable n x d encoding of token-id sequences: PAD ids are
-        dropped, each is cut to ``max_len``, and an empty one is ``[CLS]``."""
-        bags = [[i for i in ids if i != PAD][:self.max_len] or [CLS]
-                for ids in seqs]
+    @staticmethod
+    def pack(seqs, max_len: int) -> tape.Bags:
+        """The bags ``encode`` takes, for an encoder of ``max_len``: the ids of
+        each token-id sequence without PAD, cut to ``max_len``, and ``[CLS]``
+        for a sequence with none left."""
+        return tape.Bags([[i for i in ids if i != PAD][:max_len] or [CLS]
+                          for ids in seqs])
+
+    def encode(self, bags: tape.Bags) -> tape.Tensor:
+        """Differentiable n x d encoding of the bags ``pack`` made of n
+        token-id sequences; row i depends on bag i alone."""
+        if bags.lens.max(initial=0) > self.max_len:
+            raise ValueError(f"a bag is longer than max_len {self.max_len}")
         emb = self.params[f"{self.prefix}.emb"]
         if self.mode == "mean" or not bags:  # no bags: an empty 0 x d result
             return tape.mean_bags(emb, bags)
-        return tape.concat_rows([self._attend(emb, ids) for ids in bags])
+        return tape.concat_rows([self._attend(emb, ids) for ids in bags.lists])
 
     def _attend(self, emb, ids) -> tape.Tensor:
         h = tape.gather_rows(emb, ids)
@@ -160,8 +185,8 @@ class TextEncoder:
 
     def encode_tensor(self, ids) -> tape.Tensor:
         """Differentiable encoding of one token-id sequence to a 1 x d tensor."""
-        return self.encode([ids])
+        return self.encode(self.pack([ids], self.max_len))
 
     def encode_ids(self, ids) -> np.ndarray:
         """Non-differentiable convenience wrapper: flat d-vector."""
-        return self.encode([ids]).data.reshape(-1)
+        return self.encode(self.pack([ids], self.max_len)).data.reshape(-1)

@@ -204,23 +204,25 @@ def save_model(path, model: Model, config: TrainConfig, extra: dict = None):
 
 
 def load_model(path, tokenizer: Tokenizer) -> Model:
-    """Rebuild a Model over ``tokenizer`` from a checkpoint file; tensors that
-    are not model parameters (such as ``opt.*`` moments in older files) and
-    the header keys older files carry (the tokenizer vocabulary,
-    ``fusion_frozen``) are ignored. A checkpoint
-    whose embedding tables do not have ``tokenizer.vocab_size`` rows is a
-    ``DataError``."""
+    """Rebuild a Model over ``tokenizer`` from a checkpoint file, each
+    parameter the checkpoint's tensor of its name; tensors that are not
+    model parameters (such as ``opt.*`` moments in older files) and the
+    header keys older files carry (the tokenizer vocabulary,
+    ``fusion_frozen``) are ignored. A checkpoint whose embedding tables do
+    not have ``tokenizer.vocab_size`` rows, or whose tensors are missing or
+    misshapen for its config, is a ``DataError``."""
     tensors, meta = load_checkpoint(path)
-    rows = tensors["m_enc.emb"].shape[0]
-    if rows != tokenizer.vocab_size:
+    emb = tensors.get("m_enc.emb")  # a missing one fails as Model builds
+    if emb is not None and len(emb) != tokenizer.vocab_size:
         raise DataError(
-            f"{path}: the checkpoint's embedding tables have {rows} rows, but "
-            f"the run's tokenizer has vocab_size {tokenizer.vocab_size}")
-    model = Model(tokenizer, meta["feature_dim"],
-                  ModelConfig(**meta["model_config"]))
-    for name, p in model.params.items():
-        p.data = tensors[name].reshape(p.data.shape)
-    return model
+            f"{path}: the checkpoint's embedding tables have {len(emb)} "
+            f"rows, but the run's tokenizer has vocab_size "
+            f"{tokenizer.vocab_size}")
+    try:
+        return Model(tokenizer, meta["feature_dim"],
+                     ModelConfig(**meta["model_config"]), tensors=tensors)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def train(snapshot: Snapshot, model: Model, config: TrainConfig,

@@ -8,10 +8,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from checks import bundled_results_path
-from templink import pipeline, records, textenc
+from templink import pipeline, records, tape, textenc
 from templink.checkpoint import load_checkpoint, read_meta, save_checkpoint
 from templink.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, OutputLock,
                           UsageError, build_run_config, load_config_file, main,
@@ -464,6 +465,32 @@ class TestReadsOncePerYear:
             assert sorted(text for text, in calls) == sorted(texts), phase
             monkeypatch.undo()
 
+    def test_each_token_vector_drawn_once(self, tmp_path, toy_data,
+                                          monkeypatch):
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out,
+                                   years="2019..2021")
+        tokens = {tok for entities, _, _, _ in pipeline.load_corpora(
+                      load_config_file(ini)).values()
+                  for e in entities
+                  for tok in textenc.split_text(e.title + " " + e.description)}
+        seeds = []
+        pcg, embed = np.random.PCG64, pipeline.embed_descriptions
+
+        def counted(*args, **kwargs):
+            monkeypatch.setattr(np.random, "PCG64",
+                                lambda key: seeds.append(key) or pcg(key))
+            try:
+                return embed(*args, **kwargs)
+            finally:
+                monkeypatch.setattr(np.random, "PCG64", pcg)
+
+        monkeypatch.setattr(pipeline, "embed_descriptions", counted)
+        for command in ("build-graphs", "experiment"):
+            seeds.clear()
+            assert main([command, "--config", str(ini)]) == EXIT_OK, command
+            assert len(seeds) == len(set(seeds)) == len(tokens), command
+
     def test_resumed_eval_renders_and_loads_once(self, tmp_path, toy_data,
                                                  monkeypatch):
         out = tmp_path / "out"
@@ -725,6 +752,43 @@ class TestEvalTrustsStamp:
                 assert main([command, "--config", str(ini)]) == EXIT_OK
             runs[name] = report_bytes(out)
         assert runs["experiment"] == runs["train_eval"] != {}
+
+
+class TestEvalEncodesOnce:
+    def test_one_pass_per_encoder_and_checkpoint(self, tmp_path, toy_data,
+                                                 monkeypatch):
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out,
+                                   years="2019..2021")
+        assert main(["experiment", "--config", str(ini)]) == EXIT_OK
+        means = count_calls(monkeypatch, tape, "mean_bags")
+        packed = []
+
+        class CountedBags(tape.Bags):
+            def __init__(self, lists):
+                packed.append(len(lists))
+                super().__init__(lists)
+
+        monkeypatch.setattr(tape, "Bags", CountedBags)
+        assert main(["eval", "--config", str(ini)]) == EXIT_OK
+        # 2 categories x 3 years of checkpoints, each encoder once
+        assert len(means) == 2 * 3 * 2
+        # the distinct entity and mention sequences of all test years
+        assert len(packed) == 2
+
+    def test_truncated_checkpoint_names_itself(self, tmp_path, toy_data,
+                                               caplog):
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
+        assert main(["experiment", "--config", str(ini)]) == EXIT_OK
+        before = report_bytes(out)
+        path = out / "checkpoints" / "continual_2019.ckpt"
+        path.write_bytes(path.read_bytes()[:-100])
+        name, rows, cols = read_meta(path)["manifest"][-1]
+        assert main(["eval", "--config", str(ini)]) == EXIT_DATA
+        assert (f"{path}: checkpoint ends inside tensor {name} "
+                f"({rows} x {cols})") in caplog.text
+        assert report_bytes(out) == before
 
 
 class TestReadersHoldLock:

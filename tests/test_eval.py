@@ -282,6 +282,96 @@ class TestTemporalMatrix:
         assert matrix.cell(2019, 2019) == recall_report(direct, 2019, 2019)
 
 
+class ScriptedTokenizer(Tokenizer):
+    """Renders a record as the ids written in its text (PAD is 0), so the
+    encoders can be fed what no real rendering holds: PAD ids, sequences
+    longer than ``max_len`` and sequences of PAD alone."""
+
+    def render_entity(self, entity_record):
+        return [int(t) for t in entity_record.description.split()]
+
+    def render_mention(self, mention_record):
+        return [int(t) for t in mention_record.mention.split()]
+
+
+def scripted_test_sets(years):
+    """year -> (mentions, entities, index) whose sequences repeat across
+    years and within a year, hold PAD ids, run past ``max_len`` 16 and, for
+    one entity and one mention a year, keep no token at all."""
+    rng = np.random.default_rng(14)
+
+    def seqs(n):
+        return [rng.integers(0, TOK.vocab_size, size=rng.integers(1, 24))
+                .tolist() for _ in range(n)]
+
+    entity_pool = [[0, 0, 0], list(range(1, 13)) * 2, [7, 0, 8, 0, 9]] + seqs(6)
+    mention_pool = [[], [0], [9, 0, 10] * 7, [11, 12]] + seqs(6)
+    sets = {}
+    for year in years:
+        picks = [0, 1, 2, 2, *rng.integers(0, len(entity_pool), size=6)]
+        entities = [EntityRecord(f"Q{year}_{i}", "", " ".join(
+            map(str, entity_pool[k])), year) for i, k in enumerate(picks)]
+        picks = [0, 1, 2, 3, 3, *rng.integers(0, len(mention_pool), size=9)]
+        mentions = [MentionRecord("", " ".join(map(str, mention_pool[k])), "",
+                                  entities[rng.integers(len(entities))].qid,
+                                  "new", year) for k in picks]
+        mentions.append(MentionRecord("", "7 8", "", "Q404", "new", year))
+        sets[year] = (mentions, entities,
+                      EntityIndex([e.qid for e in entities]))
+    return sets
+
+
+def per_cell_matrix(models, test_sets_by_year, tokenizer):
+    """``temporal_matrix`` as each cell was once scored: the train-year
+    model encodes the test year's sequences for that cell alone."""
+    years = sorted(test_sets_by_year)
+    matrices = {}
+    for key, t1, model in models:
+        matrix = matrices.setdefault(key, GapMatrix(years=years))
+        for t2 in years:
+            mentions, entities, index = test_sets_by_year[t2]
+            kept = [m for m in mentions if m.gold_qid in index]
+            gold = np.array([index.row(m.gold_qid) for m in kept],
+                            dtype=np.int64)
+            table = model.encode_entities(
+                [tokenizer.render_entity(e) for e in entities]).data
+            y_m = model.encode_mentions(
+                [tokenizer.render_mention(m) for m in kept]).data
+            matrix.cells[(t1, t2)] = recall_report(
+                evaluate._gold_ranks(y_m, table, gold), t1, t2)
+    return matrices
+
+
+class TestOnePassPerModel:
+    @pytest.mark.parametrize("mode", ["mean", "attn"])
+    def test_matches_per_cell_encoding(self, monkeypatch, mode):
+        years = (2019, 2020, 2021)
+        tok = ScriptedTokenizer(TOK.vocab, max_len=16)
+        tests = scripted_test_sets(years)
+        entity_seqs = [tok.render_entity(e) for _, ents, _ in tests.values()
+                       for e in ents]
+        assert [0, 0, 0] in entity_seqs and max(map(len, entity_seqs)) > 16
+        assert len({tuple(s) for s in entity_seqs}) < len(entity_seqs)
+        models = [(key, y, Model(tok, feature_dim=3, config=ModelConfig(
+                      dim=6, gcn_hidden=4, gcn_out=3, gcn_layers=1,
+                      encoder_mode=mode, encoder_layers=1, max_len=16,
+                      seed=seed)))
+                  for seed, (key, y) in enumerate(
+                      (key, y) for key in ("continual", "new") for y in years)]
+        ranked = {}
+        rank = evaluate._gold_ranks
+        for name, run in (("one_pass", temporal_matrix),
+                          ("per_cell", per_cell_matrix)):
+            calls = ranked[name] = []
+            monkeypatch.setattr(evaluate, "_gold_ranks", lambda y, t, g: (
+                calls.append([(a.dtype, a.shape, a.tobytes()) for a in (y, t, g)])
+                or rank(y, t, g)))
+            ranked[name + "_matrices"] = run(models, tests, tok)
+        assert ranked["one_pass"] == ranked["per_cell"]
+        assert len(ranked["one_pass"]) == 2 * 3 * 3
+        assert ranked["one_pass_matrices"] == ranked["per_cell_matrices"]
+
+
 class TestBatchedRanks:
     @given(st.data())
     @settings(max_examples=40, deadline=None)

@@ -260,6 +260,18 @@ class TestEmbedDescriptions:
         c = embed_descriptions(ents, tokenizer_of(ents), dim=16, seed=4)
         assert a.tobytes() != c.tobytes()
 
+    def test_shared_table_draws_each_token_once(self):
+        years = ([EntityRecord("Q1", "apple", "sweet fruit", 2020)],
+                 [EntityRecord("Q2", "pear", "sweet apple", 2021)])
+        tok = tokenizer_of([e for ents in years for e in ents])
+        drawn = {}
+        shared = [embed_descriptions(ents, tok, dim=16, seed=3, drawn=drawn)
+                  for ents in years]
+        assert sorted(drawn) == sorted(tok.vocab.values())
+        alone = [embed_descriptions(ents, tok, dim=16, seed=3)
+                 for ents in years]
+        assert [a.tobytes() for a in shared] == [a.tobytes() for a in alone]
+
 
 class TestSymNormalize:
     def test_single_edge(self):

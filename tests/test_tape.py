@@ -212,18 +212,32 @@ class TestMeanBags:
         g = rng.normal(size=(n_bags, 16)).astype(dtype)
         want_rows, want_grad = self.per_sequence(table, bags, g)
         theta = tape.param(table)
-        out = tape.mean_bags(theta, bags)
+        out = tape.mean_bags(theta, tape.Bags(bags))
         out.backward(g)
         assert out.data.tobytes() == want_rows.tobytes()
         assert theta.grad.tobytes() == want_grad.tobytes()
 
     def test_no_bags(self):
-        out = tape.mean_bags(tape.param(np.ones((4, 3), dtype=np.float32)), [])
+        out = tape.mean_bags(tape.param(np.ones((4, 3), dtype=np.float32)),
+                             tape.Bags([]))
         assert out.shape == (0, 3)
 
     def test_empty_bag_rejected(self):
         with pytest.raises(ValueError, match="bag 1 is empty"):
-            tape.mean_bags(np.ones((4, 2)), [[1, 2], [], [3]])
+            tape.mean_bags(np.ones((4, 2)), tape.Bags([[1, 2], [], [3]]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_independent_of_other_bags(self, dtype):
+        # one Bags over A + B ranks and sums the bags together; its rows are
+        # those of separate calls over A and over B, bit for bit
+        rng = np.random.default_rng(43)
+        table = rng.normal(size=(500, 16)).astype(dtype)
+        a, b = ([rng.integers(0, 500, size=rng.integers(1, longest))
+                 .tolist() for _ in range(n)] for n, longest in ((40, 30),
+                                                                 (25, 90)))
+        joint = tape.mean_bags(table, tape.Bags(a + b)).data
+        apart = [tape.mean_bags(table, tape.Bags(x)).data for x in (a, b)]
+        assert joint.tobytes() == np.concatenate(apart).tobytes()
 
     @staticmethod
     def csr_product(table, bags):
@@ -254,7 +268,7 @@ class TestMeanBags:
             "mixed_wide": [rng.integers(0, 3000, size=rng.integers(1, 121))
                            .tolist() for _ in range(300)],
         }[case]
-        out = tape.mean_bags(table, bags).data
+        out = tape.mean_bags(table, tape.Bags(bags)).data
         assert out.tobytes() == self.csr_product(table, bags).tobytes()
 
 
@@ -324,7 +338,7 @@ def _op_cases():
         "spmm": ([a], lambda: tape.sum_squares(tape.spmm(s, a))),
         "center": ([a], lambda: tape.sum_squares(tape.center_rows(a))),
         "mean_bags": ([a], lambda: tape.sum_squares(
-            tape.mean_bags(a, [[2, 0, 2], [1], [0, 1, 2, 2]]))),
+            tape.mean_bags(a, tape.Bags([[2, 0, 2], [1], [0, 1, 2, 2]])))),
         "gather": ([a], lambda: tape.sum_squares(
             tape.gather_rows(a, [0, 2, 2]))),
         "concat": ([a, b], lambda: tape.sum_squares(

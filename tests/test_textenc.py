@@ -185,9 +185,10 @@ class TestEncoder:
         batch = [[CLS, 8, 8, 9, SEP], [PAD, 10, PAD, 8], [],
                  [CLS, 9, 9, 9, 10, 11, 11, SEP, 8], [PAD]]
         weights = np.random.default_rng(0).normal(size=(len(batch), 3))
+        bags = enc.pack(batch, enc.max_len)
 
         def loss():
-            return tape.sum_squares(tape.sub(enc.encode(batch), weights))
+            return tape.sum_squares(tape.sub(enc.encode(bags), weights))
 
         report = check_gradients(loss, [emb], eps=1e-4, tol=1e-4)
         assert report["ok"], report["failures"][:3]
@@ -198,6 +199,13 @@ class TestEncoder:
         rng = np.random.default_rng(1)
         seqs = [rng.integers(0, 40, size=rng.integers(0, 12)).tolist()
                 for _ in range(20)]
-        rows = enc.encode(seqs).data
+        rows = enc.encode(enc.pack(seqs, enc.max_len)).data
         for seq, row in zip(seqs, rows):
             assert row.tobytes() == enc.encode_ids(seq).tobytes()
+
+    def test_bags_packed_for_a_longer_max_len_rejected(self):
+        enc = TextEncoder(12, dim=4, max_len=6, seed=3)
+        seqs = [[CLS, 8, 9, SEP], list(range(7, 12)) * 2]
+        with pytest.raises(ValueError, match="longer than max_len 6"):
+            enc.encode(enc.pack(seqs, 10))
+        assert enc.encode(enc.pack(seqs, 6)).shape == (2, 4)

@@ -384,6 +384,47 @@ class TestCheckpointRoundTrip:
             f"{path}: the checkpoint's embedding tables have {rows} rows, "
             f"but the run's tokenizer has vocab_size {tok.vocab_size}")
 
+    def test_draws_nothing(self, tmp_path, monkeypatch):
+        snap = tiny_snapshot()
+        model = tiny_model(snap)
+        path = tmp_path / "m.ckpt"
+        save_model(path, model, TrainConfig())
+
+        def draw(*args):
+            raise AssertionError("load_model seeded a generator")
+
+        monkeypatch.setattr(np.random, "PCG64", draw)
+        loaded = load_model(path, model.tokenizer)
+        for name, p in model.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes()
+
+    @pytest.mark.parametrize("name", ["e_enc.emb", "fusion.proj", "gcn.ws.l0"])
+    def test_misshapen_tensor_is_data_error(self, tmp_path, name):
+        snap = tiny_snapshot()
+        model = tiny_model(snap)
+        path = tmp_path / "m.ckpt"
+        save_model(path, model, TrainConfig())
+        tensors, meta = load_checkpoint(path)
+        rows, cols = tensors[name].shape
+        tensors[name] = tensors[name][1:]
+        save_checkpoint(path, tensors, meta)
+        with pytest.raises(DataError) as err:
+            load_model(path, model.tokenizer)
+        assert str(err.value) == (
+            f"{path}: tensor {name} is {rows - 1} x {cols}, but the config "
+            f"makes it {rows} x {cols}")
+
+    def test_missing_tensor_is_data_error(self, tmp_path):
+        snap = tiny_snapshot()
+        model = tiny_model(snap)
+        path = tmp_path / "m.ckpt"
+        save_model(path, model, TrainConfig())
+        tensors, meta = load_checkpoint(path)
+        del tensors["fusion.proj"]
+        save_checkpoint(path, tensors, meta)
+        with pytest.raises(DataError, match="no tensor fusion.proj"):
+            load_model(path, model.tokenizer)
+
     def test_loads_mean_mode_checkpoint_with_pos_tables(self, tmp_path):
         # older checkpoints carried the Adam moments and step count, and in
         # mean mode unread positional tables; none of them is model state
