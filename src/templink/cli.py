@@ -20,6 +20,7 @@ from . import __version__
 from . import pipeline, records, reporting
 from .checkpoint import atomic_open
 from .evaluate import MODES
+from .graphs import TokenVectors
 from .pipeline import RunConfig, parse_years
 from .records import DataError
 from .trainer import NumericError
@@ -184,7 +185,7 @@ def cmd_build_graphs(args) -> int:
         pipeline.write_resolved_config(cfg, __version__)
         corpora = pipeline.load_corpora(cfg)
         tokenizer = pipeline.build_tokenizer(cfg, corpora)
-        drawn = {}  # token vectors of the years' graphs, each drawn once
+        drawn = TokenVectors()  # the years' token vectors, each drawn once
         for year in cfg.years:
             structure, feature_graph, fmat = pipeline.build_year_graphs(
                 cfg, year, corpora[year], tokenizer, drawn)

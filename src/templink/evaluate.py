@@ -44,20 +44,23 @@ def recall_at(ranks, n: int) -> float:
 
 
 def recall_report(ranks, train_year, test_year) -> RecallReport:
+    """The cell's recall at every N of ``RECALL_NS``, from one rank array."""
+    ranks = np.asarray(ranks)
     return RecallReport(train_year=train_year, test_year=test_year,
                         mention_count=len(ranks),
                         recall={n: recall_at(ranks, n) for n in RECALL_NS})
 
 
-def _gold_ranks(y_m, table, gold) -> list:
-    """1-based rank of row ``gold[i]`` of ``table`` for the mention encoded as
-    ``y_m[i]``: by descending float64 dot product, ties broken by lower row
-    index, scoring at most ``SCORE_BLOCK`` pairs at a time."""
+def _gold_ranks(y_m, table, gold) -> np.ndarray:
+    """int64 array of the 1-based rank of row ``gold[i]`` of ``table`` for
+    the mention encoded as ``y_m[i]``: by descending float64 dot product,
+    ties broken by lower row index, scoring at most ``SCORE_BLOCK`` pairs at
+    a time."""
     y_m, table = y_m.astype(np.float64), table.astype(np.float64)
     gold = np.asarray(gold, dtype=np.int64)[:, None]
     cols = np.arange(len(table))
     step = max(1, SCORE_BLOCK // max(1, len(table)))
-    ranks = []
+    ranks = np.empty(len(gold), dtype=np.int64)
     for lo in range(0, len(gold), step):
         s, g = y_m[lo:lo + step] @ table.T, gold[lo:lo + step]
         s_gold = np.take_along_axis(s, g, axis=1)
@@ -66,7 +69,7 @@ def _gold_ranks(y_m, table, gold) -> list:
         np.equal(s, s_gold, out=mask)   # ties, counted left of gold only
         mask &= cols < g
         ahead += np.count_nonzero(mask, axis=1)
-        ranks.extend((ahead + 1).tolist())
+        ranks[lo:lo + step] = ahead + 1
     return ranks
 
 
@@ -74,7 +77,7 @@ def gold_rank(y_m, table, gold_row: int) -> int:
     """``_gold_ranks`` of one mention encoding ``y_m``."""
     if len(table) == 0:
         raise ValueError("empty entity table")
-    return _gold_ranks(np.asarray(y_m).reshape(1, -1), table, [gold_row])[0]
+    return int(_gold_ranks(np.asarray(y_m).reshape(1, -1), table, [gold_row])[0])
 
 
 def temporal_matrix(models, test_sets_by_year: dict, tokenizer) -> dict:

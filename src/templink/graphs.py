@@ -128,8 +128,20 @@ def build_structure_graph(triples, index) -> AdjacencyMatrix:
     return AdjacencyMatrix(n=len(index), edges=pairs)
 
 
+class TokenVectors(dict):
+    """Token id -> row of ``vectors``: the token vectors drawn by the
+    ``embed_descriptions`` calls that share this table, kept in one float64
+    array that each call drawing new tokens grows once."""
+
+    __slots__ = ("vectors",)
+
+    def __init__(self):
+        super().__init__()
+        self.vectors = None
+
+
 def embed_descriptions(entities, tokenizer, dim: int = 64, seed: int = 0,
-                       drawn: dict = None) -> np.ndarray:
+                       drawn: TokenVectors = None) -> np.ndarray:
     """n x d seeded feature-hashing embedding of each entity's title and
     description, over the tokenizer's ids of the two texts.
 
@@ -137,12 +149,12 @@ def embed_descriptions(entities, tokenizer, dim: int = 64, seed: int = 0,
     vectors of its token occurrences; a row without tokens is zero. A
     token's vector is drawn from a PCG64 generator seeded with CRC32(token)
     mixed with the global seed, so embeddings are stable across processes
-    and runs. ``drawn`` maps token ids to the vectors drawn so far, and a
-    token is drawn only when it has none: calls that share one dict (and
-    the tokenizer, ``dim`` and ``seed``) draw each token once between them.
+    and runs. ``drawn`` holds the vectors drawn so far, and a token is
+    drawn only when it has none: calls that share one table (and the
+    tokenizer, ``dim`` and ``seed``) draw each token once between them.
     Every token of the texts must be in the tokenizer's vocabulary.
     """
-    drawn = {} if drawn is None else drawn
+    drawn = TokenVectors() if drawn is None else drawn
     number = {}  # token id -> row of the vector table, in first-seen order
     bags = [[number.setdefault(i, len(number))
              for i in tokenizer.token_ids(e.title)
@@ -152,10 +164,15 @@ def embed_descriptions(entities, tokenizer, dim: int = 64, seed: int = 0,
     if new:
         mix = seed * 0x9E3779B1 & 0xFFFFFFFF
         token_of = {i: tok for tok, i in tokenizer.vocab.items()}
-        for i in new:
+        fresh = np.empty((len(new), dim))
+        for row, i in enumerate(new):
             key = zlib.crc32(token_of[i].encode("utf-8")) ^ mix
-            drawn[i] = np.random.Generator(np.random.PCG64(key)).standard_normal(dim)
-    vectors = np.array([drawn[i] for i in number]).reshape(len(number), dim)
+            fresh[row] = np.random.Generator(np.random.PCG64(key)).standard_normal(dim)
+            drawn[i] = len(drawn)
+        drawn.vectors = (fresh if drawn.vectors is None
+                         else np.concatenate([drawn.vectors, fresh]))
+    vectors = (drawn.vectors[[drawn[i] for i in number]] if number
+               else np.empty((0, dim)))
     out = np.zeros((len(entities), dim), dtype=np.float32)
     has = [i for i, bag in enumerate(bags) if bag]
     out[has] = tape.mean_bags(vectors, tape.Bags([bags[i] for i in has])).data

@@ -22,9 +22,9 @@ from pathlib import Path
 from . import records
 from .checkpoint import atomic_open, read_meta
 from .evaluate import MODES, temporal_matrix
-from .graphs import (VocabFilter, build_feature_matrix, build_knn_graph,
-                     build_structure_graph, embed_descriptions, save_adjacency,
-                     save_feature_matrix)
+from .graphs import (TokenVectors, VocabFilter, build_feature_matrix,
+                     build_knn_graph, build_structure_graph, embed_descriptions,
+                     save_adjacency, save_feature_matrix)
 from .model import Model, ModelConfig
 from .textenc import Tokenizer
 from .trainer import Snapshot, TrainConfig, load_model, save_model, train
@@ -123,7 +123,7 @@ def graphs_dir(cfg: RunConfig, year: int) -> Path:
 
 
 def build_year_graphs(cfg: RunConfig, year: int, corpus, tokenizer: Tokenizer,
-                      drawn: dict = None):
+                      drawn: TokenVectors = None):
     """Construct structure graph, kNN feature graph and feature matrix, and
     write them out for inspection. The year's ``triples.tsv`` is read here
     and nowhere else. ``drawn`` is the command's ``embed_descriptions``
@@ -148,7 +148,7 @@ def build_year_graphs(cfg: RunConfig, year: int, corpus, tokenizer: Tokenizer,
 
 
 def make_snapshot(cfg: RunConfig, year: int, corpus, tokenizer: Tokenizer,
-                  drawn: dict = None) -> Snapshot:
+                  drawn: TokenVectors = None) -> Snapshot:
     """The year's training snapshot over all its training mentions, on the
     graphs ``build_year_graphs`` builds (and writes out) for it."""
     entities, index, train_m, _ = corpus
@@ -192,7 +192,7 @@ def train_years(cfg: RunConfig, corpora: dict, tokenizer: Tokenizer,
     """Train every (year, category) checkpoint of the config, skipping those
     whose header holds the same ``stamp`` (``RunConfig.stamp``). A year with
     work left gets one snapshot, shared by its categories. The years' graph
-    builds share one table of ``embed_descriptions`` token vectors, emptied
+    builds share one table of ``embed_descriptions`` token vectors, released
     before the last of those years trains."""
     todo = {}  # year -> categories to train
     for year in cfg.years:
@@ -205,11 +205,11 @@ def train_years(cfg: RunConfig, corpora: dict, tokenizer: Tokenizer,
             log.info("training %s: %s", path, "no checkpoint" if old is None
                      else f"stamp changed {old} -> {stamp}")
             todo.setdefault(year, []).append(category)
-    drawn = {}
+    drawn = TokenVectors()
     for year, categories in todo.items():
         snapshot = make_snapshot(cfg, year, corpora[year], tokenizer, drawn)
         if year == next(reversed(todo)):  # no later build reads the table
-            drawn.clear()
+            drawn = None
         for category in categories:
             train_year(cfg, snapshot, category, tokenizer, stamp)
 

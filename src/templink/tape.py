@@ -15,6 +15,23 @@ from itertools import chain
 import numpy as np
 
 
+class RowGrad:
+    """Gradient of a table that is zero outside ``rows``: ``values[i]`` is
+    the gradient of row ``rows[i]``, the rows distinct and ascending."""
+
+    __slots__ = ("rows", "values")
+
+    def __init__(self, rows, values):
+        self.rows = rows
+        self.values = values
+
+    def dense(self, n_rows: int) -> np.ndarray:
+        """The n_rows-row array: +0.0 outside ``rows``, ``values`` in them."""
+        full = np.zeros((n_rows, self.values.shape[1]), self.values.dtype)
+        full[self.rows] = self.values
+        return full
+
+
 class Tensor:
     """Node in the computation graph.
 
@@ -44,9 +61,18 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g):
+        """Add ``g`` into ``grad``. A leaf keeps a first ``RowGrad`` as it
+        is; anything else, a second accumulation included, is dense."""
+        if isinstance(g, RowGrad):
+            if self.grad is None and self._backward is None:
+                self.grad = g
+                return
+            g = g.dense(len(self.data))
         g = np.asarray(g, dtype=self.data.dtype)
         if self.grad is None:
             self.grad = g.copy()
+        elif isinstance(self.grad, RowGrad):
+            self.grad = self.grad.dense(len(self.data)) + g
         else:
             self.grad = self.grad + g
 
@@ -259,8 +285,9 @@ def mean_bags(table, bags: Bags):
     included, then divided by the bag's length. The bags are summed longest
     first, one vectorised addition per token position over every bag that
     reaches it, so each row depends on its own bag alone. The backward sums
-    each bag's share per distinct id, then adds the sums into the table
-    gradient later bags first, as one node per bag would.
+    each bag's share per distinct id, then adds the sums onto +0.0 per id,
+    later bags first, as one node per bag would: a ``RowGrad`` over the
+    bags' ids, each row the bits of that row of the dense gradient.
     """
     table = _as_tensor(table)
     n_rows, dim = table.data.shape
@@ -281,9 +308,10 @@ def mean_bags(table, bags: Bags):
             sums = np.zeros((len(pairs), dim), dtype=g.dtype)
             np.add.at(sums, pair_of,
                       np.repeat(g / lens[:, None].astype(g.dtype), lens, axis=0))
-            full = np.zeros_like(table.data)
-            np.add.at(full, pairs % n_rows, sums)
-            table._accumulate(full)
+            rows, row_of = np.unique(pairs % n_rows, return_inverse=True)
+            values = np.zeros((len(rows), dim), dtype=table.dtype)
+            np.add.at(values, row_of, sums)
+            table._accumulate(RowGrad(rows, values))
 
     return Tensor(out_data, parents=(table,), backward=bwd)
 

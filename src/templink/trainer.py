@@ -82,50 +82,73 @@ class Adam:
     """Adaptive-moment optimizer, beta=(0.9, 0.999), eps=1e-8, no decay.
     ``step`` updates the float32 moments and each parameter's ``data`` in
     place, so a reference to a parameter array sees every update. When
-    clipping fires it scales each ``grad`` in place too (``train_step``
-    zeroes every gradient before the next backward)."""
+    clipping fires it scales each gradient's stored values in place too
+    (``train_step`` zeroes every gradient before the next backward).
+
+    A ``tape.RowGrad`` gradient updates only the parameter's live rows, the
+    rows that have ever had a gradient, with g = 0 on those it leaves out.
+    A row never live has m = v = g = 0, which the dense update maps to
+    m = v = 0 and p - 0 = p (-0.0 included), so skipping it is exact."""
 
     def __init__(self, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {}
         self.v = {}
+        self.live = {}  # name -> mask of the rows that ever had a gradient
         self.step_count = 0
 
     def step(self, params: dict, clip: float = 0.0):
         grads = {n: p.grad for n, p in params.items() if p.grad is not None}
+        stored = [g.values if isinstance(g, tape.RowGrad) else g
+                  for g in grads.values()]
         if clip > 0 and grads:
             total = np.sqrt(np.float64(
-                sum(np.square(g, dtype=np.float64).sum() for g in grads.values())))
+                sum(np.square(g, dtype=np.float64).sum() for g in stored)))
             if total > clip:
                 factor = np.float32(clip / total)
-                for g in grads.values():
+                for g in stored:
                     g *= factor
         self.step_count += 1
         t = self.step_count
         bias1 = np.float32(1.0 - self.beta1 ** t)
         bias2 = np.float32(1.0 - self.beta2 ** t)
-        lr, eps = np.float32(self.lr), np.float32(self.eps)
         for name, g in sorted(grads.items()):
             p = params[name]
             if name not in self.m:
-                self.m[name] = np.zeros_like(p.data)
-                self.v[name] = np.zeros_like(p.data)
-            m, v = self.m[name], self.v[name]
-            update = (1 - self.beta1) * g
-            m *= self.beta1
-            m += update
-            denom = (1 - self.beta2) * g
-            denom *= g
-            v *= self.beta2
-            v += denom
-            np.divide(v, bias2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += eps
-            np.divide(m, bias1, out=update)
-            update *= lr
-            update /= denom
-            p.data -= update
+                self.m[name] = np.zeros(p.data.shape, dtype=p.data.dtype)
+                self.v[name] = np.zeros(p.data.shape, dtype=p.data.dtype)
+                self.live[name] = np.zeros(len(p.data), dtype=bool)
+            m, v, live = self.m[name], self.v[name], self.live[name]
+            if not isinstance(g, tape.RowGrad):
+                live[:] = True
+                self._update(p.data, m, v, g, bias1, bias2)
+                continue
+            live[g.rows] = True
+            rows = np.flatnonzero(live)
+            g_live = np.zeros((len(rows), g.values.shape[1]), g.values.dtype)
+            g_live[np.searchsorted(rows, g.rows)] = g.values
+            p_live, m_live, v_live = p.data[rows], m[rows], v[rows]
+            self._update(p_live, m_live, v_live, g_live, bias1, bias2)
+            p.data[rows], m[rows], v[rows] = p_live, m_live, v_live
+
+    def _update(self, p, m, v, g, bias1, bias2):
+        """One float32 Adam update of the arrays ``p``, ``m`` and ``v`` in
+        place, from the gradient ``g``."""
+        update = (1 - self.beta1) * g
+        m *= self.beta1
+        m += update
+        denom = (1 - self.beta2) * g
+        denom *= g
+        v *= self.beta2
+        v += denom
+        np.divide(v, bias2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += np.float32(self.eps)
+        np.divide(m, bias1, out=update)
+        update *= np.float32(self.lr)
+        update /= denom
+        p -= update
 
 
 def make_batches(mentions, batch_size: int, seed: int):

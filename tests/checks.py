@@ -9,6 +9,12 @@ from pathlib import Path
 import numpy as np
 
 
+def dense_grad(p) -> np.ndarray:
+    """A copy of ``p.grad`` as one array: a ``tape.RowGrad`` densified."""
+    grad = p.grad
+    return grad.dense(len(p.data)) if hasattr(grad, "rows") else grad.copy()
+
+
 def check_gradients(loss_fn, params, eps=1e-3, tol=1e-4, skip=None):
     """Compare tape gradients against central finite differences.
 
@@ -21,7 +27,7 @@ def check_gradients(loss_fn, params, eps=1e-3, tol=1e-4, skip=None):
         p.zero_grad()
     loss = loss_fn()
     loss.backward()
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+    analytic = [np.zeros_like(p.data) if p.grad is None else dense_grad(p)
                 for p in params]
 
     failures = []

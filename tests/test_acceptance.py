@@ -291,7 +291,7 @@ def test_criterion_7_recall_harness_oracle():
         got = _gold_ranks(np.tile(y, (50, 1)), table, np.arange(50))
         scores = [float(row @ y) for row in table]
         want = sorted(range(50), key=lambda i: (-scores[i], i))
-        exact = exact and got == [want.index(g) + 1 for g in range(50)]
+        exact = exact and got.tolist() == [want.index(g) + 1 for g in range(50)]
     monotone = True
     for _ in range(1000):
         ranks = rng.integers(1, 100, size=rng.integers(1, 40))

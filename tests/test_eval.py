@@ -62,7 +62,8 @@ class TestRanking:
                 y = rng.integers(0, 2, size=5).astype(np.float64)
             for row in range(20):
                 assert gold_rank(y, table, row) == oracle_rank(y, table, row)
-            assert _gold_ranks(np.tile(y, (20, 1)), table, range(20)) == [
+            got = _gold_ranks(np.tile(y, (20, 1)), table, range(20))
+            assert got.dtype == np.int64 and got.tolist() == [
                 oracle_rank(y, table, row) for row in range(20)]
 
 
@@ -90,6 +91,15 @@ class TestRecall:
         assert rep.recall[1] == pytest.approx(1 / 3)
         assert rep.recall[8] == pytest.approx(2 / 3)
         assert set(rep.recall) == set(RECALL_NS)
+
+    @given(st.lists(st.integers(1, 200), max_size=50))
+    @settings(max_examples=50, deadline=None)
+    def test_report_of_rank_array(self, ranks):
+        # the int64 array a cell's ranking returns gives the recalls of the
+        # rank list, and an empty cell recalls 0
+        got = recall_report(np.array(ranks, dtype=np.int64), 2019, 2020)
+        assert got == recall_report(ranks, 2019, 2020)
+        assert got.recall == {n: recall_at(ranks, n) for n in RECALL_NS}
 
     def test_report_range_validation(self):
         with pytest.raises(ValueError):
@@ -189,7 +199,7 @@ def evaluate_mentions(model, mentions, entities, index, table=None):
     kept = [m for m in mentions if m.gold_qid in index]
     seqs = [model.tokenizer.render_mention(m) for m in kept]
     return _gold_ranks(model.encode_mentions(seqs).data, table,
-                       [index.row(m.gold_qid) for m in kept])
+                       [index.row(m.gold_qid) for m in kept]).tolist()
 
 
 class TestTemporalMatrix:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from checks import check_gradients
+from checks import check_gradients, dense_grad
 from templink import tape
 
 
@@ -215,7 +215,65 @@ class TestMeanBags:
         out = tape.mean_bags(theta, tape.Bags(bags))
         out.backward(g)
         assert out.data.tobytes() == want_rows.tobytes()
-        assert theta.grad.tobytes() == want_grad.tobytes()
+        assert dense_grad(theta).tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_grad_holds_the_bags_ids(self, dtype):
+        # the table's gradient is a RowGrad over the distinct ids, ascending,
+        # whose dense form is the per-sequence gradient bit for bit
+        rng = np.random.default_rng(44)
+        table = rng.uniform(-0.2, 0.2, size=(400, 16)).astype(dtype)
+        bags = [rng.integers(0, 400, size=rng.integers(1, 30)).tolist()
+                for _ in range(25)]
+        g = rng.normal(size=(25, 16)).astype(dtype)
+        theta = tape.param(table)
+        tape.mean_bags(theta, tape.Bags(bags)).backward(g)
+        grad = theta.grad
+        assert isinstance(grad, tape.RowGrad)
+        assert grad.rows.tolist() == sorted({i for b in bags for i in b})
+        assert grad.values.dtype == dtype
+        assert grad.values.shape == (len(grad.rows), 16)
+        want = self.per_sequence(table, bags, g)[1]
+        assert grad.dense(len(table)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("second", ["mean_bags", "gather_rows"])
+    def test_two_uses_accumulate_densely(self, second):
+        # a second gradient into the table makes it dense: the sum of the
+        # two dense gradients, bit for bit
+        rng = np.random.default_rng(45)
+        table = rng.normal(size=(300, 8)).astype(np.float32)
+        bags = [[rng.integers(0, 300, size=rng.integers(1, 20)).tolist()
+                 for _ in range(12)] for _ in range(2)]
+        g = [rng.normal(size=(12, 8)).astype(np.float32) for _ in range(2)]
+
+        def use(theta, which):
+            if which == 1 and second == "gather_rows":
+                return tape.gather_rows(theta, [b[0] for b in bags[1]])
+            return tape.mean_bags(theta, tape.Bags(bags[which]))
+
+        apart = []
+        for which in (0, 1):
+            theta = tape.param(table)
+            use(theta, which).backward(g[which])
+            apart.append(dense_grad(theta))
+        theta = tape.param(table)
+        both = tape.concat_rows([use(theta, 0), use(theta, 1)])
+        both.backward(np.concatenate(g))
+        assert isinstance(theta.grad, np.ndarray)
+        assert theta.grad.tobytes() == (apart[1] + apart[0]).tobytes()
+
+    def test_non_leaf_table_gets_dense_gradient(self):
+        rng = np.random.default_rng(46)
+        table = rng.normal(size=(200, 8)).astype(np.float32)
+        bags = tape.Bags([rng.integers(0, 200, size=rng.integers(1, 15))
+                          .tolist() for _ in range(10)])
+        g = rng.normal(size=(10, 8)).astype(np.float32)
+        direct = tape.param(table)
+        tape.mean_bags(direct, bags).backward(g)
+        theta = tape.param(table)
+        tape.mean_bags(tape.scale(theta, 1.0), bags).backward(g)
+        assert isinstance(theta.grad, np.ndarray)
+        assert theta.grad.tobytes() == dense_grad(direct).tobytes()
 
     def test_no_bags(self):
         out = tape.mean_bags(tape.param(np.ones((4, 3), dtype=np.float32)),

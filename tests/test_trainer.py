@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from checks import OutOfPlaceAdam
-from templink import tape
+from templink import tape, trainer
 from templink.checkpoint import load_checkpoint, save_checkpoint
 from templink.graphs import AdjacencyMatrix, FeatureMatrix, sym_normalize
 from templink.model import Model, ModelConfig
@@ -150,6 +150,115 @@ class TestAdam:
             assert "c" not in opt.m
         assert sides[0][1]["c"].data.tobytes() == init["c"].astype(
             np.float32).tobytes()
+
+    def test_row_grads_equal_dense_out_of_place(self):
+        # "a" (50 x 8) gets RowGrads, "b" dense ones; the reference gets
+        # both densely. Steps 0-2 are clipped. Rows 40-44 have a gradient at
+        # step 0 only, rows 45-49 never; row 49 holds -0.0.
+        rng = np.random.default_rng(4)
+        init = {"a": rng.normal(size=(50, 8)).astype(np.float32),
+                "b": rng.normal(size=(8, 3)).astype(np.float32)}
+        init["a"][49, 2] = np.float32(-0.0)
+        sides = []
+        for opt in (Adam(lr=0.01), OutOfPlaceAdam(lr=0.01)):
+            sides.append((opt, {n: tape.param(v.copy()) for n, v in init.items()}))
+        (opt, params), (ref, ref_params) = sides
+        clipped, live = [], np.zeros(50, dtype=bool)
+        for step in range(8):
+            scale = 10.0 if step < 3 else 1e-3
+            rows = np.sort(rng.choice(40, size=12, replace=False))
+            if step == 0:
+                rows = np.concatenate([rows[:7], np.arange(40, 45)])
+            live[rows] = True
+            values = (scale * rng.normal(size=(12, 8))).astype(np.float32)
+            values[0, 0] = np.float32(-0.0)
+            b = (scale * rng.normal(size=(8, 3))).astype(np.float32)
+            clipped.append(np.sqrt((values.astype(np.float64) ** 2).sum()
+                                   + (b.astype(np.float64) ** 2).sum()) > 1.0)
+            ref_params["a"].grad = tape.RowGrad(rows, values).dense(50)
+            ref_params["b"].grad = b.copy()
+            params["a"].grad = tape.RowGrad(rows, values)
+            params["b"].grad = b
+            opt.step(params, clip=1.0)
+            ref.step(ref_params, clip=1.0)
+            for name in ("a", "b"):
+                assert params[name].data.dtype == np.float32
+                assert (params[name].data.tobytes()
+                        == ref_params[name].data.tobytes()), (step, name)
+                assert opt.m[name].tobytes() == ref.m[name].tobytes()
+                assert opt.v[name].tobytes() == ref.v[name].tobytes()
+        assert clipped == [True] * 3 + [False] * 5
+        assert params["a"].data[45:].tobytes() == init["a"][45:].tobytes()
+        assert not opt.m["a"][45:].any() and not opt.v["a"][45:].any()
+        assert opt.live["a"].tolist() == live.tolist()
+        assert live[40:45].all() and 10 < live.sum() < 45
+        assert (params["a"].data[40:45] != init["a"][40:45]).all()
+
+
+class DensifyingAdam(Adam):
+    """``Adam`` fed every ``tape.RowGrad`` gradient as its dense array;
+    ``seen`` counts the RowGrads it densified."""
+
+    seen = 0
+
+    def step(self, params, clip=0.0):
+        for p in params.values():
+            if isinstance(p.grad, tape.RowGrad):
+                DensifyingAdam.seen += 1
+                p.grad = p.grad.dense(len(p.data))
+        return super().step(params, clip)
+
+
+def sparse_snapshot():
+    """Twelve entities over disjoint words, so a batch of three touches a
+    few embedding rows; the tokenizer's vocabulary holds words that no
+    training text uses."""
+    words = [f"w{i}" for i in range(36)]
+    entities = [EntityRecord(f"Q{i}", words[3 * i],
+                             f"{words[3 * i + 1]} {words[3 * i + 2]}", 2020)
+                for i in range(12)]
+    mentions = [MentionRecord(f"near {words[3 * i + 1]}", words[3 * i],
+                              "", f"Q{i}", "new", 2020) for i in range(12)]
+    ones = [(i, i % 5) for i in range(12)]
+    snap = Snapshot(
+        year=2020, entities=entities, mentions=mentions,
+        index=EntityIndex([e.qid for e in entities]),
+        structure=AdjacencyMatrix(n=12, edges=[(i, i + 1) for i in range(11)]),
+        feature_graph=AdjacencyMatrix(n=12, edges=[(i, (i + 3) % 12)
+                                                  for i in range(12)]),
+        feature_matrix=FeatureMatrix(n=12, m=5, ones=ones,
+                                     column_tokens=list(range(7, 12))))
+    texts = [e.title + " " + e.description for e in entities]
+    texts += [m.context_left + " " + m.mention for m in mentions]
+    tok = Tokenizer.build(texts + ["unused words only here"], max_len=16)
+    cfg = ModelConfig(dim=6, gcn_hidden=4, gcn_out=3, gcn_layers=2,
+                      encoder_layers=1, max_len=16, seed=3)
+    return snap, tok, cfg
+
+
+class TestRowSparseTraining:
+    def test_train_equals_densified_gradients(self, monkeypatch):
+        # batches of 3 over disjoint words: rows go live batch by batch
+        # over the first epoch; clipping fires from the fifth step on
+        snap, tok, model_cfg = sparse_snapshot()
+        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=3, seed=1,
+                          grad_clip=0.01)
+        monkeypatch.setattr(DensifyingAdam, "seen", 0)
+        runs = []
+        for optimizer in (Adam, DensifyingAdam):
+            monkeypatch.setattr(trainer, "Adam", optimizer)
+            model = Model(tok, snap.feature_matrix.m, model_cfg)
+            runs.append((train(snap, model, cfg),
+                         {n: p.data.tobytes() for n, p in model.params.items()}))
+        assert DensifyingAdam.seen == 2 * len(runs[0][0]) == 24
+        assert runs[0] == runs[1]
+        fresh = Model(tok, snap.feature_matrix.m, model_cfg).params
+        unused = [tok.vocab[w] for w in ("unused", "words", "only", "here")]
+        for name in ("m_enc.emb", "e_enc.emb"):
+            emb = np.frombuffer(runs[0][1][name], dtype=np.float32).reshape(
+                fresh[name].shape)
+            assert emb[unused].tobytes() == fresh[name].data[unused].tobytes()
+            assert (emb[tok.vocab["w0"]] != fresh[name].data[tok.vocab["w0"]]).all()
 
 
 def random_snapshot(n, m, seed):
