@@ -93,8 +93,8 @@ class FusionHead:
 
 
 def consistency_loss(z_sr: tape.Tensor, z_sf: tape.Tensor) -> tape.Tensor:
-    """||Z_sr Z_sr^T - Z_sf Z_sf^T||_F^2 over the given (possibly sampled) rows."""
-    return tape.frob_sq_diff(tape.gram(z_sr), tape.gram(z_sf))
+    """||Z_sr Z_sr^T - Z_sf Z_sf^T||_F^2 over the given rows."""
+    return tape.gram_diff_sq(z_sr, z_sf)
 
 
 def distinct_loss(z_r, z_sr, z_f, z_sf) -> tape.Tensor:

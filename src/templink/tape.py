@@ -123,10 +123,6 @@ def add(a, b):
     return Tensor(out_data, parents=(a, b), backward=bwd)
 
 
-def sub(a, b):
-    return add(a, scale(b, -1.0))
-
-
 def scale(a, c):
     a = _as_tensor(a)
     c = float(c)
@@ -188,35 +184,16 @@ def spmm(S, z: Tensor):
     return Tensor(out_data, parents=(z,), backward=bwd)
 
 
-def gram(z):
-    """Z @ Z.T; grad_Z = (G + G.T) @ Z."""
-    z = _as_tensor(z)
-    out_data = z.data @ z.data.T
-
-    def bwd(g):
-        if z.requires_grad:
-            z._accumulate((g + g.T) @ z.data)
-
-    return Tensor(out_data, parents=(z,), backward=bwd)
-
-
 def gather_rows(table, idx):
-    """Rows ``table[idx]``; backward scatter-adds into the table. Strictly
-    increasing ``idx`` (no repeated row) is scattered by assignment, where
-    ``g + 0`` turns -0.0 into +0.0 as adding onto zeros does."""
+    """Rows ``table[idx]``; backward scatter-adds into the table."""
     table = _as_tensor(table)
     idx = np.asarray(idx, dtype=np.intp)
     out_data = table.data[idx]
-    flat = idx.ravel()
-    increasing = bool(np.all(flat[1:] > flat[:-1]))
 
     def bwd(g):
         if table.requires_grad:
             full = np.zeros_like(table.data)
-            if increasing:
-                full[idx] = g + 0
-            else:
-                np.add.at(full, idx, g)
+            np.add.at(full, idx, g)
             table._accumulate(full)
 
     return Tensor(out_data, parents=(table,), backward=bwd)
@@ -341,9 +318,27 @@ def sum_squares(a):
     return Tensor(np.asarray(val, dtype=a.dtype), parents=(a,), backward=bwd)
 
 
-def frob_sq_diff(a, b):
-    """||A - B||_F^2."""
-    return sum_squares(sub(a, b))
+def gram_diff_sq(a, b):
+    """Scalar ||A A^T - B B^T||_F^2 for A, B of n rows, in O(n (ga + gb)^2)
+    with no n x n matrix: with Q from the thin QR of [A, B], it is
+    ||P_A P_A^T - P_B P_B^T||_F^2 for P_A = Q^T A and P_B = Q^T B. The
+    gradients grad_A = 4 (A A^T A - B B^T A) and
+    grad_B = -4 (A A^T B - B B^T B) need no QR. Both are computed in
+    float64, the gradients' A^T A-style sums over the n rows included."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    x, y = a.data.astype(np.float64), b.data.astype(np.float64)
+    q, _ = np.linalg.qr(np.concatenate([x, y], axis=1))
+    p_a, p_b = q.T @ x, q.T @ y
+    val = np.float64(np.square(p_a @ p_a.T - p_b @ p_b.T).sum())
+
+    def bwd(g):
+        c = 4.0 * float(g)
+        if a.requires_grad:
+            a._accumulate(c * (x @ (x.T @ x) - y @ (y.T @ x)))
+        if b.requires_grad:
+            b._accumulate(-c * (x @ (x.T @ y) - y @ (y.T @ y)))
+
+    return Tensor(np.asarray(val, dtype=a.dtype), parents=(a, b), backward=bwd)
 
 
 def softmax_rows(a):

@@ -33,7 +33,6 @@ class TrainConfig:
     batch_size: int = 32
     loss_a: float = 0.5
     loss_b: float = 0.01
-    gram_sample: int = 2048   # use all nodes when n <= this, else sample this many
     grad_clip: float = 1.0
     seed: int = 0
 
@@ -44,8 +43,6 @@ class TrainConfig:
         for name in ("loss_a", "loss_b", "grad_clip"):
             if not 0 <= getattr(self, name) < np.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and >= 0")
-        if self.gram_sample < 2:
-            raise ValueError("gram_sample must be >= 2")
 
 
 @dataclass
@@ -160,14 +157,8 @@ def make_batches(mentions, batch_size: int, seed: int):
             for i in range(0, len(shuffled), batch_size)]
 
 
-def _gram_rows(n: int, sample: int, rng) -> np.ndarray:
-    if n <= sample:
-        return np.arange(n)
-    return np.sort(rng.choice(n, size=sample, replace=False))
-
-
 def train_step(batch, snapshot: Snapshot, model: Model, optimizer: Adam,
-               config: TrainConfig, step_rng):
+               config: TrainConfig):
     """One joint forward/backward/update; returns the loss breakdown.
     A parameter whose ``requires_grad`` is False gets no gradient, so Adam
     leaves it as is."""
@@ -192,13 +183,8 @@ def train_step(batch, snapshot: Snapshot, model: Model, optimizer: Adam,
     else:
         l_e = tape.const(np.float32(0.0))  # single pair: in-batch loss is 0 exactly
 
-    rows = _gram_rows(len(snapshot.entities), config.gram_sample, step_rng)
-    l_s = consistency_loss(tape.gather_rows(z_sr, rows),
-                           tape.gather_rows(z_sf, rows))
-    l_d = distinct_loss(tape.gather_rows(z_r, rows),
-                        tape.gather_rows(z_sr, rows),
-                        tape.gather_rows(z_f, rows),
-                        tape.gather_rows(z_sf, rows))
+    l_s = consistency_loss(z_sr, z_sf)
+    l_d = distinct_loss(z_r, z_sr, z_f, z_sf)
     loss = total_loss(l_e, l_s, l_d, config.loss_a, config.loss_b)
 
     breakdown = {"L_e": float(l_e.data), "L_s": float(l_s.data),
@@ -260,9 +246,7 @@ def train(snapshot: Snapshot, model: Model, config: TrainConfig,
         batches = make_batches(snapshot.mentions, config.batch_size,
                                config.seed + 7919 * epoch)
         for batch in batches:
-            step_rng = np.random.Generator(np.random.PCG64(config.seed + step))
-            breakdown = train_step(batch, snapshot, model, optimizer,
-                                   config, step_rng)
+            breakdown = train_step(batch, snapshot, model, optimizer, config)
             step += 1
             curve.append((step, breakdown["L_e"], breakdown["L_s"],
                           breakdown["L_d"], breakdown["L_total"]))

@@ -134,6 +134,20 @@ class TestConsistencyLoss:
         z = tape.const(rnd((4, 3), 5))
         assert float(consistency_loss(z, z).data) == 0.0
 
+    def test_symmetric(self):
+        a, b = rnd((40, 3), 13), rnd((40, 5), 14)
+        x = float(consistency_loss(tape.const(a), tape.const(b)).data)
+        y = float(consistency_loss(tape.const(b), tape.const(a)).data)
+        assert x > 0 and np.isclose(x, y, rtol=1e-12, atol=0)
+
+    def test_matches_literal_above_old_sample_size(self):
+        # every one of 2,100 rows counts; the loss once sampled 2,048
+        a = np.maximum(rnd((2100, 32), 15), 0)
+        b = np.maximum(rnd((2100, 32), 16), 0)
+        want = np.sum((a @ a.T - b @ b.T) ** 2)
+        got = float(consistency_loss(tape.const(a), tape.const(b)).data)
+        assert abs(got - want) <= 1e-9 * want
+
     def test_rotation_invariance(self):
         z = rnd((5, 3), 6)
         q, _ = np.linalg.qr(rnd((3, 3), 7))
@@ -261,7 +275,7 @@ class TestModel:
         before = {n: p.data.copy() for n, p in model.params.items()}
         opt = Adam(lr=0.01)
         train_step(snap.mentions, snap, model, opt,
-                   TrainConfig(learning_rate=0.01), np.random.default_rng(0))
+                   TrainConfig(learning_rate=0.01))
         assert proj.grad is None and "fusion.proj" not in opt.m
         assert proj.data.tobytes() == before["fusion.proj"].tobytes()
         assert "fusion.proj" in model.params

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -48,21 +49,6 @@ class TestSpmm:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             tape.spmm(sp.identity(3, format="csr"), tape.const(np.zeros((2, 2))))
-
-
-class TestGram:
-    def test_identity(self):
-        assert np.array_equal(tape.gram(tape.const(np.eye(2))).data, np.eye(2))
-
-    def test_row_vector(self):
-        assert tape.gram(tape.const(np.array([[1.0, 1.0]]))).data == [[2.0]]
-
-    def test_row_permutation(self):
-        z = rnd((4, 3), 0)
-        perm = [2, 0, 3, 1]
-        g = tape.gram(tape.const(z)).data
-        gp = tape.gram(tape.const(z[perm])).data
-        assert np.allclose(gp, g[np.ix_(perm, perm)])
 
 
 def centering_matrix(n):
@@ -127,30 +113,6 @@ class TestHsic:
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
             tape.hsic(tape.const(np.ones((1, 2))), tape.const(np.ones((1, 2))))
-
-
-class TestFrobSqDiff:
-    def test_equal_inputs(self):
-        a = tape.const(rnd((3, 3), 8))
-        assert float(tape.frob_sq_diff(a, a).data) == 0.0
-
-    def test_unit(self):
-        v = float(tape.frob_sq_diff(tape.const([[1.0]]),
-                                    tape.const([[0.0]])).data)
-        assert v == 1.0
-
-    def test_symmetric(self):
-        a, b = rnd((3, 2), 9), rnd((3, 2), 10)
-        x = float(tape.frob_sq_diff(tape.const(a), tape.const(b)).data)
-        y = float(tape.frob_sq_diff(tape.const(b), tape.const(a)).data)
-        assert np.isclose(x, y)
-
-    def test_gram_rotation_invariance(self):
-        z = rnd((5, 3), 11)
-        q, _ = np.linalg.qr(rnd((3, 3), 12))
-        d = float(tape.frob_sq_diff(tape.gram(tape.const(z)),
-                                    tape.gram(tape.const(z @ q))).data)
-        assert abs(d) < 1e-18
 
 
 class TestElLoss:
@@ -363,8 +325,8 @@ class TestGatherRows:
     @pytest.mark.parametrize("idx", [[0, 2, 3, 5], [5], [], [0, 2, 2, 5],
                                      [3, 1]])
     def test_scatter_matches_add_at(self, idx):
-        # increasing rows are assigned, others added; both give the bits
-        # add.at gives onto zeros, -0.0 mapped to +0.0 and NaN kept
+        # the bits add.at gives onto zeros, -0.0 mapped to +0.0 and NaN
+        # kept, for increasing, single, empty, repeated and unordered rows
         table = tape.param(np.ones((6, 3), dtype=np.float32))
         g = np.random.default_rng(len(idx)).normal(
             size=(len(idx), 3)).astype(np.float32)
@@ -379,35 +341,46 @@ class TestGatherRows:
 
 
 def _op_cases():
+    """{tape function: (parameters, loss)}, one gradient check per op."""
     s = sp.csr_matrix(np.array([[0.5, 0.5, 0.0],
                                 [0.5, 0.3, 0.2],
                                 [0.0, 0.2, 0.8]]))
     a = tape.param(rnd((3, 4), 20) + 0.05, "a")   # offset keeps relu off kinks
     b = tape.param(rnd((4, 3), 21), "b")
     cases = {
+        "add": ([a, b], lambda: tape.sum_squares(
+            tape.add(a, tape.transpose(b)))),
+        "scale": ([a], lambda: tape.sum_squares(tape.scale(a, 0.7))),
+        "sum_squares": ([a], lambda: tape.sum_squares(a)),
         "matmul": ([a, b], lambda: tape.sum_squares(tape.matmul(a, b))),
         "relu": ([a], lambda: tape.sum_squares(tape.relu(a))),
-        "gram": ([a], lambda: tape.sum_squares(tape.gram(a))),
         "hsic": ([a, b], lambda: tape.hsic(a, tape.transpose(b))),
-        "frob": ([a, b], lambda: tape.frob_sq_diff(a, tape.transpose(b))),
-        "el": ([a], lambda: tape.el_loss(tape.matmul(a, tape.transpose(a)))),
-        "softmax": ([a], lambda: tape.sum_squares(
+        "gram_diff_sq": ([a, b], lambda: tape.gram_diff_sq(
+            a, tape.transpose(b))),
+        "el_loss": ([a], lambda: tape.el_loss(
+            tape.matmul(a, tape.transpose(a)))),
+        "softmax_rows": ([a], lambda: tape.sum_squares(
             tape.softmax_rows(tape.scale(a, 2.0)))),
         "spmm": ([a], lambda: tape.sum_squares(tape.spmm(s, a))),
-        "center": ([a], lambda: tape.sum_squares(tape.center_rows(a))),
+        "center_rows": ([a], lambda: tape.sum_squares(tape.center_rows(a))),
         "mean_bags": ([a], lambda: tape.sum_squares(
             tape.mean_bags(a, tape.Bags([[2, 0, 2], [1], [0, 1, 2, 2]])))),
-        "gather": ([a], lambda: tape.sum_squares(
+        "gather_rows": ([a], lambda: tape.sum_squares(
             tape.gather_rows(a, [0, 2, 2]))),
-        "concat": ([a, b], lambda: tape.sum_squares(
+        "concat_cols": ([a, b], lambda: tape.sum_squares(
             tape.concat_cols([a, tape.transpose(b)]))),
         "transpose": ([a], lambda: tape.sum_squares(tape.transpose(a))),
-        "add_scale": ([a, b], lambda: tape.sum_squares(
-            tape.add(tape.scale(a, 0.7), tape.transpose(b)))),
         "concat_rows": ([a, b], lambda: tape.sum_squares(
             tape.concat_rows([a, tape.transpose(b)]))),
     }
     return cases
+
+
+def test_every_op_has_a_gradient_case():
+    ops = {name for name, fn in vars(tape).items()
+           if inspect.isfunction(fn) and fn.__module__ == tape.__name__
+           and not name.startswith("_")}
+    assert set(_op_cases()) == ops - {"param", "const"}
 
 
 @pytest.mark.parametrize("name", sorted(_op_cases()))

@@ -188,7 +188,7 @@ class TestEncoder:
         bags = enc.pack(batch, enc.max_len)
 
         def loss():
-            return tape.sum_squares(tape.sub(enc.encode(bags), weights))
+            return tape.sum_squares(tape.add(enc.encode(bags), -weights))
 
         report = check_gradients(loss, [emb], eps=1e-4, tol=1e-4)
         assert report["ok"], report["failures"][:3]

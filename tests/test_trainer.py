@@ -66,7 +66,7 @@ class TestTrainConfig:
             TrainConfig(**{field: value})
 
     def test_zero_loss_weights_and_clip_accepted(self):
-        c = TrainConfig(loss_a=0.0, loss_b=0.0, grad_clip=0.0, gram_sample=2)
+        c = TrainConfig(loss_a=0.0, loss_b=0.0, grad_clip=0.0)
         assert (c.loss_a, c.loss_b, c.grad_clip) == (0.0, 0.0, 0.0)
 
 
@@ -293,9 +293,8 @@ class TestTrainStep:
         snap = tiny_snapshot()
         model = tiny_model(snap)
         cfg = TrainConfig(learning_rate=1e-3, loss_a=0.5, loss_b=0.01)
-        rng = np.random.default_rng(0)
         out = train_step(snap.mentions[:3], snap, model, Adam(cfg.learning_rate),
-                         cfg, rng)
+                         cfg)
         assert set(out) == {"L_e", "L_s", "L_d", "L_total"}
         assert np.isclose(out["L_total"],
                           out["L_e"] + 0.5 * out["L_s"] + 0.01 * out["L_d"],
@@ -306,7 +305,7 @@ class TestTrainStep:
         model = tiny_model(snap)
         cfg = TrainConfig(learning_rate=1e-3)
         out = train_step(snap.mentions[:1], snap, model, Adam(cfg.learning_rate),
-                         cfg, np.random.default_rng(0))
+                         cfg)
         assert out["L_e"] == 0.0
 
     def test_zero_weights_total_equals_el(self):
@@ -314,7 +313,7 @@ class TestTrainStep:
         model = tiny_model(snap)
         cfg = TrainConfig(learning_rate=1e-3, loss_a=0.0, loss_b=0.0)
         out = train_step(snap.mentions[:4], snap, model, Adam(cfg.learning_rate),
-                         cfg, np.random.default_rng(0))
+                         cfg)
         assert out["L_total"] == out["L_e"]
 
     def test_initial_el_is_near_uniform(self):
@@ -324,7 +323,7 @@ class TestTrainStep:
         model = tiny_model(snap)
         cfg = TrainConfig(learning_rate=1e-6)
         out = train_step(snap.mentions[:4], snap, model, Adam(cfg.learning_rate),
-                         cfg, np.random.default_rng(0))
+                         cfg)
         assert abs(out["L_e"] - np.log(4.0)) < 0.1
 
     @pytest.mark.parametrize("gcn_layers", [1, 2, 3])
@@ -338,7 +337,7 @@ class TestTrainStep:
                             lambda s, z: calls.append(s) or spmm(s, z))
         cfg = TrainConfig(learning_rate=1e-3)
         train_step(snap.mentions[:4], snap, model, Adam(cfg.learning_rate),
-                   cfg, np.random.default_rng(0))
+                   cfg)
         assert len(calls) == 4 * (gcn_layers - 1)
 
     def test_nonfinite_raises(self):
@@ -348,7 +347,7 @@ class TestTrainStep:
         cfg = TrainConfig(learning_rate=1e-3)
         with pytest.raises(NumericError):
             train_step(snap.mentions[:4], snap, model, Adam(cfg.learning_rate),
-                       cfg, np.random.default_rng(0))
+                       cfg)
 
 
 class TestTrain:
@@ -542,8 +541,8 @@ class TestCheckpointRoundTrip:
         assert not any(name.endswith(".pos") for name in model.params)
         cfg = TrainConfig(learning_rate=1e-3, batch_size=4)
         opt = Adam(cfg.learning_rate)
-        for step, batch in enumerate(make_batches(snap.mentions, 4, 0)):
-            train_step(batch, snap, model, opt, cfg, np.random.default_rng(step))
+        for batch in make_batches(snap.mentions, 4, 0):
+            train_step(batch, snap, model, opt, cfg)
         path = tmp_path / "m.ckpt"
         save_model(path, model, cfg)
         tensors, meta = load_checkpoint(path)
