@@ -40,10 +40,8 @@ def save_checkpoint(path, tensors: dict, meta: dict):
     names = sorted(tensors)
     manifest = []
     for name in names:
-        arr = np.asarray(tensors[name], dtype=np.float32)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        manifest.append([name, int(arr.shape[0]), int(arr.shape[1])])
+        r, c = np.shape(tensors[name])
+        manifest.append([name, int(r), int(c)])
     header = dict(meta)
     header["manifest"] = manifest
     header_bytes = json.dumps(header, sort_keys=True,

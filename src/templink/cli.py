@@ -20,7 +20,6 @@ from . import __version__
 from . import pipeline, records, reporting
 from .checkpoint import atomic_open
 from .evaluate import MODES
-from .graphs import TokenVectors
 from .pipeline import RunConfig, parse_years
 from .records import DataError
 from .trainer import NumericError
@@ -185,13 +184,12 @@ def cmd_build_graphs(args) -> int:
         pipeline.write_resolved_config(cfg, __version__)
         corpora = pipeline.load_corpora(cfg)
         tokenizer = pipeline.build_tokenizer(cfg, corpora)
-        drawn = TokenVectors()  # the years' token vectors, each drawn once
-        for year in cfg.years:
-            structure, feature_graph, fmat = pipeline.build_year_graphs(
-                cfg, year, corpora[year], tokenizer, drawn)
+        for snap in pipeline.make_snapshots(cfg, corpora, cfg.years,
+                                            tokenizer):
             log.info("year %d: %d entities, %d structure edges, %d knn edges, "
-                     "%d feature columns", year, structure.n, structure.nnz,
-                     feature_graph.nnz, fmat.m)
+                     "%d feature columns", snap.year, snap.structure.n,
+                     snap.structure.nnz, snap.feature_graph.nnz,
+                     snap.feature_matrix.m)
     return EXIT_OK
 
 

@@ -128,20 +128,8 @@ def build_structure_graph(triples, index) -> AdjacencyMatrix:
     return AdjacencyMatrix(n=len(index), edges=pairs)
 
 
-class TokenVectors(dict):
-    """Token id -> row of ``vectors``: the token vectors drawn by the
-    ``embed_descriptions`` calls that share this table, kept in one float64
-    array that each call drawing new tokens grows once."""
-
-    __slots__ = ("vectors",)
-
-    def __init__(self):
-        super().__init__()
-        self.vectors = None
-
-
-def embed_descriptions(entities, tokenizer, dim: int = 64, seed: int = 0,
-                       drawn: TokenVectors = None) -> np.ndarray:
+def embed_descriptions(entities, tokenizer, dim: int = 64,
+                       seed: int = 0) -> np.ndarray:
     """n x d seeded feature-hashing embedding of each entity's title and
     description, over the tokenizer's ids of the two texts.
 
@@ -149,30 +137,21 @@ def embed_descriptions(entities, tokenizer, dim: int = 64, seed: int = 0,
     vectors of its token occurrences; a row without tokens is zero. A
     token's vector is drawn from a PCG64 generator seeded with CRC32(token)
     mixed with the global seed, so embeddings are stable across processes
-    and runs. ``drawn`` holds the vectors drawn so far, and a token is
-    drawn only when it has none: calls that share one table (and the
-    tokenizer, ``dim`` and ``seed``) draw each token once between them.
+    and runs, and each row depends on its own entity alone. Each distinct
+    token is drawn once per call, into a float64 table the call drops.
     Every token of the texts must be in the tokenizer's vocabulary.
     """
-    drawn = TokenVectors() if drawn is None else drawn
     number = {}  # token id -> row of the vector table, in first-seen order
     bags = [[number.setdefault(i, len(number))
              for i in tokenizer.token_ids(e.title)
              + tokenizer.token_ids(e.description)]
             for e in entities]
-    new = [i for i in number if i not in drawn]
-    if new:
-        mix = seed * 0x9E3779B1 & 0xFFFFFFFF
-        token_of = {i: tok for tok, i in tokenizer.vocab.items()}
-        fresh = np.empty((len(new), dim))
-        for row, i in enumerate(new):
-            key = zlib.crc32(token_of[i].encode("utf-8")) ^ mix
-            fresh[row] = np.random.Generator(np.random.PCG64(key)).standard_normal(dim)
-            drawn[i] = len(drawn)
-        drawn.vectors = (fresh if drawn.vectors is None
-                         else np.concatenate([drawn.vectors, fresh]))
-    vectors = (drawn.vectors[[drawn[i] for i in number]] if number
-               else np.empty((0, dim)))
+    mix = seed * 0x9E3779B1 & 0xFFFFFFFF
+    token_of = {i: tok for tok, i in tokenizer.vocab.items()}
+    vectors = np.empty((len(number), dim))
+    for row, i in enumerate(number):
+        key = zlib.crc32(token_of[i].encode("utf-8")) ^ mix
+        vectors[row] = np.random.Generator(np.random.PCG64(key)).standard_normal(dim)
     out = np.zeros((len(entities), dim), dtype=np.float32)
     has = [i for i, bag in enumerate(bags) if bag]
     out[has] = tape.mean_bags(vectors, tape.Bags([bags[i] for i in has])).data

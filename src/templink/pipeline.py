@@ -22,9 +22,9 @@ from pathlib import Path
 from . import records
 from .checkpoint import atomic_open, read_meta
 from .evaluate import MODES, temporal_matrix
-from .graphs import (TokenVectors, VocabFilter, build_feature_matrix,
-                     build_knn_graph, build_structure_graph, embed_descriptions,
-                     save_adjacency, save_feature_matrix)
+from .graphs import (VocabFilter, build_feature_matrix, build_knn_graph,
+                     build_structure_graph, embed_descriptions, save_adjacency,
+                     save_feature_matrix)
 from .model import Model, ModelConfig
 from .textenc import Tokenizer
 from .trainer import Snapshot, TrainConfig, load_model, save_model, train
@@ -62,6 +62,9 @@ class RunConfig:
                 and set(cats) <= set(records.CATEGORIES)):
             raise ValueError(f"categories {cats} must name some of "
                              f"{', '.join(records.CATEGORIES)}, each once")
+        twice = [y for y in self.years if self.years.count(y) > 1]
+        if twice:
+            raise ValueError(f"year {twice[0]} named more than once")
         if self.k < 1 or self.embed_dim < 1:
             raise ValueError("k and embed_dim must be >= 1")
         VocabFilter(self.min_count, self.max_count)
@@ -123,19 +126,17 @@ def graphs_dir(cfg: RunConfig, year: int) -> Path:
 
 
 def build_year_graphs(cfg: RunConfig, year: int, corpus, tokenizer: Tokenizer,
-                      drawn: TokenVectors = None):
-    """Construct structure graph, kNN feature graph and feature matrix, and
-    write them out for inspection. The year's ``triples.tsv`` is read here
-    and nowhere else. ``drawn`` is the command's ``embed_descriptions``
-    token vectors, shared by its years."""
+                      emb):
+    """Construct structure graph, kNN feature graph (over ``emb``, the
+    year's ``embed_descriptions`` rows) and feature matrix, and write them
+    out for inspection. The year's ``triples.tsv`` is read here and nowhere
+    else."""
     entities, index, _, _ = corpus
     triples = records.load_triples(year_dir(cfg, year) / "triples.tsv")
     out = graphs_dir(cfg, year)
     out.mkdir(parents=True, exist_ok=True)
 
     structure = build_structure_graph(triples, index)
-    emb = embed_descriptions(entities, tokenizer, dim=cfg.embed_dim,
-                             seed=cfg.embed_seed, drawn=drawn)
     feature_graph = build_knn_graph(emb, min(cfg.k, len(entities) - 1))
     fmat = build_feature_matrix(
         entities, tokenizer, VocabFilter(cfg.min_count, cfg.max_count))
@@ -147,16 +148,24 @@ def build_year_graphs(cfg: RunConfig, year: int, corpus, tokenizer: Tokenizer,
     return structure, feature_graph, fmat
 
 
-def make_snapshot(cfg: RunConfig, year: int, corpus, tokenizer: Tokenizer,
-                  drawn: TokenVectors = None) -> Snapshot:
-    """The year's training snapshot over all its training mentions, on the
-    graphs ``build_year_graphs`` builds (and writes out) for it."""
-    entities, index, train_m, _ = corpus
-    structure, feature_graph, fmat = build_year_graphs(cfg, year, corpus,
-                                                       tokenizer, drawn)
-    return Snapshot(year=year, entities=entities, mentions=train_m, index=index,
-                    structure=structure, feature_graph=feature_graph,
-                    feature_matrix=fmat)
+def make_snapshots(cfg: RunConfig, corpora: dict, years, tokenizer: Tokenizer):
+    """Each of ``years``' training snapshots in turn, over all its training
+    mentions, on the graphs ``build_year_graphs`` builds (and writes out)
+    for it. One ``embed_descriptions`` call embeds every year's entities;
+    a year's graphs are built only when its snapshot is asked for."""
+    if not years:
+        return
+    emb = embed_descriptions([e for year in years for e in corpora[year][0]],
+                             tokenizer, dim=cfg.embed_dim, seed=cfg.embed_seed)
+    lo = 0
+    for year in years:
+        entities, index, train_m, _ = corpora[year]
+        structure, feature_graph, fmat = build_year_graphs(
+            cfg, year, corpora[year], tokenizer, emb[lo:lo + len(entities)])
+        lo += len(entities)
+        yield Snapshot(year=year, entities=entities, mentions=train_m,
+                       index=index, structure=structure,
+                       feature_graph=feature_graph, feature_matrix=fmat)
 
 
 def checkpoint_path(cfg: RunConfig, year: int, category: str) -> Path:
@@ -191,9 +200,7 @@ def train_years(cfg: RunConfig, corpora: dict, tokenizer: Tokenizer,
                 stamp: str):
     """Train every (year, category) checkpoint of the config, skipping those
     whose header holds the same ``stamp`` (``RunConfig.stamp``). A year with
-    work left gets one snapshot, shared by its categories. The years' graph
-    builds share one table of ``embed_descriptions`` token vectors, released
-    before the last of those years trains."""
+    work left gets one snapshot, shared by its categories."""
     todo = {}  # year -> categories to train
     for year in cfg.years:
         for category in cfg.categories:
@@ -205,12 +212,8 @@ def train_years(cfg: RunConfig, corpora: dict, tokenizer: Tokenizer,
             log.info("training %s: %s", path, "no checkpoint" if old is None
                      else f"stamp changed {old} -> {stamp}")
             todo.setdefault(year, []).append(category)
-    drawn = TokenVectors()
-    for year, categories in todo.items():
-        snapshot = make_snapshot(cfg, year, corpora[year], tokenizer, drawn)
-        if year == next(reversed(todo)):  # no later build reads the table
-            drawn = None
-        for category in categories:
+    for snapshot in make_snapshots(cfg, corpora, list(todo), tokenizer):
+        for category in todo[snapshot.year]:
             train_year(cfg, snapshot, category, tokenizer, stamp)
 
 

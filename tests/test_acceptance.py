@@ -19,8 +19,8 @@ from templink.evaluate import RECALL_NS, _gold_ranks, aggregate_gap, recall_at
 from templink.graphs import AdjacencyMatrix, sym_normalize
 from templink.model import (Model, ModelConfig, consistency_loss,
                             distinct_loss, total_loss)
-from templink.pipeline import (RunConfig, build_tokenizer, build_year_graphs,
-                               load_corpora, make_snapshot, run_experiment)
+from templink.pipeline import (RunConfig, build_tokenizer, load_corpora,
+                               make_snapshots, run_experiment)
 from templink.records import EntityRecord, MentionRecord
 from templink.reporting import (load_results_table, printed_average_boost,
                                 recompute_boost, write_aggregate_csv,
@@ -205,7 +205,7 @@ def test_criterion_5_graph_construction_golden(tmp_path):
                     embed_dim=16, embed_seed=0)
     corpora = load_corpora(cfg)
     tok = build_tokenizer(cfg, corpora)
-    build_year_graphs(cfg, 2019, corpora[2019], tok)
+    list(make_snapshots(cfg, corpora, [2019], tok))
     mismatches = []
     for name in ("structure.adj", "feature.adj", "feature.mat",
                  "feature.mat.cols"):
@@ -246,8 +246,7 @@ def test_criterion_6_disambiguation_by_structure(tmp_path):
                     model=ModelConfig(dim=32, encoder_mode="mean"))
     corpora = load_corpora(cfg)
     tok = build_tokenizer(cfg, corpora)
-    build_year_graphs(cfg, 2019, corpora[2019], tok)
-    snap = make_snapshot(cfg, 2019, corpora[2019], tok)
+    snap, = make_snapshots(cfg, corpora, [2019], tok)
     test_m = records.load_mentions(Path(data) / "2019" / "mentions_test.tsv",
                                    2019)
     results = {}

@@ -123,6 +123,8 @@ class TestConfigFile:
          []),
         (("years = 2019..2020", "years = ,"), []),
         (None, ["--years", ","]),
+        (("years = 2019..2020", "years = 2019,2019"), []),
+        (None, ["--years", "2019,2020,2019"]),
         (None, ["--k", "0"]),
         (None, ["--min-count", "9", "--max-count", "5"]),
     ], ids=["negative_learning_rate", "nan_learning_rate", "zero_batch_size",
@@ -131,7 +133,8 @@ class TestConfigFile:
             "zero_dim", "short_max_len", "negative_grad_clip",
             "negative_loss_a", "nan_loss_b", "min_count_above_max_count",
             "zero_k", "zero_embed_dim", "unknown_category",
-            "repeated_category", "no_years", "no_years_flag", "zero_k_flag",
+            "repeated_category", "no_years", "no_years_flag", "repeated_year",
+            "repeated_year_flag", "zero_k_flag",
             "min_count_above_max_count_flags"])
     def test_invalid_value_is_usage_error(self, tmp_path, toy_data, edit,
                                           flags):
@@ -498,6 +501,28 @@ class TestReadsOncePerYear:
             seeds.clear()
             assert main([command, "--config", str(ini)]) == EXIT_OK, command
             assert len(seeds) == len(set(seeds)) == len(tokens), command
+
+    def test_one_embedding_call_per_command(self, tmp_path, toy_data,
+                                            monkeypatch):
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out,
+                                   years="2019..2021")
+        for argv in (["build-graphs", "--out-dir", str(tmp_path / "graphs")],
+                     ["experiment"]):
+            calls = count_calls(monkeypatch, pipeline, "embed_descriptions")
+            assert main([*argv, "--config", str(ini)]) == EXIT_OK, argv
+            assert len(calls) == 1, argv
+            monkeypatch.undo()
+
+        def graph_files():
+            return {p: (p.stat().st_ino, p.stat().st_mtime_ns)
+                    for p in (out / "graphs").rglob("*") if p.is_file()}
+
+        before = graph_files()
+        calls = count_calls(monkeypatch, pipeline, "embed_descriptions")
+        assert main(["experiment", "--config", str(ini)]) == EXIT_OK
+        assert calls == []
+        assert len(before) == 3 * 5 and graph_files() == before
 
     def test_resumed_eval_renders_and_loads_once(self, tmp_path, toy_data,
                                                  monkeypatch):

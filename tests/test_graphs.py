@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from templink import graphs
-from templink.graphs import (AdjacencyMatrix, FeatureMatrix, TokenVectors,
-                             VocabFilter, build_feature_matrix, build_knn_graph,
+from templink.graphs import (AdjacencyMatrix, FeatureMatrix, VocabFilter,
+                             build_feature_matrix, build_knn_graph,
                              build_structure_graph, embed_descriptions,
                              save_adjacency, save_feature_matrix,
                              sym_normalize)
@@ -260,20 +260,17 @@ class TestEmbedDescriptions:
         c = embed_descriptions(ents, tokenizer_of(ents), dim=16, seed=4)
         assert a.tobytes() != c.tobytes()
 
-    def test_shared_table_draws_each_token_once(self):
-        years = ([EntityRecord("Q1", "apple", "sweet fruit", 2020)],
+    def test_one_call_over_years_equals_per_year_calls(self):
+        # "sweet" is in both years; Q3 has no tokens
+        years = ([EntityRecord("Q1", "apple", "sweet fruit", 2020),
+                  EntityRecord("Q3", "", "", 2020)],
                  [EntityRecord("Q2", "pear", "sweet apple", 2021)])
         tok = tokenizer_of([e for ents in years for e in ents])
-        drawn = TokenVectors()
-        shared = [embed_descriptions(ents, tok, dim=16, seed=3, drawn=drawn)
-                  for ents in years]
-        assert sorted(drawn) == sorted(tok.vocab.values())
-        assert drawn.vectors.dtype == np.float64
-        assert drawn.vectors.shape == (len(drawn), 16)
-        assert sorted(drawn.values()) == list(range(len(drawn)))
-        alone = [embed_descriptions(ents, tok, dim=16, seed=3)
-                 for ents in years]
-        assert [a.tobytes() for a in shared] == [a.tobytes() for a in alone]
+        both = embed_descriptions(years[0] + years[1], tok, dim=16, seed=3)
+        alone = np.concatenate([embed_descriptions(ents, tok, dim=16, seed=3)
+                                for ents in years])
+        assert both.tobytes() == alone.tobytes()
+        assert not both[1].any()
 
 
 class TestSymNormalize:

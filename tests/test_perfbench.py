@@ -4,6 +4,7 @@ rename in the package must fail here and not only under
 ``perfbench/run.py --trace 1``."""
 
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,9 @@ def test_tracer_installs_and_probes_run(monkeypatch):
 
 def test_traced_experiment_embeds_through_the_bag_mean(monkeypatch, tmp_path):
     # a traced command end to end; the description embedding's bag mean is
-    # the tape op, so its span sits under graphs.embed_descriptions
+    # the tape op, so its span sits under graphs.embed_descriptions. The
+    # benchmark's stage metrics read the spans counted below, so renaming
+    # one of these functions fails here
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     from fixtures import write_toy_dataset
@@ -60,3 +63,8 @@ def test_traced_experiment_embeds_through_the_bag_mean(monkeypatch, tmp_path):
     names = np.array(tracer.names)[name_ids]
     bag_means = np.flatnonzero(names == "tape.mean_bags")
     assert "graphs.embed_descriptions" in set(names[parent[bag_means]])
+    spans = Counter(names.tolist())
+    assert [spans[name] for name in (
+        "pipeline.build_year_graphs", "pipeline.train_year",
+        "pipeline.build_tokenizer", "graphs.embed_descriptions")] == [
+        2, 2 * 2, 1, 1]

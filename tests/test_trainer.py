@@ -381,16 +381,14 @@ class TestTrain:
         # 200-entity twin fixture: ~200 steps must drop L_e to under 10%
         # of its first-step value
         from templink.pipeline import (RunConfig, build_tokenizer,
-                                       build_year_graphs, load_corpora,
-                                       make_snapshot)
+                                       load_corpora, make_snapshots)
         from templink.model import ModelConfig
         cfg = RunConfig(data_dir=str(pair_data), out_dir=str(tmp_path / "out"),
                         years=[2019], min_count=2, max_count=5, k=5,
                         model=ModelConfig(dim=32, encoder_mode="mean"))
         corpora = load_corpora(cfg)
         tok = build_tokenizer(cfg, corpora)
-        build_year_graphs(cfg, 2019, corpora[2019], tok)
-        snap = make_snapshot(cfg, 2019, corpora[2019], tok)
+        snap, = make_snapshots(cfg, corpora, [2019], tok)
         model = Model(tok, snap.feature_matrix.m, cfg.model)
         tc = TrainConfig(learning_rate=0.05, epochs=13, batch_size=32, seed=0)
         curve = train(snap, model, tc)   # 16 batches/epoch -> 208 steps
