@@ -2,7 +2,7 @@
 
 A flat ``key = value`` config file with per-module sections (INI syntax)
 seeds every run; command-line flags override file values. Exit codes:
-0 success, 1 usage error, 2 data error, 3 numeric failure.
+0 success, 1 usage error, 2 data or I/O error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -203,7 +203,9 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _emit_matrices(cfg: RunConfig, matrices: dict) -> None:
+def _emit_matrices(cfg: RunConfig, matrices: dict, baseline) -> None:
+    """The gap-matrix, aggregate and plot files of ``matrices``; with a
+    ``cfg.baseline``, whose rows ``baseline`` holds, the boost files."""
     out = Path(cfg.out_dir)
     for category, matrix in matrices.items():
         reporting.write_gap_matrix_csv(matrix, out / f"gap_matrix_{category}.csv")
@@ -211,7 +213,6 @@ def _emit_matrices(cfg: RunConfig, matrices: dict) -> None:
     reporting.write_recall_vs_gap_plot(
         matrices, out / "recall_vs_gap.svg", metric=1, mode=cfg.mode)
     if cfg.baseline:
-        baseline = reporting.load_baseline_csv(cfg.baseline)
         for category, matrix in matrices.items():
             reporting.write_boost_csv(matrix, baseline, category,
                                       out / f"boost_{category}.csv",
@@ -220,25 +221,27 @@ def _emit_matrices(cfg: RunConfig, matrices: dict) -> None:
 
 def cmd_eval(args) -> int:
     cfg = pipeline_config(args)
+    baseline = cfg.baseline and reporting.load_baseline_csv(cfg.baseline)
     with OutputLock(cfg.out_dir):
         stamp = cfg.stamp(pipeline.data_digest(cfg))
         corpora = pipeline.load_corpora(cfg)
-        _emit_matrices(cfg, pipeline.evaluate_checkpoints(
-            cfg, corpora, pipeline.build_tokenizer(cfg, corpora), stamp))
+        matrices = pipeline.evaluate_checkpoints(
+            cfg, corpora, pipeline.build_tokenizer(cfg, corpora), stamp)
+        _emit_matrices(cfg, matrices, baseline)
     return EXIT_OK
 
 
 def cmd_experiment(args) -> int:
     cfg = pipeline_config(args)
+    baseline = cfg.baseline and reporting.load_baseline_csv(cfg.baseline)
     with OutputLock(cfg.out_dir):
         matrices = pipeline.run_experiment(cfg, version=__version__)
-        _emit_matrices(cfg, matrices)
+        _emit_matrices(cfg, matrices, baseline)
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    if not args.table:
-        return cmd_eval(args)
+    """Recompute the boost arithmetic of a transcribed results table."""
     cfg = build_run_config(args)
     table = reporting.load_results_table(args.table)
     cells, recomputed_ave = reporting.recompute_boost(table)
@@ -267,41 +270,45 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary, stamped=True):
+    def command(name, func, summary):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         p.add_argument("--config", help="INI config file")
-        p.add_argument("--data-dir", dest="data_dir")
-        p.add_argument("--out-dir", dest="out_dir")
-        p.add_argument("--years", help='e.g. "2019..2022" or "2019,2021"')
-        p.add_argument("--seed", type=int)
-        if stamped:  # with --seed and --years, what shapes the stamp
-            p.add_argument("--k", type=int)
-            p.add_argument("--min-count", dest="min_count", type=int)
-            p.add_argument("--max-count", dest="max_count", type=int)
         return p
 
-    p = command("ingest", cmd_ingest, "convert JSONL dumps to canonical TSVs",
-                stamped=False)
+    def run_command(name, func, summary):
+        p = command(name, func, summary)
+        p.add_argument("--data-dir", dest="data_dir")
+        p.add_argument("--out-dir", dest="out_dir")
+        # --years and the four flags after it shape the checkpoint stamp
+        p.add_argument("--years", help='e.g. "2019..2022" or "2019,2021"')
+        p.add_argument("--seed", type=int)
+        p.add_argument("--k", type=int)
+        p.add_argument("--min-count", dest="min_count", type=int)
+        p.add_argument("--max-count", dest="max_count", type=int)
+        return p
+
+    p = command("ingest", cmd_ingest, "convert JSONL dumps to canonical TSVs")
+    p.add_argument("--data-dir", dest="data_dir")
     p.add_argument("--year", type=int, required=True)
     p.add_argument("--entities", required=True, help="entity JSONL file")
     p.add_argument("--mentions", help="training-mention JSONL file")
     p.add_argument("--test-mentions", dest="test_mentions")
     p.add_argument("--triples", help="TSV triple file")
-    command("build-graphs", cmd_build_graphs,
-            "construct snapshot graphs + matrices")
-    command("train", cmd_train, "train per-year checkpoints")
+    run_command("build-graphs", cmd_build_graphs,
+                "construct snapshot graphs + matrices")
+    run_command("train", cmd_train, "train per-year checkpoints")
     for name, func, summary in (
             ("eval", cmd_eval, "evaluate checkpoints over all year pairs"),
-            ("experiment", cmd_experiment, "build + train + eval + report"),
-            ("report", cmd_report, "emit CSVs, plots, and boost tables")):
-        p = command(name, func, summary)
+            ("experiment", cmd_experiment, "build + train + eval")):
+        p = run_command(name, func, summary)
         p.add_argument("--mode", choices=MODES)
         p.add_argument("--baseline",
                        help="baseline CSV (metric,gap,category,value)")
-    # the loop's last parser is report's
-    p.add_argument("--table", help="transcribed results table CSV for "
-                                   "boost arithmetic (see data/published_results.csv)")
+    p = command("report", cmd_report, "recompute a results table's boosts")
+    p.add_argument("--out-dir", dest="out_dir")
+    p.add_argument("--table", required=True, help="transcribed results "
+                   "table CSV (see data/published_results.csv)")
     return parser
 
 
@@ -317,7 +324,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         log.error("%s", exc)
         return EXIT_USAGE
-    except (DataError, reporting.BaselineFormatError, FileNotFoundError,
+    except (DataError, reporting.BaselineFormatError, OSError,
             ValueError) as exc:
         log.error("%s", exc)
         return EXIT_DATA

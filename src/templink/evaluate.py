@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .textenc import TextEncoder
+from . import tape
 
 RECALL_NS = (1, 2, 4, 8, 16, 32, 64)
 SCORE_BLOCK = 1 << 20  # mention-entity scores held at once while ranking
@@ -109,8 +109,7 @@ def temporal_matrix(models, test_sets_by_year: dict, tokenizer) -> dict:
             np.array([row_of.setdefault(tuple(s), len(row_of)) for s in ss],
                      dtype=np.intp)
             for row_of, ss in zip(distinct, seqs))
-    entity_bags, mention_bags = (TextEncoder.pack(row_of, tokenizer.max_len)
-                                 for row_of in distinct)
+    entity_bags, mention_bags = (tape.Bags(list(row_of)) for row_of in distinct)
     matrices = {}
     for key, t1, model in models:
         matrix = matrices.setdefault(key, GapMatrix(years=years))

@@ -142,13 +142,11 @@ class Model:
 
     def encode_mentions(self, seqs) -> tape.Tensor:
         """Mention encodings of ``Tokenizer.render_mention`` sequences."""
-        enc = self.mention_encoder
-        return enc.encode(enc.pack(seqs, enc.max_len))
+        return self.mention_encoder.encode(tape.Bags(seqs))
 
     def encode_entities(self, seqs) -> tape.Tensor:
         """Entity text encodings of ``Tokenizer.render_entity`` sequences."""
-        enc = self.entity_encoder
-        return enc.encode(enc.pack(seqs, enc.max_len))
+        return self.entity_encoder.encode(tape.Bags(seqs))
 
     def entity_table(self, entities) -> np.ndarray:
         """Inference-side entity embedding table; text branch only."""

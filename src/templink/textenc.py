@@ -124,7 +124,7 @@ def _initializer(seed: int, tensors: dict = None):
 class TextEncoder:
     """Small sequence encoder producing one d-vector per token sequence.
 
-    mode "mean": average of token embeddings (PAD ids dropped first).
+    mode "mean": average of token embeddings.
     mode "attn": token + positional embeddings through ``n_layers``
     single-head self-attention blocks; output is the position-0 vector.
     """
@@ -149,17 +149,9 @@ class TextEncoder:
         self.params = {name: init(name, rows, dim) for name, rows in names}
         self.prefix = prefix
 
-    @staticmethod
-    def pack(seqs, max_len: int) -> tape.Bags:
-        """The bags ``encode`` takes, for an encoder of ``max_len``: the ids of
-        each token-id sequence without PAD, cut to ``max_len``, and ``[CLS]``
-        for a sequence with none left."""
-        return tape.Bags([[i for i in ids if i != PAD][:max_len] or [CLS]
-                          for ids in seqs])
-
     def encode(self, bags: tape.Bags) -> tape.Tensor:
-        """Differentiable n x d encoding of the bags ``pack`` made of n
-        token-id sequences; row i depends on bag i alone."""
+        """Differentiable n x d encoding of the bags of n token-id sequences,
+        none longer than ``max_len``; row i depends on bag i alone."""
         if bags.lens.max(initial=0) > self.max_len:
             raise ValueError(f"a bag is longer than max_len {self.max_len}")
         emb = self.params[f"{self.prefix}.emb"]
@@ -185,8 +177,8 @@ class TextEncoder:
 
     def encode_tensor(self, ids) -> tape.Tensor:
         """Differentiable encoding of one token-id sequence to a 1 x d tensor."""
-        return self.encode(self.pack([ids], self.max_len))
+        return self.encode(tape.Bags([ids]))
 
     def encode_ids(self, ids) -> np.ndarray:
         """Non-differentiable convenience wrapper: flat d-vector."""
-        return self.encode(self.pack([ids], self.max_len)).data.reshape(-1)
+        return self.encode_tensor(ids).data.reshape(-1)

@@ -149,7 +149,7 @@ class TestConfigFile:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["build-graphs", "train", "eval",
-                                         "experiment", "report"])
+                                         "experiment"])
     def test_no_years_at_all_is_usage_error(self, tmp_path, toy_data, command):
         # neither [run] years nor --years: a run over nothing is no success
         out = tmp_path / "out"
@@ -567,8 +567,7 @@ class TestPartialGraphBuild:
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(pipeline, "save_feature_matrix", crash)
-        with pytest.raises(OSError):
-            main(["experiment", "--config", str(ini)])
+        assert main(["experiment", "--config", str(ini)]) == EXIT_DATA
         monkeypatch.undo()
         assert main(["experiment", "--config", str(ini)]) == EXIT_OK
         fresh = tmp_path / "fresh"
@@ -621,8 +620,8 @@ class TestResumeStamp:
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(pipeline, "save_model", save_then_crash)
-        with pytest.raises(OSError):
-            main(["experiment", "--config", str(ini), "--k", "4"])
+        assert main(["experiment", "--config", str(ini),
+                     "--k", "4"]) == EXIT_DATA
         monkeypatch.undo()
         assert main(["experiment", "--config", str(ini)]) == EXIT_OK
         fresh = tmp_path / "fresh"
@@ -737,8 +736,7 @@ class TestEvalTrustsStamp:
         if edit:
             edit(toy_data, out)
         loads = count_calls(monkeypatch, pipeline, "load_model")
-        for command in ("eval", "report"):
-            assert main([command, "--config", str(ini), *flags]) == EXIT_DATA
+        assert main(["eval", "--config", str(ini), *flags]) == EXIT_DATA
         # every stamp is read before any model is loaded
         assert loads == []
         assert report_bytes(out) == before
@@ -758,8 +756,8 @@ class TestEvalTrustsStamp:
                 "run `templink train`") in caplog.text
 
     def test_stamp_flags_reach_eval(self, tmp_path, toy_data):
-        # --k shapes the stamp, so eval and report must take it to find the
-        # checkpoints experiment trained; train then skips every one
+        # --k shapes the stamp, so eval must take it to find the checkpoints
+        # experiment trained; train then skips every one
         out = tmp_path / "out"
         ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
         flags = ["--config", str(ini), "--k", "4", "--min-count", "2",
@@ -767,11 +765,10 @@ class TestEvalTrustsStamp:
         assert main(["experiment", *flags]) == EXIT_OK
         before = report_bytes(out)
         ckpts = {p: p.stat().st_mtime_ns for p in out.glob("checkpoints/*.ckpt")}
-        for command in ("eval", "report"):
-            for path in out.glob("gap_matrix_*.csv"):
-                path.unlink()
-            assert main([command, *flags]) == EXIT_OK
-            assert report_bytes(out) == before
+        for path in out.glob("gap_matrix_*.csv"):
+            path.unlink()
+        assert main(["eval", *flags]) == EXIT_OK
+        assert report_bytes(out) == before
         assert main(["train", *flags]) == EXIT_OK
         assert {p: p.stat().st_mtime_ns for p in ckpts} == ckpts
 
@@ -831,8 +828,7 @@ class TestReadersHoldLock:
         assert main(["train", "--config", str(ini)]) == EXIT_OK
         (out / ".lock").write_text("12345")
         before = sorted(p.name for p in out.iterdir())
-        for command in ("eval", "report"):
-            assert main([command, "--config", str(ini)]) == EXIT_USAGE
+        assert main(["eval", "--config", str(ini)]) == EXIT_USAGE
         assert sorted(p.name for p in out.iterdir()) == before
 
     def test_report_table_writes_nothing_while_locked(self, tmp_path):
@@ -859,23 +855,86 @@ class TestReport:
         stdout = capsys.readouterr().out
         assert "ave boost continual gap 0" in stdout
 
-    def test_without_table_equals_eval(self, tmp_path, toy_data):
-        out = tmp_path / "out"
-        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
-        assert main(["experiment", "--config", str(ini)]) == EXIT_OK
-        written = {}
-        for command in ("eval", "report"):
-            assert main([command, "--config", str(ini)]) == EXIT_OK
-            written[command] = {p.name: p.read_bytes()
-                                for p in sorted(out.glob("*.csv"))}
-        assert written["eval"] == written["report"] and written["eval"]
-
     def test_bad_table_is_data_error(self, tmp_path):
         bad = tmp_path / "t.csv"
         bad.write_text("wrong,header\n")
         code = main(["report", "--out-dir", str(tmp_path / "out"),
                      "--table", str(bad)])
         assert code == EXIT_DATA
+
+    def test_table_directory_is_data_error(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["report", "--out-dir", str(out),
+                     "--table", str(tmp_path)]) == EXIT_DATA
+        assert not out.exists()
+
+
+NOT_READ = [("report", "--data-dir", "d"), ("report", "--years", "2019"),
+            ("report", "--seed", "3"), ("report", "--k", "4"),
+            ("report", "--min-count", "2"), ("report", "--max-count", "5"),
+            ("report", "--mode", "forward_only"),
+            ("report", "--baseline", "b.csv"), ("ingest", "--out-dir", "o"),
+            ("ingest", "--years", "2019"), ("ingest", "--seed", "3")]
+
+
+class TestEachCommandTakesWhatItReads:
+    def test_help_lists_the_flags_each_command_reads(self, capsys):
+        run = ["--config", "--data-dir", "--out-dir", "--years", "--seed",
+               "--k", "--min-count", "--max-count"]
+        want = {"ingest": ["--config", "--data-dir", "--year", "--entities",
+                           "--mentions", "--test-mentions", "--triples"],
+                "build-graphs": run, "train": run,
+                "eval": run + ["--mode", "--baseline"],
+                "experiment": run + ["--mode", "--baseline"],
+                "report": ["--config", "--out-dir", "--table"]}
+        for command, flags in want.items():
+            assert main([command, "--help"]) == EXIT_OK
+            text = capsys.readouterr().out
+            assert re.findall(r"^  (--[\w-]+)", text, re.M) == flags, command
+
+    @pytest.mark.parametrize("argv", [*NOT_READ, ("report",)],
+                             ids=[f"{a[0]}{a[1]}" for a in NOT_READ]
+                             + ["report_without_table"])
+    def test_flag_not_read_is_usage_error(self, tmp_path, toy_data, argv):
+        # refused before any work: nothing is written, and report without
+        # a table runs no eval
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
+        src = tmp_path / "ents.jsonl"
+        src.write_text('{"qid": "Q1", "title": "A"}\n')
+        table = [] if argv == ("report",) else [
+            "--table", str(bundled_results_path())]
+        rest = {"report": ["--config", str(ini), *table],
+                "ingest": ["--data-dir", str(out), "--year", "2020",
+                           "--entities", str(src)]}[argv[0]]
+        assert main([*argv, *rest]) == EXIT_USAGE
+        assert not out.exists()
+
+
+class TestBaselineReadFirst:
+    def test_missing_baseline_stops_experiment_before_any_work(
+            self, tmp_path, toy_data):
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
+        assert main(["experiment", "--config", str(ini), "--baseline",
+                     str(tmp_path / "missing.csv")]) == EXIT_DATA
+        assert not out.exists()
+
+    @pytest.mark.parametrize("baseline", ["malformed", "directory"])
+    def test_unreadable_baseline_stops_eval_before_any_work(
+            self, tmp_path, toy_data, baseline):
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
+        assert main(["train", "--config", str(ini)]) == EXIT_OK
+        before = sorted(p.relative_to(out) for p in out.rglob("*"))
+        path = tmp_path / "baseline.csv"
+        if baseline == "directory":
+            path.mkdir()
+        else:
+            path.write_text("metric,gap,category,value\n1,zero,new,0.5\n")
+        assert main(["eval", "--config", str(ini),
+                     "--baseline", str(path)]) == EXIT_DATA
+        assert sorted(p.relative_to(out) for p in out.rglob("*")) == before
 
 
 # Runs ``templink.cli.main`` on the given argv in a fresh interpreter; the
@@ -908,6 +967,8 @@ class TestOnlyTrainingImportsScipy:
         assert "scipy.sparse" in scipy_modules_after(
             ["experiment", "--config", ini])
         for argv in (["--version"], ["experiment", "--config", ini],
-                     ["eval", "--config", ini], ["report", "--config", ini],
+                     ["eval", "--config", ini],
+                     ["report", "--config", ini,
+                      "--table", str(bundled_results_path())],
                      ["build-graphs", "--config", ini]):
             assert scipy_modules_after(argv) == [], argv

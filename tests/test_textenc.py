@@ -4,9 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from checks import check_gradients
+from templink import tape
 from templink.records import EntityRecord, MentionRecord
-from templink.textenc import (CLS, ENT, M_END, M_START, PAD, SEP, N_SPECIAL,
-                              UNK, TextEncoder, Tokenizer, split_text)
+from templink.textenc import (CLS, ENT, M_END, M_START, SEP, N_SPECIAL, UNK,
+                              TextEncoder, Tokenizer, split_text)
 
 
 def mention(left="", span="apple", right=""):
@@ -147,13 +148,6 @@ class TestEncoder:
         b = enc.encode_ids([CLS, 10, 11, SEP])
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("mode", ["mean", "attn"])
-    def test_padding_ignored(self, mode):
-        enc = TextEncoder(50, dim=8, max_len=16, mode=mode, seed=1)
-        a = enc.encode_ids([CLS, 10, 11, SEP])
-        b = enc.encode_ids([CLS, 10, 11, SEP, PAD, PAD, PAD])
-        assert np.array_equal(a, b)
-
     def test_seed_changes_weights(self):
         a = TextEncoder(50, dim=8, seed=1).encode_ids([CLS, 10])
         b = TextEncoder(50, dim=8, seed=2).encode_ids([CLS, 10])
@@ -165,7 +159,6 @@ class TestEncoder:
 
     @pytest.mark.parametrize("mode", ["mean", "attn"])
     def test_gradient_check(self, mode):
-        from templink import tape
         enc = TextEncoder(12, dim=4, max_len=6, mode=mode, n_layers=1, seed=3)
         params = list(enc.params.values())
         for p in params:
@@ -178,14 +171,13 @@ class TestEncoder:
         assert report["ok"], report["failures"][:3]
 
     def test_batch_gradient_check(self):
-        from templink import tape
         enc = TextEncoder(12, dim=3, max_len=6, seed=4)
         emb = enc.params["enc.emb"]
         emb.data = emb.data.astype(np.float64)
-        batch = [[CLS, 8, 8, 9, SEP], [PAD, 10, PAD, 8], [],
-                 [CLS, 9, 9, 9, 10, 11, 11, SEP, 8], [PAD]]
+        batch = [[CLS, 8, 8, 9, SEP], [CLS, 10, 8, SEP], [CLS],
+                 [CLS, 9, 9, 9, 10, 11], [CLS, 11, SEP]]
         weights = np.random.default_rng(0).normal(size=(len(batch), 3))
-        bags = enc.pack(batch, enc.max_len)
+        bags = tape.Bags(batch)
 
         def loss():
             return tape.sum_squares(tape.add(enc.encode(bags), -weights))
@@ -197,9 +189,9 @@ class TestEncoder:
     def test_batch_rows_match_single_sequences(self, mode):
         enc = TextEncoder(40, dim=8, max_len=6, mode=mode, n_layers=1, seed=5)
         rng = np.random.default_rng(1)
-        seqs = [rng.integers(0, 40, size=rng.integers(0, 12)).tolist()
+        seqs = [rng.integers(1, 40, size=rng.integers(1, 7)).tolist()
                 for _ in range(20)]
-        rows = enc.encode(enc.pack(seqs, enc.max_len)).data
+        rows = enc.encode(tape.Bags(seqs)).data
         for seq, row in zip(seqs, rows):
             assert row.tobytes() == enc.encode_ids(seq).tobytes()
 
@@ -207,5 +199,5 @@ class TestEncoder:
         enc = TextEncoder(12, dim=4, max_len=6, seed=3)
         seqs = [[CLS, 8, 9, SEP], list(range(7, 12)) * 2]
         with pytest.raises(ValueError, match="longer than max_len 6"):
-            enc.encode(enc.pack(seqs, 10))
-        assert enc.encode(enc.pack(seqs, 6)).shape == (2, 4)
+            enc.encode(tape.Bags(seqs))
+        assert enc.encode(tape.Bags([s[:6] for s in seqs])).shape == (2, 4)
