@@ -19,7 +19,6 @@ from pathlib import Path
 from . import __version__
 from . import pipeline, records, reporting
 from .checkpoint import atomic_open
-from .evaluate import MODES
 from .pipeline import RunConfig, parse_years
 from .records import DataError
 from .trainer import NumericError
@@ -38,8 +37,7 @@ class UsageError(Exception):
 
 # INI section of each RunConfig field not read from [graphs]
 SECTION_OF = {"data_dir": "paths", "out_dir": "paths", "baseline": "paths",
-              "years": "run", "mode": "run", "categories": "run",
-              "model": "model", "train": "train"}
+              "years": "run", "model": "model", "train": "train"}
 
 
 def _cast(name: str, default, text: str):
@@ -84,7 +82,7 @@ def load_config_file(path) -> RunConfig:
 
 def apply_overrides(cfg: RunConfig, args) -> RunConfig:
     changes = {name: getattr(args, name) for name in
-               ("data_dir", "out_dir", "k", "min_count", "max_count", "mode",
+               ("data_dir", "out_dir", "k", "min_count", "max_count",
                 "baseline") if getattr(args, name, None) is not None}
     if getattr(args, "years", None) is not None:
         changes["years"] = parse_years(args.years)
@@ -95,21 +93,15 @@ def apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return replace(cfg, **changes)
 
 
-def build_run_config(args) -> RunConfig:
-    """The file config (if any) with the command-line flags applied; an
-    invalid value is a usage error."""
+def pipeline_config(args) -> RunConfig:
+    """The file config (if any) with the command-line flags applied. An
+    invalid value, or no years given, is a usage error, raised before the
+    output dir exists."""
     try:
-        cfg = (load_config_file(args.config) if getattr(args, "config", None)
-               else RunConfig())
-        return apply_overrides(cfg, args)
+        cfg = apply_overrides(load_config_file(args.config) if args.config
+                              else RunConfig(), args)
     except ValueError as exc:
         raise UsageError(f"bad config: {exc}") from exc
-
-
-def pipeline_config(args) -> RunConfig:
-    """``build_run_config`` for a command that runs over years: with none
-    given it is a usage error, raised before the output dir exists."""
-    cfg = build_run_config(args)
     if not cfg.years:
         raise UsageError("no years given: set [run] years or pass --years")
     return cfg
@@ -157,7 +149,6 @@ class OutputLock:
 
 def cmd_ingest(args) -> int:
     """Read and check every input, then write the year's TSVs."""
-    cfg = build_run_config(args)
     year = args.year
     entities = records.read_jsonl_entities(args.entities, year)
     mentions = {name: records.read_jsonl_mentions(src, year)
@@ -165,7 +156,7 @@ def cmd_ingest(args) -> int:
                                   ("mentions_test.tsv", args.test_mentions))
                 if src}
     triples = records.load_triples(args.triples) if args.triples else None
-    out = Path(cfg.data_dir) / str(year)
+    out = Path(args.data_dir) / str(year)
     out.mkdir(parents=True, exist_ok=True)
     records.save_entities(entities, out / "entities.tsv")
     log.info("wrote %d entities", len(entities))
@@ -210,13 +201,12 @@ def _emit_matrices(cfg: RunConfig, matrices: dict, baseline) -> None:
     for category, matrix in matrices.items():
         reporting.write_gap_matrix_csv(matrix, out / f"gap_matrix_{category}.csv")
         reporting.write_aggregate_csv(matrix, out / f"aggregate_{category}.csv")
-    reporting.write_recall_vs_gap_plot(
-        matrices, out / "recall_vs_gap.svg", metric=1, mode=cfg.mode)
+    reporting.write_recall_vs_gap_plot(matrices, out / "recall_vs_gap.svg",
+                                       metric=1)
     if cfg.baseline:
         for category, matrix in matrices.items():
             reporting.write_boost_csv(matrix, baseline, category,
-                                      out / f"boost_{category}.csv",
-                                      mode=cfg.mode)
+                                      out / f"boost_{category}.csv")
 
 
 def cmd_eval(args) -> int:
@@ -242,7 +232,6 @@ def cmd_experiment(args) -> int:
 
 def cmd_report(args) -> int:
     """Recompute the boost arithmetic of a transcribed results table."""
-    cfg = build_run_config(args)
     table = reporting.load_results_table(args.table)
     cells, recomputed_ave = reporting.recompute_boost(table)
     printed_ave = reporting.printed_average_boost(table)
@@ -254,8 +243,8 @@ def cmd_report(args) -> int:
         "printed_average_boost": {f"gap{g}|{c}": v
                                   for (c, g), v in sorted(printed_ave.items())},
     }
-    with OutputLock(cfg.out_dir):
-        with atomic_open(Path(cfg.out_dir) / "table_boost.json",
+    with OutputLock(args.out_dir):
+        with atomic_open(Path(args.out_dir) / "table_boost.json",
                          text=True) as fh:
             fh.write(json.dumps(result, indent=1, sort_keys=True) + "\n")
     for key in sorted(printed_ave):
@@ -273,11 +262,11 @@ def make_parser() -> argparse.ArgumentParser:
     def command(name, func, summary):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
-        p.add_argument("--config", help="INI config file")
         return p
 
     def run_command(name, func, summary):
         p = command(name, func, summary)
+        p.add_argument("--config", help="INI config file")
         p.add_argument("--data-dir", dest="data_dir")
         p.add_argument("--out-dir", dest="out_dir")
         # --years and the four flags after it shape the checkpoint stamp
@@ -289,7 +278,7 @@ def make_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("ingest", cmd_ingest, "convert JSONL dumps to canonical TSVs")
-    p.add_argument("--data-dir", dest="data_dir")
+    p.add_argument("--data-dir", dest="data_dir", default=RunConfig.data_dir)
     p.add_argument("--year", type=int, required=True)
     p.add_argument("--entities", required=True, help="entity JSONL file")
     p.add_argument("--mentions", help="training-mention JSONL file")
@@ -302,11 +291,10 @@ def make_parser() -> argparse.ArgumentParser:
             ("eval", cmd_eval, "evaluate checkpoints over all year pairs"),
             ("experiment", cmd_experiment, "build + train + eval")):
         p = run_command(name, func, summary)
-        p.add_argument("--mode", choices=MODES)
         p.add_argument("--baseline",
                        help="baseline CSV (metric,gap,category,value)")
     p = command("report", cmd_report, "recompute a results table's boosts")
-    p.add_argument("--out-dir", dest="out_dir")
+    p.add_argument("--out-dir", dest="out_dir", default=RunConfig.out_dir)
     p.add_argument("--table", required=True, help="transcribed results "
                    "table CSV (see data/published_results.csv)")
     return parser

@@ -85,10 +85,7 @@ class FusionHead:
 
     def fuse(self, y_e: tape.Tensor, z_f, z_r, z_sf, z_sr, rows) -> tape.Tensor:
         """y_e + P-projection of concat(z_r, z_f, z_sr, z_sf) for the given rows."""
-        z_cat = tape.concat_cols([tape.gather_rows(z_r, rows),
-                                  tape.gather_rows(z_f, rows),
-                                  tape.gather_rows(z_sr, rows),
-                                  tape.gather_rows(z_sf, rows)])
+        z_cat = tape.gather_rows(tape.concat_cols([z_r, z_f, z_sr, z_sf]), rows)
         return tape.add(y_e, tape.matmul(z_cat, self.proj))
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import records
 from .checkpoint import atomic_open, read_meta
-from .evaluate import MODES, temporal_matrix
+from .evaluate import temporal_matrix
 from .graphs import (VocabFilter, build_feature_matrix, build_knn_graph,
                      build_structure_graph, embed_descriptions, save_adjacency,
                      save_feature_matrix)
@@ -34,7 +34,7 @@ log = logging.getLogger(__name__)
 INPUT_FILES = ("entities.tsv", "mentions_train.tsv", "mentions_test.tsv",
                "triples.tsv")
 # config fields that shape no checkpoint, left out of its stamp
-UNSTAMPED = ("data_dir", "out_dir", "mode", "categories", "baseline")
+UNSTAMPED = ("data_dir", "out_dir", "baseline")
 
 
 @dataclass
@@ -49,19 +49,9 @@ class RunConfig:
     embed_seed: int = 0
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    mode: str = "forward_and_backward"
-    categories: list = field(default_factory=lambda: ["continual", "new"])
     baseline: str = ""
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}, expected one of "
-                             f"{', '.join(MODES)}")
-        cats = self.categories
-        if not (cats and len(set(cats)) == len(cats)
-                and set(cats) <= set(records.CATEGORIES)):
-            raise ValueError(f"categories {cats} must name some of "
-                             f"{', '.join(records.CATEGORIES)}, each once")
         twice = [y for y in self.years if self.years.count(y) > 1]
         if twice:
             raise ValueError(f"year {twice[0]} named more than once")
@@ -198,12 +188,12 @@ def checkpoint_stamp(path: Path):
 
 def train_years(cfg: RunConfig, corpora: dict, tokenizer: Tokenizer,
                 stamp: str):
-    """Train every (year, category) checkpoint of the config, skipping those
+    """Train every (year, category) checkpoint, skipping those
     whose header holds the same ``stamp`` (``RunConfig.stamp``). A year with
     work left gets one snapshot, shared by its categories."""
     todo = {}  # year -> categories to train
     for year in cfg.years:
-        for category in cfg.categories:
+        for category in records.CATEGORIES:
             path = checkpoint_path(cfg, year, category)
             old = checkpoint_stamp(path)
             if old == stamp:
@@ -224,7 +214,7 @@ def evaluate_checkpoints(cfg: RunConfig, corpora: dict, tokenizer: Tokenizer,
     before the next. Every checkpoint's header must hold the run's ``stamp``,
     checked before any model is loaded; else a ``DataError``."""
     paths = [(category, year, checkpoint_path(cfg, year, category))
-             for category in cfg.categories for year in cfg.years]
+             for category in records.CATEGORIES for year in cfg.years]
     for _, _, path in paths:
         found = checkpoint_stamp(path)
         if found != stamp:

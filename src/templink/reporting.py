@@ -118,11 +118,11 @@ def write_aggregate_csv(matrix: GapMatrix, path):
                 w.writerow([mode, gap] + [repr(agg[gap][n]) for n in RECALL_NS])
 
 
-def write_boost_csv(matrix: GapMatrix, baseline: dict, category: str, path,
-                    mode: str = "forward_only"):
-    """Boost of aggregated recall against a baseline keyed by (metric, gap,
-    category). Emits both relative percent and percentage-point columns."""
-    agg = aggregate_gap(matrix, mode)
+def write_boost_csv(matrix: GapMatrix, baseline: dict, category: str, path):
+    """Boost of recall aggregated over both gap directions against a
+    baseline keyed by (metric, gap, category). Emits both relative percent
+    and percentage-point columns."""
+    agg = aggregate_gap(matrix, "forward_and_backward")
     with atomic_open(path, text=True) as fh:
         w = csv.writer(fh)
         w.writerow(["metric", "gap", "category", "ours", "baseline",
@@ -203,9 +203,10 @@ def svg_line_plot(series: dict, path, title: str, x_label: str, y_label: str,
         fh.write("\n".join(parts) + "\n")
 
 
-def write_recall_vs_gap_plot(matrices_by_category: dict, path, metric: int = 1,
-                             mode: str = "forward_only"):
-    """One curve per training category (continual/new) of recall@metric vs gap."""
+def write_recall_vs_gap_plot(matrices_by_category: dict, path, metric: int = 1):
+    """One curve per training category (continual/new) of recall@metric vs
+    gap, aggregated over both gap directions."""
+    mode = "forward_and_backward"
     series = {}
     for category, matrix in sorted(matrices_by_category.items()):
         agg = aggregate_gap(matrix, mode)

@@ -39,15 +39,14 @@ class Tensor:
     recorded graph once in reverse topological order.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, parents=(), backward=None, name=""):
+    def __init__(self, data, requires_grad=False, parents=(), backward=None):
         self.data = np.asarray(data)
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents
         self._backward = backward
-        self.name = name
 
     @property
     def shape(self):
@@ -98,8 +97,8 @@ def _post_order(t, seen, order):
     order.append(t)
 
 
-def param(data, name=""):
-    return Tensor(np.asarray(data), requires_grad=True, name=name)
+def param(data):
+    return Tensor(np.asarray(data), requires_grad=True)
 
 
 def const(data):

@@ -97,8 +97,8 @@ class Tokenizer:
 
 
 def _initializer(seed: int, tensors: dict = None):
-    """``init(name, rows, cols)``: a new float32 parameter named ``name``.
-    With ``tensors`` its value is the array of that name, which must be
+    """``init(name, rows, cols)``: a new float32 parameter. With
+    ``tensors`` its value is the array named ``name``, which must be
     rows x cols (else ``ValueError``); without, each call draws uniformly
     in +-1/sqrt(rows) from one PCG64 generator seeded with ``seed``."""
     if tensors is not None:
@@ -110,14 +110,14 @@ def _initializer(seed: int, tensors: dict = None):
                 raise ValueError(f"tensor {name} is {arr.shape[0]} x "
                                  f"{arr.shape[1]}, but the config makes it "
                                  f"{rows} x {cols}")
-            return tape.param(arr, name=name)
+            return tape.param(arr)
         return given
     rng = np.random.Generator(np.random.PCG64(seed))
 
     def draw(name, rows, cols):
         bound = 1.0 / np.sqrt(rows)
         return tape.param(rng.uniform(-bound, bound, size=(rows, cols))
-                          .astype(np.float32), name=name)
+                          .astype(np.float32))
     return draw
 
 

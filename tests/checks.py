@@ -49,7 +49,7 @@ def check_gradients(loss_fn, params, eps=1e-3, tol=1e-4, skip=None):
             rel = abs(fd - an) / denom
             max_rel = max(max_rel, rel)
             if rel > tol:
-                failures.append((p.name or f"param{pi}", i, an, fd, rel))
+                failures.append((f"param{pi}", i, an, fd, rel))
     return {"max_rel_err": max_rel, "failures": failures, "ok": not failures}
 
 

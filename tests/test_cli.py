@@ -5,7 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +15,8 @@ from checks import bundled_results_path
 from templink import pipeline, records, tape, textenc
 from templink.checkpoint import load_checkpoint, read_meta, save_checkpoint
 from templink.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, OutputLock,
-                          UsageError, build_run_config, load_config_file, main,
-                          make_parser)
+                          UsageError, load_config_file, main, make_parser,
+                          pipeline_config)
 from templink.pipeline import RunConfig, parse_years
 from templink.textenc import Tokenizer
 
@@ -59,8 +59,6 @@ class TestConfigFile:
         cfg = load_config_file(ini)
         assert cfg.data_dir == "/d" and cfg.out_dir == "/o"
         assert cfg.years == [2019, 2020]
-        assert cfg.mode == "forward_only"
-        assert cfg.categories == ["new"]
         assert (cfg.k, cfg.min_count, cfg.max_count) == (3, 2, 5)
         assert cfg.embed_dim == 16
         assert cfg.model.dim == 8 and cfg.model.gcn_out == 4
@@ -79,33 +77,43 @@ class TestConfigFile:
         parser = make_parser()
         args = parser.parse_args(["build-graphs", "--config", str(ini),
                                   "--k", "7", "--years", "2021"])
-        from templink.cli import build_run_config
-        cfg = build_run_config(args)
+        cfg = pipeline_config(args)
         assert cfg.k == 7
         assert cfg.years == [2021]
 
     def test_readme_config_block_loads(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
         ini = tmp_path / "readme.ini"
-        ini.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+        ini.write_text(block)
         assert load_config_file(ini) == replace(RunConfig(),
                                                 years=[2019, 2020, 2021, 2022])
+        # a key that names no field would load, be ignored and pass above
+        cfg = RunConfig()
+        known = {f.name for part in (cfg, cfg.model, cfg.train)
+                 for f in fields(part)}
+        keys = re.findall(r"^(\w+) =", block, re.M)
+        assert keys and set(keys) <= known
 
-    def test_gram_sample_key_is_ignored(self, tmp_path):
-        # configs from when the graph losses sampled their rows carry
-        # gram_sample (the benchmark's run.ini does): it loads, shapes nothing
+    @pytest.mark.parametrize("section, key", [
+        ("train", "gram_sample = 1"), ("run", "mode = forward_only"),
+        ("run", "categories = new")],
+        ids=["gram_sample", "mode", "categories"])
+    def test_retired_key_is_ignored(self, tmp_path, section, key):
+        # configs written before these settings went carry them (the
+        # benchmark's run.ini does): each loads and shapes nothing
         ini = tmp_path / "run.ini"
-        ini.write_text("[paths]\nout_dir = /o\n[train]\nepochs = 2\n")
+        ini.write_text("[paths]\nout_dir = /o\n[run]\nyears = 2019\n"
+                       "[train]\nepochs = 2\n")
         want = load_config_file(ini)
-        ini.write_text(ini.read_text() + "gram_sample = 1\n")
+        ini.write_text(ini.read_text().replace(
+            f"[{section}]\n", f"[{section}]\n{key}\n"))
         assert load_config_file(ini) == want
 
     @pytest.mark.parametrize("edit, flags", [
         (("learning_rate = 0.01", "learning_rate = -1.0"), []),
         (("learning_rate = 0.01", "learning_rate = nan"), []),
         (("batch_size = 4", "batch_size = 0"), []),
-        (("mode = forward_and_backward", "mode = forwards"), []),
-        (("mode = forward_and_backward", "categories ="), []),
         (("[paths]\n", ""), []),
         (("gcn_layers = 1", "gcn_layers = 0"), []),
         (("gcn_hidden = 4", "gcn_hidden = 0"), []),
@@ -118,9 +126,6 @@ class TestConfigFile:
         (("min_count = 2", "min_count = 6"), []),
         (("k = 3", "k = 0"), []),
         (("embed_dim = 16", "embed_dim = 0"), []),
-        (("mode = forward_and_backward", "categories = foo"), []),
-        (("mode = forward_and_backward", "categories = continual,continual"),
-         []),
         (("years = 2019..2020", "years = ,"), []),
         (None, ["--years", ","]),
         (("years = 2019..2020", "years = 2019,2019"), []),
@@ -128,12 +133,11 @@ class TestConfigFile:
         (None, ["--k", "0"]),
         (None, ["--min-count", "9", "--max-count", "5"]),
     ], ids=["negative_learning_rate", "nan_learning_rate", "zero_batch_size",
-            "unknown_mode", "empty_categories", "missing_section_header",
-            "zero_gcn_layers", "zero_gcn_hidden", "unknown_encoder_mode",
-            "zero_dim", "short_max_len", "negative_grad_clip",
-            "negative_loss_a", "nan_loss_b", "min_count_above_max_count",
-            "zero_k", "zero_embed_dim", "unknown_category",
-            "repeated_category", "no_years", "no_years_flag", "repeated_year",
+            "missing_section_header", "zero_gcn_layers", "zero_gcn_hidden",
+            "unknown_encoder_mode", "zero_dim", "short_max_len",
+            "negative_grad_clip", "negative_loss_a", "nan_loss_b",
+            "min_count_above_max_count", "zero_k", "zero_embed_dim",
+            "no_years", "no_years_flag", "repeated_year",
             "repeated_year_flag", "zero_k_flag",
             "min_count_above_max_count_flags"])
     def test_invalid_value_is_usage_error(self, tmp_path, toy_data, edit,
@@ -159,9 +163,8 @@ class TestConfigFile:
 
     def test_seed_flag_sets_all_seeds(self):
         parser = make_parser()
-        args = parser.parse_args(["train", "--seed", "11"])
-        from templink.cli import build_run_config
-        cfg = build_run_config(args)
+        args = parser.parse_args(["train", "--seed", "11", "--years", "2019"])
+        cfg = pipeline_config(args)
         assert cfg.train.seed == 11
         assert cfg.model.seed == 11
         assert cfg.embed_seed == 11
@@ -378,7 +381,7 @@ class TestBuildGraphs:
 def write_experiment_ini(path, data, out, years="2019..2020"):
     path.write_text(
         f"[paths]\ndata_dir = {data}\nout_dir = {out}\n"
-        f"[run]\nyears = {years}\nmode = forward_and_backward\n"
+        f"[run]\nyears = {years}\n"
         "[graphs]\nk = 3\nmin_count = 2\nmax_count = 5\nembed_dim = 16\n"
         "[model]\ndim = 8\ngcn_hidden = 4\ngcn_out = 4\ngcn_layers = 1\n"
         "encoder_layers = 1\nmax_len = 32\n"
@@ -420,7 +423,7 @@ class TestExperiment:
         baseline.write_text("metric,gap,category,value\n1,0,new,0.5\n")
         assert main(["experiment", "--config", str(ini),
                      "--baseline", str(baseline)]) == EXIT_OK
-        assert main(["report", "--config", str(ini),
+        assert main(["report", "--out-dir", str(out),
                      "--table", str(bundled_results_path())]) == EXIT_OK
         files = [p for p in out.rglob("*") if p.is_file()]
         names = {p.name for p in files}
@@ -685,14 +688,16 @@ class TestResumeStamp:
         assert main(["experiment", "--config", str(fresh_ini)]) == EXIT_OK
         assert run_artifacts(out) == run_artifacts(fresh) != before
 
-    def test_mode_change_retrains_nothing(self, tmp_path, toy_data):
+    def test_baseline_change_retrains_nothing(self, tmp_path, toy_data):
         out = tmp_path / "out"
         ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
         assert main(["experiment", "--config", str(ini)]) == EXIT_OK
         ckpts = sorted((out / "checkpoints").glob("*.ckpt"))
         mtimes = [p.stat().st_mtime_ns for p in ckpts]
+        baseline = tmp_path / "baseline.csv"
+        baseline.write_text("metric,gap,category,value\n1,0,new,0.5\n")
         assert main(["experiment", "--config", str(ini),
-                     "--mode", "forward_only"]) == EXIT_OK
+                     "--baseline", str(baseline)]) == EXIT_OK
         assert [p.stat().st_mtime_ns for p in ckpts] == mtimes
 
     def test_resolved_config_records_stamp_and_digest(self, tmp_path, toy_data):
@@ -749,7 +754,7 @@ class TestEvalTrustsStamp:
         trained = header_stamps(out)[0]
         argv = ["eval", "--config", str(ini), "--seed", "5"]
         assert main(argv) == EXIT_DATA
-        cfg = build_run_config(make_parser().parse_args(argv))
+        cfg = pipeline_config(make_parser().parse_args(argv))
         run = cfg.stamp(pipeline.data_digest(cfg))
         path = out / "checkpoints" / "continual_2019.ckpt"
         assert (f"{path}: stamp {trained}, but the run's stamp is {run}; "
@@ -873,20 +878,24 @@ NOT_READ = [("report", "--data-dir", "d"), ("report", "--years", "2019"),
             ("report", "--seed", "3"), ("report", "--k", "4"),
             ("report", "--min-count", "2"), ("report", "--max-count", "5"),
             ("report", "--mode", "forward_only"),
-            ("report", "--baseline", "b.csv"), ("ingest", "--out-dir", "o"),
-            ("ingest", "--years", "2019"), ("ingest", "--seed", "3")]
+            ("report", "--baseline", "b.csv"),
+            ("report", "--config", "run.ini"), ("ingest", "--out-dir", "o"),
+            ("ingest", "--years", "2019"), ("ingest", "--seed", "3"),
+            ("ingest", "--config", "run.ini"),
+            ("eval", "--mode", "forward_only"),
+            ("experiment", "--mode", "forward_only")]
 
 
 class TestEachCommandTakesWhatItReads:
     def test_help_lists_the_flags_each_command_reads(self, capsys):
         run = ["--config", "--data-dir", "--out-dir", "--years", "--seed",
                "--k", "--min-count", "--max-count"]
-        want = {"ingest": ["--config", "--data-dir", "--year", "--entities",
-                           "--mentions", "--test-mentions", "--triples"],
+        want = {"ingest": ["--data-dir", "--year", "--entities", "--mentions",
+                           "--test-mentions", "--triples"],
                 "build-graphs": run, "train": run,
-                "eval": run + ["--mode", "--baseline"],
-                "experiment": run + ["--mode", "--baseline"],
-                "report": ["--config", "--out-dir", "--table"]}
+                "eval": run + ["--baseline"],
+                "experiment": run + ["--baseline"],
+                "report": ["--out-dir", "--table"]}
         for command, flags in want.items():
             assert main([command, "--help"]) == EXIT_OK
             text = capsys.readouterr().out
@@ -895,18 +904,22 @@ class TestEachCommandTakesWhatItReads:
     @pytest.mark.parametrize("argv", [*NOT_READ, ("report",)],
                              ids=[f"{a[0]}{a[1]}" for a in NOT_READ]
                              + ["report_without_table"])
-    def test_flag_not_read_is_usage_error(self, tmp_path, toy_data, argv):
+    def test_flag_not_read_is_usage_error(self, tmp_path, toy_data,
+                                          monkeypatch, argv):
         # refused before any work: nothing is written, and report without
-        # a table runs no eval
+        # a table runs no eval; --config names a config that would load
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "out"
         ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
         src = tmp_path / "ents.jsonl"
         src.write_text('{"qid": "Q1", "title": "A"}\n')
         table = [] if argv == ("report",) else [
             "--table", str(bundled_results_path())]
-        rest = {"report": ["--config", str(ini), *table],
+        rest = {"report": ["--out-dir", str(out), *table],
                 "ingest": ["--data-dir", str(out), "--year", "2020",
-                           "--entities", str(src)]}[argv[0]]
+                           "--entities", str(src)],
+                "eval": ["--config", str(ini)],
+                "experiment": ["--config", str(ini)]}[argv[0]]
         assert main([*argv, *rest]) == EXIT_USAGE
         assert not out.exists()
 
@@ -968,7 +981,7 @@ class TestOnlyTrainingImportsScipy:
             ["experiment", "--config", ini])
         for argv in (["--version"], ["experiment", "--config", ini],
                      ["eval", "--config", ini],
-                     ["report", "--config", ini,
+                     ["report", "--out-dir", str(tmp_path / "out"),
                       "--table", str(bundled_results_path())],
                      ["build-graphs", "--config", ini]):
             assert scipy_modules_after(argv) == [], argv

@@ -345,8 +345,8 @@ def _op_cases():
     s = sp.csr_matrix(np.array([[0.5, 0.5, 0.0],
                                 [0.5, 0.3, 0.2],
                                 [0.0, 0.2, 0.8]]))
-    a = tape.param(rnd((3, 4), 20) + 0.05, "a")   # offset keeps relu off kinks
-    b = tape.param(rnd((4, 3), 21), "b")
+    a = tape.param(rnd((3, 4), 20) + 0.05)   # offset keeps relu off kinks
+    b = tape.param(rnd((4, 3), 21))
     cases = {
         "add": ([a, b], lambda: tape.sum_squares(
             tape.add(a, tape.transpose(b)))),
