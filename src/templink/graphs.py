@@ -24,7 +24,14 @@ from .checkpoint import atomic_open
 
 log = logging.getLogger(__name__)
 
-KNN_BLOCK = 256  # similarity rows ranked at once by build_knn_graph
+KNN_BLOCK = 256  # similarity rows whose top k build_knn_graph selects at once
+
+
+def _unique_pairs(pairs, width):
+    """The sorted unique rows of an (nnz, 2) int64 array whose second
+    column lies in [0, width), found as the unique keys row * width + col."""
+    return np.column_stack(np.divmod(
+        np.unique(pairs[:, 0] * width + pairs[:, 1]), width))
 
 
 @dataclass
@@ -44,7 +51,7 @@ class AdjacencyMatrix:
             if i == j:
                 raise ValueError(f"self-loop on node {i}")
             raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
-        self.edges = np.unique(np.sort(e, axis=1), axis=0)
+        self.edges = _unique_pairs(np.sort(e, axis=1), self.n)
 
     @property
     def nnz(self):
@@ -80,7 +87,7 @@ class FeatureMatrix:
         if bad.size:
             i, j = o[bad[0]].tolist()
             raise ValueError(f"entry ({i},{j}) out of range")
-        self.ones = np.unique(o, axis=0)
+        self.ones = _unique_pairs(o, self.m)
 
     def to_dense(self, dtype=np.float32):
         x = np.zeros((self.n, self.m), dtype=dtype)
@@ -161,7 +168,10 @@ def embed_descriptions(entities, tokenizer, dim: int = 64,
 def build_knn_graph(embeddings: np.ndarray, k: int) -> AdjacencyMatrix:
     """Union-symmetrized cosine kNN graph; ties broken by lower row index.
     Similarity is one n x n product (a row-blocked product differs in the
-    last bit), ranked ``KNN_BLOCK`` rows at a time by a stable sort."""
+    last bit). ``KNN_BLOCK`` rows at a time, ``np.partition`` finds each
+    row's k-th largest similarity; only the columns at or above it (ties
+    at the boundary included) are sorted by (-similarity, column), and the
+    first k of each row kept."""
     n = embeddings.shape[0]
     if n < 2:
         raise ValueError("kNN graph needs at least 2 nodes")
@@ -172,12 +182,22 @@ def build_knn_graph(embeddings: np.ndarray, k: int) -> AdjacencyMatrix:
     zero = np.where(norms == 0)[0]
     if zero.size:
         raise ValueError(f"zero-norm embedding at row {int(zero[0])}")
+    if not np.isfinite(norms).all():  # a NaN would not rank
+        raise ValueError("embedding with a non-finite norm at row "
+                         f"{int(np.flatnonzero(~np.isfinite(norms))[0])}")
     unit = x / norms[:, None]
     sim = unit @ unit.T
     np.fill_diagonal(sim, -np.inf)
-    nbrs = np.concatenate([
-        np.argsort(-sim[lo:lo + KNN_BLOCK], axis=1, kind="stable")[:, :k]
-        for lo in range(0, n, KNN_BLOCK)])
+    nbrs = np.empty((n, k), dtype=np.int64)
+    for lo in range(0, n, KNN_BLOCK):
+        block = sim[lo:lo + KNN_BLOCK]
+        kth = np.partition(block, n - k, axis=1)[:, n - k]
+        at = np.flatnonzero(block >= kth[:, None])  # cols ascend per row
+        rows, cols = np.divmod(at, n)
+        order = np.lexsort((-block.ravel()[at], rows))  # stable: ties by col
+        count = np.bincount(rows, minlength=len(block))
+        start = np.cumsum(count) - count
+        nbrs[lo:lo + len(block)] = cols[order][start[:, None] + np.arange(k)]
     return AdjacencyMatrix(n=n, edges=np.column_stack(
         [np.repeat(np.arange(n), k), nbrs.ravel()]))
 

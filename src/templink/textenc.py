@@ -22,6 +22,7 @@ from . import tape
 PAD, UNK, CLS, SEP, M_START, M_END, ENT = range(7)
 N_SPECIAL = 7
 ENCODER_MODES = ("mean", "attn")
+INIT_BLOCK = 1024  # parameter rows _initializer draws at once
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
@@ -100,7 +101,10 @@ def _initializer(seed: int, tensors: dict = None):
     """``init(name, rows, cols)``: a new float32 parameter. With
     ``tensors`` its value is the array named ``name``, which must be
     rows x cols (else ``ValueError``); without, each call draws uniformly
-    in +-1/sqrt(rows) from one PCG64 generator seeded with ``seed``."""
+    in +-1/sqrt(rows) from one PCG64 generator seeded with ``seed``,
+    ``INIT_BLOCK`` rows at a time into the float32 table: the same stream,
+    in the same C order, as one rows x cols draw, without its float64
+    copy."""
     if tensors is not None:
         def given(name, rows, cols):
             arr = tensors.get(name)
@@ -116,8 +120,11 @@ def _initializer(seed: int, tensors: dict = None):
 
     def draw(name, rows, cols):
         bound = 1.0 / np.sqrt(rows)
-        return tape.param(rng.uniform(-bound, bound, size=(rows, cols))
-                          .astype(np.float32))
+        out = np.empty((rows, cols), dtype=np.float32)
+        for lo in range(0, rows, INIT_BLOCK):
+            out[lo:lo + INIT_BLOCK] = rng.uniform(
+                -bound, bound, size=(min(INIT_BLOCK, rows - lo), cols))
+        return tape.param(out)
     return draw
 
 

@@ -77,22 +77,26 @@ class Snapshot:
 
 class Adam:
     """Adaptive-moment optimizer, beta=(0.9, 0.999), eps=1e-8, no decay.
-    ``step`` updates the float32 moments and each parameter's ``data`` in
-    place, so a reference to a parameter array sees every update. When
-    clipping fires it scales each gradient's stored values in place too
-    (``train_step`` zeroes every gradient before the next backward).
+    ``step`` updates each parameter's ``data`` in place, so a reference to
+    a parameter array sees every update. When clipping fires it scales each
+    gradient's stored values in place too (``train_step`` zeroes every
+    gradient before the next backward).
 
-    A ``tape.RowGrad`` gradient updates only the parameter's live rows, the
-    rows that have ever had a gradient, with g = 0 on those it leaves out.
-    A row never live has m = v = g = 0, which the dense update maps to
-    m = v = 0 and p - 0 = p (-0.0 included), so skipping it is exact."""
+    Moments are kept for live rows only: ``rows[name]`` is the sorted array
+    of the rows of parameter ``name`` that have ever had a gradient (every
+    row, once a dense gradient came), and ``m[name]`` and ``v[name]`` are
+    float32 (live rows x ...) arrays in that row order. A row enters with
+    m = v = 0. A ``tape.RowGrad`` gradient updates the live rows, with
+    g = 0 on those it leaves out. A row never live has m = v = g = 0, which
+    the dense update maps to m = v = 0 and p - 0 = p (-0.0 included), so
+    skipping it is exact."""
 
     def __init__(self, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {}
         self.v = {}
-        self.live = {}  # name -> mask of the rows that ever had a gradient
+        self.rows = {}
         self.step_count = 0
 
     def step(self, params: dict, clip: float = 0.0):
@@ -112,22 +116,40 @@ class Adam:
         bias2 = np.float32(1.0 - self.beta2 ** t)
         for name, g in sorted(grads.items()):
             p = params[name]
-            if name not in self.m:
-                self.m[name] = np.zeros(p.data.shape, dtype=p.data.dtype)
-                self.v[name] = np.zeros(p.data.shape, dtype=p.data.dtype)
-                self.live[name] = np.zeros(len(p.data), dtype=bool)
-            m, v, live = self.m[name], self.v[name], self.live[name]
-            if not isinstance(g, tape.RowGrad):
-                live[:] = True
-                self._update(p.data, m, v, g, bias1, bias2)
+            sparse = isinstance(g, tape.RowGrad)
+            live = self._make_live(name, p.data, g.rows if sparse
+                                   else np.arange(len(p.data)))
+            m, v = self.m[name], self.v[name]
+            if len(live) == len(p.data):  # every row live: update in place
+                self._update(p.data, m, v, g.dense(len(live)) if sparse
+                             else g, bias1, bias2)
                 continue
-            live[g.rows] = True
-            rows = np.flatnonzero(live)
-            g_live = np.zeros((len(rows), g.values.shape[1]), g.values.dtype)
-            g_live[np.searchsorted(rows, g.rows)] = g.values
-            p_live, m_live, v_live = p.data[rows], m[rows], v[rows]
-            self._update(p_live, m_live, v_live, g_live, bias1, bias2)
-            p.data[rows], m[rows], v[rows] = p_live, m_live, v_live
+            g_live = np.zeros(m.shape, g.values.dtype)
+            g_live[np.searchsorted(live, g.rows)] = g.values
+            p_live = p.data[live]
+            self._update(p_live, m, v, g_live, bias1, bias2)
+            p.data[live] = p_live
+
+    def _make_live(self, name, data, rows):
+        """The live rows of parameter ``name`` (whose value is ``data``)
+        after the sorted distinct ``rows`` join them, each new row with
+        m = v = 0."""
+        live = self.rows.get(name)
+        if live is None:
+            live = np.array([], dtype=np.int64)
+            self.m[name] = np.zeros((0,) + data.shape[1:], data.dtype)
+            self.v[name] = np.zeros((0,) + data.shape[1:], data.dtype)
+        elif len(live) == len(data):
+            return live
+        grown = np.union1d(live, rows)
+        if len(grown) > len(live):
+            at = np.searchsorted(grown, live)
+            for moments in (self.m, self.v):
+                full = np.zeros((len(grown),) + data.shape[1:], data.dtype)
+                full[at] = moments[name]
+                moments[name] = full
+            self.rows[name] = live = grown
+        return live
 
     def _update(self, p, m, v, g, bias1, bias2):
         """One float32 Adam update of the arrays ``p``, ``m`` and ``v`` in

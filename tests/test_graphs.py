@@ -1,3 +1,4 @@
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -75,6 +76,12 @@ class TestKnnGraph:
         with pytest.raises(ValueError, match="row 1"):
             build_knn_graph(emb, k=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row(self, bad):
+        emb = np.array([[1.0, 0.0], [0.0, 1.0], [bad, 1.0]])
+        with pytest.raises(ValueError, match="non-finite norm at row 2"):
+            build_knn_graph(emb, k=1)
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
         emb = rng.normal(size=(8, 4))
@@ -122,11 +129,31 @@ def test_knn_matches_per_row_sort(data):
         base = np.round(base)
         base[~base.any(axis=1)] = 1.0
     emb = base[rng.integers(len(base), size=n)]   # duplicated rows tie too
+    if k + 2 <= n and data.draw(st.booleans()):
+        # more than k + 1 copies of one row: each copy's top k is cut from
+        # k + 1 or more ties, so the ties straddle position k
+        copies = rng.choice(n, size=data.draw(st.integers(k + 2, n)),
+                            replace=False)
+        emb[copies] = emb[copies[0]]
     block = data.draw(st.sampled_from([1, 7, graphs.KNN_BLOCK]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graphs, "KNN_BLOCK", block)
         got = build_knn_graph(emb, k).edges.tolist()
     assert got == knn_oracle(emb, k)
+
+
+def test_knn_peak_memory_is_the_product_and_one_block():
+    # no block's sort state outlives the block: the traced peak stays
+    # below 1.6 x the n x n float64 product
+    n = 1500
+    emb = np.random.default_rng(0).normal(size=(n, 64)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        build_knn_graph(emb, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * n * n * 8
 
 
 class TestIndexArrays:

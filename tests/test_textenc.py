@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from checks import check_gradients
-from templink import tape
+from templink import tape, textenc
 from templink.records import EntityRecord, MentionRecord
 from templink.textenc import (CLS, ENT, M_END, M_START, SEP, N_SPECIAL, UNK,
                               TextEncoder, Tokenizer, split_text)
@@ -156,6 +156,19 @@ class TestEncoder:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             TextEncoder(50, dim=8, mode="rnn")
+
+    @pytest.mark.parametrize("mode", ["mean", "attn"])
+    def test_blocked_draw_equals_one_draw(self, mode, monkeypatch):
+        # 3-row blocks: every table, the 11-row one too, holds the bits of
+        # one rows x cols draw per table from the same generator
+        monkeypatch.setattr(textenc, "INIT_BLOCK", 3)
+        enc = TextEncoder(11, dim=4, max_len=5, mode=mode, seed=7)
+        rng = np.random.Generator(np.random.PCG64(7))
+        for name, p in enc.params.items():
+            rows, cols = p.data.shape
+            bound = 1.0 / np.sqrt(rows)
+            want = rng.uniform(-bound, bound, size=(rows, cols))
+            assert p.data.tobytes() == want.astype(np.float32).tobytes(), name
 
     @pytest.mark.parametrize("mode", ["mean", "attn"])
     def test_gradient_check(self, mode):

@@ -152,46 +152,64 @@ class TestAdam:
             np.float32).tobytes()
 
     def test_row_grads_equal_dense_out_of_place(self):
-        # "a" (50 x 8) gets RowGrads, "b" dense ones; the reference gets
-        # both densely. Steps 0-2 are clipped. Rows 40-44 have a gradient at
-        # step 0 only, rows 45-49 never; row 49 holds -0.0.
+        # "a" (50 x 8) gets RowGrads, "b" dense ones, and "c" (30 x 4)
+        # RowGrads but a dense gradient at step 4; the reference gets every
+        # gradient densely. Steps 0-2 are clipped. Rows 40-44 of "a" have a
+        # gradient at step 0 only, rows 45-49 never; row 49 holds -0.0.
+        # Moments are stored for live rows only, so they are scattered into
+        # full arrays to compare with the reference's.
         rng = np.random.default_rng(4)
         init = {"a": rng.normal(size=(50, 8)).astype(np.float32),
-                "b": rng.normal(size=(8, 3)).astype(np.float32)}
+                "b": rng.normal(size=(8, 3)).astype(np.float32),
+                "c": rng.normal(size=(30, 4)).astype(np.float32)}
         init["a"][49, 2] = np.float32(-0.0)
         sides = []
         for opt in (Adam(lr=0.01), OutOfPlaceAdam(lr=0.01)):
             sides.append((opt, {n: tape.param(v.copy()) for n, v in init.items()}))
         (opt, params), (ref, ref_params) = sides
-        clipped, live = [], np.zeros(50, dtype=bool)
+        clipped = []
+        ever = {n: np.zeros(len(v), dtype=bool) for n, v in init.items()}
         for step in range(8):
             scale = 10.0 if step < 3 else 1e-3
             rows = np.sort(rng.choice(40, size=12, replace=False))
             if step == 0:
                 rows = np.concatenate([rows[:7], np.arange(40, 45)])
-            live[rows] = True
             values = (scale * rng.normal(size=(12, 8))).astype(np.float32)
             values[0, 0] = np.float32(-0.0)
             b = (scale * rng.normal(size=(8, 3))).astype(np.float32)
-            clipped.append(np.sqrt((values.astype(np.float64) ** 2).sum()
-                                   + (b.astype(np.float64) ** 2).sum()) > 1.0)
-            ref_params["a"].grad = tape.RowGrad(rows, values).dense(50)
-            ref_params["b"].grad = b.copy()
-            params["a"].grad = tape.RowGrad(rows, values)
-            params["b"].grad = b
+            c_rows = np.sort(rng.choice(30, size=5, replace=False))
+            c = tape.RowGrad(c_rows, (scale * rng.normal(size=(5, 4))).astype(
+                np.float32))
+            if step == 4:  # rows of "c" not yet live enter densely
+                assert 0 < ever["c"].sum() < 30
+                c = c.dense(30)
+            grads = {"a": tape.RowGrad(rows, values), "b": b, "c": c}
+            clipped.append(np.sqrt(sum(
+                (getattr(g, "values", g).astype(np.float64) ** 2).sum()
+                for g in grads.values())) > 1.0)
+            for name, g in grads.items():
+                dense = isinstance(g, np.ndarray)
+                ever[name][slice(None) if dense else g.rows] = True
+                ref_params[name].grad = g.copy() if dense else g.dense(
+                    len(init[name]))
+                params[name].grad = g
             opt.step(params, clip=1.0)
             ref.step(ref_params, clip=1.0)
-            for name in ("a", "b"):
+            for name in ("a", "b", "c"):
                 assert params[name].data.dtype == np.float32
                 assert (params[name].data.tobytes()
                         == ref_params[name].data.tobytes()), (step, name)
-                assert opt.m[name].tobytes() == ref.m[name].tobytes()
-                assert opt.v[name].tobytes() == ref.v[name].tobytes()
+                live = opt.rows[name]
+                assert live.tolist() == np.flatnonzero(ever[name]).tolist()
+                for moments, ref_moments in ((opt.m, ref.m), (opt.v, ref.v)):
+                    assert len(moments[name]) == len(live), (step, name)
+                    full = np.zeros_like(init[name])
+                    full[live] = moments[name]
+                    assert full.tobytes() == ref_moments[name].tobytes()
         assert clipped == [True] * 3 + [False] * 5
         assert params["a"].data[45:].tobytes() == init["a"][45:].tobytes()
-        assert not opt.m["a"][45:].any() and not opt.v["a"][45:].any()
-        assert opt.live["a"].tolist() == live.tolist()
-        assert live[40:45].all() and 10 < live.sum() < 45
+        assert ever["a"][40:45].all() and 10 < ever["a"].sum() < 45
+        assert ever["c"].all() and len(opt.m["c"]) == 30
         assert (params["a"].data[40:45] != init["a"][40:45]).all()
 
 
