@@ -1,8 +1,9 @@
 """Command-line surface: ingest, build-graphs, train, eval, experiment, report.
 
-A flat ``key = value`` config file with per-module sections (INI syntax)
-seeds every run; command-line flags override file values. Exit codes:
-0 success, 1 usage error, 2 data or I/O error, 3 numeric failure.
+A flat ``key = value`` config file with per-module sections (INI syntax,
+values literal) sets every run, its one ``[run] seed`` included; command-line
+flags override file values. Exit codes: 0 success, 1 usage error, 2 data or
+I/O error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -37,59 +38,57 @@ class UsageError(Exception):
 
 # INI section of each RunConfig field not read from [graphs]
 SECTION_OF = {"data_dir": "paths", "out_dir": "paths", "baseline": "paths",
-              "years": "run", "model": "model", "train": "train"}
+              "years": "run", "seed": "run", "model": "model", "train": "train"}
 
 
 def _cast(name: str, default, text: str):
-    if name == "years":
-        return parse_years(text)
-    if isinstance(default, list):
-        return [c.strip() for c in text.split(",") if c.strip()]
-    return type(default)(text)
+    return parse_years(text) if name == "years" else type(default)(text)
 
 
 def _from_ini(parser, cls, section: str, section_of: dict):
     """A ``cls`` built through its constructor from the INI keys named after
     its fields, each read from ``section_of.get(name, section)`` and cast by
     the type of the field's default; a dataclass field reads its own fields
-    from that section. ``seed`` fields are set by ``--seed`` only, and keys
-    that name no field are ignored."""
+    from that section. Each key read is removed from ``parser``."""
     values = {}
     for f in fields(cls):
         default = f.default if f.default is not MISSING else f.default_factory()
         where = section_of.get(f.name, section)
         if is_dataclass(default):
             values[f.name] = _from_ini(parser, type(default), where, {})
-        elif f.name != "seed" and parser.has_option(where, f.name):
+        elif (text := parser.get(where, f.name, fallback=None)) is not None:
+            parser.remove_option(where, f.name)
             try:
-                values[f.name] = _cast(f.name, default,
-                                       parser.get(where, f.name))
+                values[f.name] = _cast(f.name, default, text)
             except ValueError as exc:
                 raise ValueError(f"[{where}] {f.name}: {exc}") from exc
     return cls(**values)
 
 
 def load_config_file(path) -> RunConfig:
-    parser = configparser.ConfigParser()
+    """The config a UTF-8 INI file sets. A key that names no setting loads,
+    shapes nothing and is logged as a warning."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise UsageError(f"bad config file: {exc}") from exc
     if not read:
         raise UsageError(f"config file not found: {path}")
-    return _from_ini(parser, RunConfig, "graphs", SECTION_OF)
+    cfg = _from_ini(parser, RunConfig, "graphs", SECTION_OF)
+    for section in parser.sections():
+        for key in parser.options(section):
+            log.warning("%s: [%s] %s names no setting; ignored",
+                        path, section, key)
+    return cfg
 
 
 def apply_overrides(cfg: RunConfig, args) -> RunConfig:
     changes = {name: getattr(args, name) for name in
-               ("data_dir", "out_dir", "k", "min_count", "max_count",
+               ("data_dir", "out_dir", "seed", "k", "min_count", "max_count",
                 "baseline") if getattr(args, name, None) is not None}
     if getattr(args, "years", None) is not None:
         changes["years"] = parse_years(args.years)
-    if getattr(args, "seed", None) is not None:
-        changes.update(embed_seed=args.seed,
-                       model=replace(cfg.model, seed=args.seed),
-                       train=replace(cfg.train, seed=args.seed))
     return replace(cfg, **changes)
 
 

@@ -24,7 +24,6 @@ class ModelConfig:
     encoder_mode: str = "mean"
     encoder_layers: int = 2
     max_len: int = 128
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.dim, self.gcn_hidden, self.gcn_out, self.gcn_layers) < 1:
@@ -108,24 +107,25 @@ class Model:
     """Owns the two text encoders, the GCN stacks, the fusion head, and config."""
 
     def __init__(self, tokenizer: Tokenizer, feature_dim: int,
-                 config: ModelConfig = None, tensors: dict = None):
-        """Parameters drawn from the config's seed, or with ``tensors`` (a
-        checkpoint's arrays by name) taken from them; a missing or misshapen
-        one is a ``ValueError`` naming it."""
+                 config: ModelConfig = None, seed: int = 0,
+                 tensors: dict = None):
+        """Parameters drawn from four streams derived from ``seed``, or with
+        ``tensors`` (a checkpoint's arrays by name) taken from them; a missing
+        or misshapen one is a ``ValueError`` naming it."""
         self.config = config or ModelConfig()
         c = self.config
         self.tokenizer = tokenizer
         self.mention_encoder = TextEncoder(
             tokenizer.vocab_size, dim=c.dim, max_len=c.max_len,
             mode=c.encoder_mode, n_layers=c.encoder_layers,
-            seed=c.seed * 4 + 1, prefix="m_enc", tensors=tensors)
+            seed=seed * 4 + 1, prefix="m_enc", tensors=tensors)
         self.entity_encoder = TextEncoder(
             tokenizer.vocab_size, dim=c.dim, max_len=c.max_len,
             mode=c.encoder_mode, n_layers=c.encoder_layers,
-            seed=c.seed * 4 + 2, prefix="e_enc", tensors=tensors)
+            seed=seed * 4 + 2, prefix="e_enc", tensors=tensors)
         self.gcn = GcnStack(feature_dim, c.gcn_hidden, c.gcn_out,
-                            c.gcn_layers, seed=c.seed * 4 + 3, tensors=tensors)
-        self.fusion = FusionHead(c.gcn_out, c.dim, seed=c.seed * 4 + 4,
+                            c.gcn_layers, seed=seed * 4 + 3, tensors=tensors)
+        self.fusion = FusionHead(c.gcn_out, c.dim, seed=seed * 4 + 4,
                                  tensors=tensors)
 
     @property

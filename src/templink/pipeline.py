@@ -42,11 +42,11 @@ class RunConfig:
     data_dir: str = "data"
     out_dir: str = "out"
     years: list = field(default_factory=list)
+    seed: int = 0
     k: int = 10
     min_count: int = 46
     max_count: int = 200
     embed_dim: int = 64
-    embed_seed: int = 0
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     baseline: str = ""
@@ -146,7 +146,7 @@ def make_snapshots(cfg: RunConfig, corpora: dict, years, tokenizer: Tokenizer):
     if not years:
         return
     emb = embed_descriptions([e for year in years for e in corpora[year][0]],
-                             tokenizer, dim=cfg.embed_dim, seed=cfg.embed_seed)
+                             tokenizer, dim=cfg.embed_dim, seed=cfg.seed)
     lo = 0
     for year in years:
         entities, index, train_m, _ = corpora[year]
@@ -170,12 +170,12 @@ def train_year(cfg: RunConfig, snapshot: Snapshot, category: str,
     path = checkpoint_path(cfg, year, category)
     snapshot = replace(snapshot.prepare(), mentions=[
         m for m in snapshot.mentions if m.category == category])
-    model = Model(tokenizer, snapshot.feature_matrix.m, cfg.model)
+    model = Model(tokenizer, snapshot.feature_matrix.m, cfg.model, cfg.seed)
     path.parent.mkdir(parents=True, exist_ok=True)
-    train(snapshot, model, cfg.train, out_dir=path.parent,
+    train(snapshot, model, cfg.train, cfg.seed, out_dir=path.parent,
           curve_name=f"loss_curve_{category}_{year}.csv")
-    save_model(path, model, cfg.train,
-               extra={"year": year, "category": category, "stamp": stamp})
+    save_model(path, model, cfg.train, extra={
+        "year": year, "category": category, "seed": cfg.seed, "stamp": stamp})
     log.info("checkpoint %s", path)
     return path
 

@@ -34,7 +34,6 @@ class TrainConfig:
     loss_a: float = 0.5
     loss_b: float = 0.01
     grad_clip: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if (not 0 < self.learning_rate < np.inf or self.batch_size <= 0
@@ -238,10 +237,10 @@ def load_model(path, tokenizer: Tokenizer) -> Model:
     """Rebuild a Model over ``tokenizer`` from a checkpoint file, each
     parameter the checkpoint's tensor of its name; tensors that are not
     model parameters (such as ``opt.*`` moments in older files) and the
-    header keys older files carry (the tokenizer vocabulary,
-    ``fusion_frozen``) are ignored. A checkpoint whose embedding tables do
-    not have ``tokenizer.vocab_size`` rows, or whose tensors are missing or
-    misshapen for its config, is a ``DataError``."""
+    keys older files carry (the tokenizer vocabulary, ``fusion_frozen``,
+    the model config's ``seed``) are ignored. A checkpoint whose embedding
+    tables do not have ``tokenizer.vocab_size`` rows, or whose tensors are
+    missing or misshapen for its config, is a ``DataError``."""
     tensors, meta = load_checkpoint(path)
     emb = tensors.get("m_enc.emb")  # a missing one fails as Model builds
     if emb is not None and len(emb) != tokenizer.vocab_size:
@@ -249,6 +248,7 @@ def load_model(path, tokenizer: Tokenizer) -> Model:
             f"{path}: the checkpoint's embedding tables have {len(emb)} "
             f"rows, but the run's tokenizer has vocab_size "
             f"{tokenizer.vocab_size}")
+    meta["model_config"].pop("seed", None)
     try:
         return Model(tokenizer, meta["feature_dim"],
                      ModelConfig(**meta["model_config"]), tensors=tensors)
@@ -257,16 +257,16 @@ def load_model(path, tokenizer: Tokenizer) -> Model:
 
 
 def train(snapshot: Snapshot, model: Model, config: TrainConfig,
-          out_dir=None, curve_name="loss_curve.csv"):
-    """Full training run, updating ``model`` in place; returns the loss
-    curve rows (step, L_e, L_s, L_d, L_total)."""
+          seed: int = 0, out_dir=None, curve_name="loss_curve.csv"):
+    """Full training run, updating ``model`` in place, batches shuffled from
+    ``seed``; returns the loss curve rows (step, L_e, L_s, L_d, L_total)."""
     snapshot.prepare()
     optimizer = Adam(config.learning_rate)
     curve = []
     step = 0
     for epoch in range(config.epochs):
         batches = make_batches(snapshot.mentions, config.batch_size,
-                               config.seed + 7919 * epoch)
+                               seed + 7919 * epoch)
         for batch in batches:
             breakdown = train_step(batch, snapshot, model, optimizer, config)
             step += 1

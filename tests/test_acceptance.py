@@ -103,8 +103,8 @@ def joint_forward_fixture():
                           + [m.context_left + " " + m.mention + " "
                              + m.context_right for m in mentions], max_len=12)
     cfg = ModelConfig(dim=4, gcn_hidden=4, gcn_out=3, gcn_layers=2,
-                      encoder_layers=1, max_len=12, seed=0)
-    model = Model(tok, feature_dim=3, config=cfg)
+                      encoder_layers=1, max_len=12)
+    model = Model(tok, feature_dim=3, config=cfg, seed=0)
     for p in model.params.values():
         p.data = p.data.astype(np.float64)
     s_r = sym_normalize(AdjacencyMatrix(n=6, edges=[(0, 1), (1, 2), (3, 4)]))
@@ -202,7 +202,7 @@ def test_criterion_5_graph_construction_golden(tmp_path):
     data = write_toy_dataset(tmp_path / "data", years=(2019,))
     cfg = RunConfig(data_dir=str(data), out_dir=str(tmp_path / "out"),
                     years=[2019], k=3, min_count=2, max_count=5,
-                    embed_dim=16, embed_seed=0)
+                    embed_dim=16, seed=0)
     corpora = load_corpora(cfg)
     tok = build_tokenizer(cfg, corpora)
     list(make_snapshots(cfg, corpora, [2019], tok))
@@ -255,13 +255,13 @@ def test_criterion_6_disambiguation_by_structure(tmp_path):
         for label, (a, b, frozen) in {"text": (0.0, 0.0, True),
                                       "full": (0.5, 0.01, False)}.items():
             tc = TrainConfig(learning_rate=0.05, epochs=120, batch_size=32,
-                             loss_a=a, loss_b=b, seed=seed)
-            mc = ModelConfig(dim=32, encoder_mode="mean", seed=seed)
-            model = Model(tok, snap.feature_matrix.m, mc)
+                             loss_a=a, loss_b=b)
+            mc = ModelConfig(dim=32, encoder_mode="mean")
+            model = Model(tok, snap.feature_matrix.m, mc, seed)
             if frozen:  # text only: the fusion head held at zero
                 model.fusion.proj.data[:] = 0
                 model.fusion.proj.requires_grad = False
-            train(snap, model, tc)
+            train(snap, model, tc, seed)
             # text-only scoring for the frozen run; the full run is scored
             # through the training-time fused table so graph information
             # can break the twin tie (same-snapshot diagnostic)

@@ -5,7 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +17,10 @@ from templink.checkpoint import load_checkpoint, read_meta, save_checkpoint
 from templink.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, OutputLock,
                           UsageError, load_config_file, main, make_parser,
                           pipeline_config)
+from templink.model import ModelConfig
 from templink.pipeline import RunConfig, parse_years
 from templink.textenc import Tokenizer
+from templink.trainer import TrainConfig
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -81,34 +83,104 @@ class TestConfigFile:
         assert cfg.k == 7
         assert cfg.years == [2021]
 
-    def test_readme_config_block_loads(self, tmp_path):
+    def test_readme_config_block_loads(self, tmp_path, caplog):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
         ini = tmp_path / "readme.ini"
         ini.write_text(block)
-        assert load_config_file(ini) == replace(RunConfig(),
-                                                years=[2019, 2020, 2021, 2022])
-        # a key that names no field would load, be ignored and pass above
-        cfg = RunConfig()
-        known = {f.name for part in (cfg, cfg.model, cfg.train)
-                 for f in fields(part)}
-        keys = re.findall(r"^(\w+) =", block, re.M)
-        assert keys and set(keys) <= known
+        with caplog.at_level(logging.WARNING, logger="templink.cli"):
+            assert load_config_file(ini) == replace(
+                RunConfig(), years=[2019, 2020, 2021, 2022])
+        # a key that names no setting would load and pass above, but warn
+        assert caplog.records == []
 
     @pytest.mark.parametrize("section, key", [
         ("train", "gram_sample = 1"), ("run", "mode = forward_only"),
-        ("run", "categories = new")],
-        ids=["gram_sample", "mode", "categories"])
-    def test_retired_key_is_ignored(self, tmp_path, section, key):
+        ("run", "categories = new"), ("graphs", "embed_seed = 5"),
+        ("model", "seed = 3"), ("train", "seed = 4")],
+        ids=["gram_sample", "mode", "categories", "embed_seed", "model_seed",
+             "train_seed"])
+    def test_retired_key_is_ignored(self, tmp_path, caplog, section, key):
         # configs written before these settings went carry them (the
-        # benchmark's run.ini does): each loads and shapes nothing
+        # benchmark's run.ini does): each loads, shapes nothing, and is
+        # named in one warning
         ini = tmp_path / "run.ini"
         ini.write_text("[paths]\nout_dir = /o\n[run]\nyears = 2019\n"
+                       "[graphs]\nk = 3\n[model]\ndim = 8\n"
                        "[train]\nepochs = 2\n")
         want = load_config_file(ini)
         ini.write_text(ini.read_text().replace(
             f"[{section}]\n", f"[{section}]\n{key}\n"))
-        assert load_config_file(ini) == want
+        with caplog.at_level(logging.WARNING, logger="templink.cli"):
+            assert load_config_file(ini) == want
+        name = key.split(" =")[0]
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.WARNING,
+             f"{ini}: [{section}] {name} names no setting; ignored")]
+
+    def test_every_setting_loads_from_file(self, tmp_path):
+        # every leaf setting at a valid non-default value, written into
+        # the section README documents for it, loads back equal
+        cfg = RunConfig(
+            data_dir="/d", out_dir="/o", baseline="/b.csv",
+            years=[2018, 2020], seed=7, k=3, min_count=2, max_count=9,
+            embed_dim=16,
+            model=ModelConfig(dim=8, gcn_hidden=5, gcn_out=6, gcn_layers=3,
+                              encoder_mode="attn", encoder_layers=1,
+                              max_len=40),
+            train=TrainConfig(learning_rate=0.01, epochs=3, batch_size=4,
+                              loss_a=0.25, loss_b=0.5, grad_clip=2.0))
+        default = RunConfig()
+        section_of = {"data_dir": "paths", "out_dir": "paths",
+                      "baseline": "paths", "years": "run", "seed": "run"}
+        sections = {}
+        for part, was, section in ((cfg, default, "graphs"),
+                                   (cfg.model, default.model, "model"),
+                                   (cfg.train, default.train, "train")):
+            for f in fields(part):
+                value = getattr(part, f.name)
+                if is_dataclass(value):
+                    continue
+                assert value != getattr(was, f.name), f.name
+                text = (",".join(map(str, value)) if f.name == "years"
+                        else repr(value) if isinstance(value, float)
+                        else str(value))
+                where = section_of.get(f.name, section)
+                sections.setdefault(where, []).append(f"{f.name} = {text}")
+        assert sum(map(len, sections.values())) == 22
+        ini = tmp_path / "run.ini"
+        ini.write_text("\n".join(f"[{name}]\n" + "\n".join(lines)
+                                 for name, lines in sections.items()) + "\n")
+        assert load_config_file(ini) == cfg
+
+    def test_seed_flag_beats_file_seed(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\nyears = 2019\nseed = 7\n")
+        parser = make_parser()
+        assert pipeline_config(parser.parse_args(
+            ["train", "--config", str(ini)])).seed == 7
+        assert pipeline_config(parser.parse_args(
+            ["train", "--config", str(ini), "--seed", "3"])).seed == 3
+
+    def test_percent_in_value_is_literal(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[paths]\ndata_dir = /x/100%data\nout_dir = /o/%(k)s\n")
+        cfg = load_config_file(ini)
+        assert (cfg.data_dir, cfg.out_dir) == ("/x/100%data", "/o/%(k)s")
+
+    def test_file_read_as_utf8_in_any_locale(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_bytes("[paths]\ndata_dir = /x/d\u00e4ta\n".encode())
+        src = str(Path(textenc.__file__).parents[1])
+        env = dict(os.environ, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   LC_ALL="C", PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from templink.cli import "
+             "load_config_file; print(ascii(load_config_file(sys.argv[1])"
+             ".data_dir))", str(ini)],
+            capture_output=True, text=True, env=env)
+        assert run.stdout == "'/x/d\\xe4ta'\n", run.stderr
 
     @pytest.mark.parametrize("edit, flags", [
         (("learning_rate = 0.01", "learning_rate = -1.0"), []),
@@ -162,12 +234,11 @@ class TestConfigFile:
         assert not out.exists()
 
     def test_seed_flag_sets_all_seeds(self):
+        # the run's one seed: embedding, parameters and batch order derive
+        # from it
         parser = make_parser()
         args = parser.parse_args(["train", "--seed", "11", "--years", "2019"])
-        cfg = pipeline_config(args)
-        assert cfg.train.seed == 11
-        assert cfg.model.seed == 11
-        assert cfg.embed_seed == 11
+        assert pipeline_config(args).seed == 11
 
 
 def reaped_pid() -> int:

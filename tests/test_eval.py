@@ -178,8 +178,8 @@ TOK = Tokenizer.build([" ".join(WORDS)], max_len=16)
 
 def year_model(seed):
     cfg = ModelConfig(dim=6, gcn_hidden=4, gcn_out=3, gcn_layers=1,
-                      encoder_layers=1, max_len=16, seed=seed)
-    return Model(TOK, feature_dim=3, config=cfg)
+                      encoder_layers=1, max_len=16)
+    return Model(TOK, feature_dim=3, config=cfg, seed=seed)
 
 
 def year_test_set(year):
@@ -362,8 +362,8 @@ class TestOnePassPerModel:
         assert len({tuple(s) for s in entity_seqs}) < len(entity_seqs)
         models = [(key, y, Model(tok, feature_dim=3, config=ModelConfig(
                       dim=6, gcn_hidden=4, gcn_out=3, gcn_layers=1,
-                      encoder_mode=mode, encoder_layers=1, max_len=16,
-                      seed=seed)))
+                      encoder_mode=mode, encoder_layers=1, max_len=16),
+                      seed=seed))
                   for seed, (key, y) in enumerate(
                       (key, y) for key in ("continual", "new") for y in years)]
         ranked = {}

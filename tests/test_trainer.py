@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from templink import tape, trainer
 from templink.checkpoint import load_checkpoint, save_checkpoint
 from templink.graphs import AdjacencyMatrix, FeatureMatrix, sym_normalize
 from templink.model import Model, ModelConfig
+from templink.pipeline import (RunConfig, build_tokenizer, load_corpora,
+                               make_snapshots, train_year)
 from templink.records import (DataError, EntityIndex, EntityRecord,
                               MentionRecord)
 from templink.textenc import Tokenizer
@@ -39,8 +42,9 @@ def tiny_model(snapshot, seed=0, gcn_layers=1):
               for m in snapshot.mentions]
     tok = Tokenizer.build(texts, max_len=16)
     cfg = ModelConfig(dim=6, gcn_hidden=4, gcn_out=3, gcn_layers=gcn_layers,
-                      encoder_layers=1, max_len=16, seed=seed)
-    return Model(tok, feature_dim=snapshot.feature_matrix.m, config=cfg)
+                      encoder_layers=1, max_len=16)
+    return Model(tok, feature_dim=snapshot.feature_matrix.m, config=cfg,
+                 seed=seed)
 
 
 class TestTrainConfig:
@@ -250,7 +254,7 @@ def sparse_snapshot():
     texts += [m.context_left + " " + m.mention for m in mentions]
     tok = Tokenizer.build(texts + ["unused words only here"], max_len=16)
     cfg = ModelConfig(dim=6, gcn_hidden=4, gcn_out=3, gcn_layers=2,
-                      encoder_layers=1, max_len=16, seed=3)
+                      encoder_layers=1, max_len=16)
     return snap, tok, cfg
 
 
@@ -259,18 +263,18 @@ class TestRowSparseTraining:
         # batches of 3 over disjoint words: rows go live batch by batch
         # over the first epoch; clipping fires from the fifth step on
         snap, tok, model_cfg = sparse_snapshot()
-        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=3, seed=1,
+        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=3,
                           grad_clip=0.01)
         monkeypatch.setattr(DensifyingAdam, "seen", 0)
         runs = []
         for optimizer in (Adam, DensifyingAdam):
             monkeypatch.setattr(trainer, "Adam", optimizer)
-            model = Model(tok, snap.feature_matrix.m, model_cfg)
-            runs.append((train(snap, model, cfg),
+            model = Model(tok, snap.feature_matrix.m, model_cfg, seed=3)
+            runs.append((train(snap, model, cfg, seed=1),
                          {n: p.data.tobytes() for n, p in model.params.items()}))
         assert DensifyingAdam.seen == 2 * len(runs[0][0]) == 24
         assert runs[0] == runs[1]
-        fresh = Model(tok, snap.feature_matrix.m, model_cfg).params
+        fresh = Model(tok, snap.feature_matrix.m, model_cfg, seed=3).params
         unused = [tok.vocab[w] for w in ("unused", "words", "only", "here")]
         for name in ("m_enc.emb", "e_enc.emb"):
             emb = np.frombuffer(runs[0][1][name], dtype=np.float32).reshape(
@@ -398,9 +402,6 @@ class TestTrain:
     def test_200_steps_cut_linking_loss_90_percent(self, pair_data, tmp_path):
         # 200-entity twin fixture: ~200 steps must drop L_e to under 10%
         # of its first-step value
-        from templink.pipeline import (RunConfig, build_tokenizer,
-                                       load_corpora, make_snapshots)
-        from templink.model import ModelConfig
         cfg = RunConfig(data_dir=str(pair_data), out_dir=str(tmp_path / "out"),
                         years=[2019], min_count=2, max_count=5, k=5,
                         model=ModelConfig(dim=32, encoder_mode="mean"))
@@ -408,19 +409,19 @@ class TestTrain:
         tok = build_tokenizer(cfg, corpora)
         snap, = make_snapshots(cfg, corpora, [2019], tok)
         model = Model(tok, snap.feature_matrix.m, cfg.model)
-        tc = TrainConfig(learning_rate=0.05, epochs=13, batch_size=32, seed=0)
-        curve = train(snap, model, tc)   # 16 batches/epoch -> 208 steps
+        tc = TrainConfig(learning_rate=0.05, epochs=13, batch_size=32)
+        curve = train(snap, model, tc, 0)   # 16 batches/epoch -> 208 steps
         initial = curve[0][1]
         final = np.mean([r[1] for r in curve[-16:]])
         assert final < 0.1 * initial
 
     def test_runs_byte_identical(self, tmp_path):
-        cfg = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=3, seed=5)
+        cfg = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=3)
         outs = []
         for run in ("a", "b"):
             snap = tiny_snapshot()
             model = tiny_model(snap)
-            train(snap, model, cfg, out_dir=tmp_path / run)
+            train(snap, model, cfg, seed=5, out_dir=tmp_path / run)
             save_model(tmp_path / run / "m.ckpt", model, cfg)
             outs.append(run)
         assert ((tmp_path / "a" / "m.ckpt").read_bytes()
@@ -445,8 +446,8 @@ class TestCheckpointRoundTrip:
     def test_params_restored(self, tmp_path):
         snap = tiny_snapshot()
         model = tiny_model(snap)
-        cfg = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=4, seed=2)
-        train(snap, model, cfg)
+        cfg = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=4)
+        train(snap, model, cfg, seed=2)
         path = tmp_path / "m.ckpt"
         save_model(path, model, cfg, extra={"year": 2020})
 
@@ -493,6 +494,47 @@ class TestCheckpointRoundTrip:
         assert loaded.tokenizer is tok
         for name, p in model.params.items():
             assert loaded.params[name].data.dtype == np.float32
+            assert loaded.params[name].data.tobytes() == p.data.tobytes()
+
+    def test_loads_checkpoint_with_config_seeds(self, tmp_path):
+        # older checkpoints recorded the seed in the model and train config
+        snap = tiny_snapshot()
+        model = tiny_model(snap)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=4)
+        train(snap, model, cfg)
+        path = tmp_path / "m.ckpt"
+        save_model(path, model, cfg)
+        tensors, meta = load_checkpoint(path)
+        save_checkpoint(path, tensors, dict(
+            meta, model_config=dict(meta["model_config"], seed=0),
+            train_config=dict(meta["train_config"], seed=0)))
+        loaded = load_model(path, model.tokenizer)
+        assert loaded.config == model.config
+        for name, p in model.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes()
+
+    def test_header_holds_the_run_seed(self, tmp_path, toy_data):
+        # the run's one seed draws the parameters and orders the batches
+        cfg = RunConfig(data_dir=str(toy_data), out_dir=str(tmp_path / "out"),
+                        years=[2019], seed=3, k=3, min_count=2, max_count=5,
+                        embed_dim=16, model=ModelConfig(
+                            dim=8, gcn_hidden=4, gcn_out=4, gcn_layers=1,
+                            encoder_layers=1, max_len=32),
+                        train=TrainConfig(learning_rate=0.01, batch_size=4))
+        corpora = load_corpora(cfg)
+        tok = build_tokenizer(cfg, corpora)
+        snap, = make_snapshots(cfg, corpora, [2019], tok)
+        path = train_year(cfg, snap, "new", tok, stamp="s")
+        meta = load_checkpoint(path)[1]
+        assert (meta["seed"], meta["year"], meta["category"]) == (3, 2019, "new")
+        assert "seed" not in meta["model_config"]
+        assert "seed" not in meta["train_config"]
+        model = Model(tok, snap.feature_matrix.m, cfg.model, seed=3)
+        train(replace(snap, mentions=[m for m in snap.mentions
+                                      if m.category == "new"]),
+              model, cfg.train, seed=3)
+        loaded = load_model(path, tok)
+        for name, p in model.params.items():
             assert loaded.params[name].data.tobytes() == p.data.tobytes()
 
     def test_other_vocabulary_size_fails(self, tmp_path):
