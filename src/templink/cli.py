@@ -67,8 +67,9 @@ def _from_ini(parser, cls, section: str, section_of: dict):
 
 def load_config_file(path) -> RunConfig:
     """The config a UTF-8 INI file sets. A key that names no setting loads,
-    shapes nothing and is logged as a warning."""
-    parser = configparser.ConfigParser(interpolation=None)
+    shapes nothing and is logged as a warning; ``[DEFAULT]`` is a section
+    like any other (no header can spell the parser's default section)."""
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         read = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:

@@ -125,9 +125,11 @@ def build_structure_graph(triples, index) -> AdjacencyMatrix:
     Direction and relation id are discarded; duplicate triples collapse.
     Triples with an endpoint outside the index are skipped (count logged).
     """
-    pairs = np.array([(index.row(t.head_qid), index.row(t.tail_qid))
-                      for t in triples if t.head_qid in index
-                      and t.tail_qid in index], dtype=np.int64).reshape(-1, 2)
+    row = index.qid_to_row
+    pairs = np.array([(i, j) for head, _, tail in triples
+                      if (i := row.get(head)) is not None
+                      and (j := row.get(tail)) is not None],
+                     dtype=np.int64).reshape(-1, 2)
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     skipped = len(triples) - len(pairs)
     if skipped:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tape
-from .textenc import ENCODER_MODES, TextEncoder, Tokenizer, _initializer
+from .textenc import TextEncoder, Tokenizer, _initializer
 
 
 @dataclass
@@ -21,8 +21,6 @@ class ModelConfig:
     gcn_hidden: int = 32       # h
     gcn_out: int = 32          # g
     gcn_layers: int = 2
-    encoder_mode: str = "mean"
-    encoder_layers: int = 2
     max_len: int = 128
 
     def __post_init__(self):
@@ -30,8 +28,6 @@ class ModelConfig:
             raise ValueError("dim, gcn_hidden, gcn_out, gcn_layers must be >= 1")
         if self.max_len < 5:  # the mention template's 4 markers and 1 token
             raise ValueError("max_len must be >= 5")
-        if self.encoder_mode not in ENCODER_MODES:
-            raise ValueError(f"encoder_mode must be one of {ENCODER_MODES}")
 
 
 class GcnStack:
@@ -117,11 +113,9 @@ class Model:
         self.tokenizer = tokenizer
         self.mention_encoder = TextEncoder(
             tokenizer.vocab_size, dim=c.dim, max_len=c.max_len,
-            mode=c.encoder_mode, n_layers=c.encoder_layers,
             seed=seed * 4 + 1, prefix="m_enc", tensors=tensors)
         self.entity_encoder = TextEncoder(
             tokenizer.vocab_size, dim=c.dim, max_len=c.max_len,
-            mode=c.encoder_mode, n_layers=c.encoder_layers,
             seed=seed * 4 + 2, prefix="e_enc", tensors=tensors)
         self.gcn = GcnStack(feature_dim, c.gcn_hidden, c.gcn_out,
                             c.gcn_layers, seed=seed * 4 + 3, tensors=tensors)

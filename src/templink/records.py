@@ -43,13 +43,6 @@ class MentionRecord:
     year: int
 
 
-@dataclass(frozen=True)
-class RelationTriple:
-    head_qid: str
-    relation_id: str
-    tail_qid: str
-
-
 def escape_field(s: str) -> str:
     return s.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
 
@@ -111,14 +104,14 @@ def load_mentions(path, year: int) -> list[MentionRecord]:
     return records
 
 
-def load_triples(path) -> list[RelationTriple]:
-    """Parse ``head \\t relation \\t tail`` lines; endpoint filtering happens later."""
+def load_triples(path) -> list[tuple]:
+    """Parse ``head \\t relation \\t tail`` lines into ``(head, relation,
+    tail)`` tuples; endpoint filtering happens later."""
     triples = []
     for lineno, row in _read_rows(path, 3, "triple"):
-        head, rel, tail = row
-        if not (head and rel and tail):
+        if not all(row):
             raise DataError(f"{path}:{lineno}: empty field in triple {row}")
-        triples.append(RelationTriple(head_qid=head, relation_id=rel, tail_qid=tail))
+        triples.append(tuple(row))
     return triples
 
 
@@ -140,8 +133,7 @@ def save_mentions(records, path):
 def save_triples(triples, path):
     with atomic_open(path, text=True) as fh:
         for t in triples:
-            fh.write(f"{escape_field(t.head_qid)}\t{escape_field(t.relation_id)}"
-                     f"\t{escape_field(t.tail_qid)}\n")
+            fh.write("\t".join(escape_field(f) for f in t) + "\n")
 
 
 class EntityIndex:

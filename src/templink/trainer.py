@@ -238,20 +238,27 @@ def load_model(path, tokenizer: Tokenizer) -> Model:
     parameter the checkpoint's tensor of its name; tensors that are not
     model parameters (such as ``opt.*`` moments in older files) and the
     keys older files carry (the tokenizer vocabulary, ``fusion_frozen``,
-    the model config's ``seed``) are ignored. A checkpoint whose embedding
-    tables do not have ``tokenizer.vocab_size`` rows, or whose tensors are
-    missing or misshapen for its config, is a ``DataError``."""
+    the model config's ``seed``, ``encoder_layers`` and ``encoder_mode =
+    "mean"``) are ignored. A checkpoint of another encoder mode, one whose
+    embedding tables do not have ``tokenizer.vocab_size`` rows, or whose
+    tensors are missing or misshapen for its config, is a ``DataError``."""
     tensors, meta = load_checkpoint(path)
+    config = meta["model_config"]
+    mode = config.pop("encoder_mode", "mean")
+    if mode != "mean":
+        raise DataError(f"{path}: a checkpoint of encoder mode {mode!r}; "
+                        f"the model has only the mean encoder")
     emb = tensors.get("m_enc.emb")  # a missing one fails as Model builds
     if emb is not None and len(emb) != tokenizer.vocab_size:
         raise DataError(
             f"{path}: the checkpoint's embedding tables have {len(emb)} "
             f"rows, but the run's tokenizer has vocab_size "
             f"{tokenizer.vocab_size}")
-    meta["model_config"].pop("seed", None)
+    for key in ("seed", "encoder_layers"):
+        config.pop(key, None)
     try:
-        return Model(tokenizer, meta["feature_dim"],
-                     ModelConfig(**meta["model_config"]), tensors=tensors)
+        return Model(tokenizer, meta["feature_dim"], ModelConfig(**config),
+                     tensors=tensors)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
 

@@ -102,8 +102,7 @@ def joint_forward_fixture():
     tok = Tokenizer.build([e.title + " " + e.description for e in entities]
                           + [m.context_left + " " + m.mention + " "
                              + m.context_right for m in mentions], max_len=12)
-    cfg = ModelConfig(dim=4, gcn_hidden=4, gcn_out=3, gcn_layers=2,
-                      encoder_layers=1, max_len=12)
+    cfg = ModelConfig(dim=4, gcn_hidden=4, gcn_out=3, gcn_layers=2, max_len=12)
     model = Model(tok, feature_dim=3, config=cfg, seed=0)
     for p in model.params.values():
         p.data = p.data.astype(np.float64)
@@ -243,7 +242,7 @@ def test_criterion_6_disambiguation_by_structure(tmp_path):
     data = write_pair_dataset(tmp_path / "data")
     cfg = RunConfig(data_dir=str(data), out_dir=str(tmp_path / "out"),
                     years=[2019], min_count=2, max_count=5, k=5,
-                    model=ModelConfig(dim=32, encoder_mode="mean"))
+                    model=ModelConfig(dim=32))
     corpora = load_corpora(cfg)
     tok = build_tokenizer(cfg, corpora)
     snap, = make_snapshots(cfg, corpora, [2019], tok)
@@ -256,7 +255,7 @@ def test_criterion_6_disambiguation_by_structure(tmp_path):
                                       "full": (0.5, 0.01, False)}.items():
             tc = TrainConfig(learning_rate=0.05, epochs=120, batch_size=32,
                              loss_a=a, loss_b=b)
-            mc = ModelConfig(dim=32, encoder_mode="mean")
+            mc = ModelConfig(dim=32)
             model = Model(tok, snap.feature_matrix.m, mc, seed)
             if frozen:  # text only: the fusion head held at zero
                 model.fusion.proj.data[:] = 0
@@ -308,7 +307,7 @@ def toy_experiment_config(data_dir, out_dir):
         years=[2019, 2020, 2021, 2022], k=3, min_count=2, max_count=5,
         embed_dim=16,
         model=ModelConfig(dim=8, gcn_hidden=4, gcn_out=4, gcn_layers=1,
-                          encoder_layers=1, max_len=32),
+                          max_len=32),
         train=TrainConfig(learning_rate=0.01, epochs=2, batch_size=4))
 
 

@@ -97,9 +97,10 @@ class TestConfigFile:
     @pytest.mark.parametrize("section, key", [
         ("train", "gram_sample = 1"), ("run", "mode = forward_only"),
         ("run", "categories = new"), ("graphs", "embed_seed = 5"),
-        ("model", "seed = 3"), ("train", "seed = 4")],
+        ("model", "seed = 3"), ("train", "seed = 4"),
+        ("model", "encoder_mode = attn"), ("model", "encoder_layers = 1")],
         ids=["gram_sample", "mode", "categories", "embed_seed", "model_seed",
-             "train_seed"])
+             "train_seed", "encoder_mode", "encoder_layers"])
     def test_retired_key_is_ignored(self, tmp_path, caplog, section, key):
         # configs written before these settings went carry them (the
         # benchmark's run.ini does): each loads, shapes nothing, and is
@@ -118,6 +119,18 @@ class TestConfigFile:
             (logging.WARNING,
              f"{ini}: [{section}] {name} names no setting; ignored")]
 
+    def test_default_section_is_an_ordinary_section(self, tmp_path, caplog):
+        # configparser would copy [DEFAULT] keys into every other section;
+        # here its keys name no setting, as in any unknown section
+        ini = tmp_path / "run.ini"
+        ini.write_text("[DEFAULT]\nk = 3\n[run]\nyears = 2019\n"
+                       "[model]\ndim = 8\n")
+        with caplog.at_level(logging.WARNING, logger="templink.cli"):
+            cfg = load_config_file(ini)
+        assert (cfg.k, cfg.years, cfg.model.dim) == (10, [2019], 8)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{ini}: [DEFAULT] k names no setting; ignored"]
+
     def test_every_setting_loads_from_file(self, tmp_path):
         # every leaf setting at a valid non-default value, written into
         # the section README documents for it, loads back equal
@@ -126,7 +139,6 @@ class TestConfigFile:
             years=[2018, 2020], seed=7, k=3, min_count=2, max_count=9,
             embed_dim=16,
             model=ModelConfig(dim=8, gcn_hidden=5, gcn_out=6, gcn_layers=3,
-                              encoder_mode="attn", encoder_layers=1,
                               max_len=40),
             train=TrainConfig(learning_rate=0.01, epochs=3, batch_size=4,
                               loss_a=0.25, loss_b=0.5, grad_clip=2.0))
@@ -147,7 +159,7 @@ class TestConfigFile:
                         else str(value))
                 where = section_of.get(f.name, section)
                 sections.setdefault(where, []).append(f"{f.name} = {text}")
-        assert sum(map(len, sections.values())) == 22
+        assert sum(map(len, sections.values())) == 20
         ini = tmp_path / "run.ini"
         ini.write_text("\n".join(f"[{name}]\n" + "\n".join(lines)
                                  for name, lines in sections.items()) + "\n")
@@ -189,7 +201,6 @@ class TestConfigFile:
         (("[paths]\n", ""), []),
         (("gcn_layers = 1", "gcn_layers = 0"), []),
         (("gcn_hidden = 4", "gcn_hidden = 0"), []),
-        (("max_len = 32", "max_len = 32\nencoder_mode = bogus"), []),
         (("dim = 8", "dim = 0"), []),
         (("max_len = 32", "max_len = 3"), []),
         (("batch_size = 4", "batch_size = 4\ngrad_clip = -1"), []),
@@ -206,8 +217,8 @@ class TestConfigFile:
         (None, ["--min-count", "9", "--max-count", "5"]),
     ], ids=["negative_learning_rate", "nan_learning_rate", "zero_batch_size",
             "missing_section_header", "zero_gcn_layers", "zero_gcn_hidden",
-            "unknown_encoder_mode", "zero_dim", "short_max_len",
-            "negative_grad_clip", "negative_loss_a", "nan_loss_b",
+            "zero_dim", "short_max_len", "negative_grad_clip",
+            "negative_loss_a", "nan_loss_b",
             "min_count_above_max_count", "zero_k", "zero_embed_dim",
             "no_years", "no_years_flag", "repeated_year",
             "repeated_year_flag", "zero_k_flag",
@@ -455,7 +466,7 @@ def write_experiment_ini(path, data, out, years="2019..2020"):
         f"[run]\nyears = {years}\n"
         "[graphs]\nk = 3\nmin_count = 2\nmax_count = 5\nembed_dim = 16\n"
         "[model]\ndim = 8\ngcn_hidden = 4\ngcn_out = 4\ngcn_layers = 1\n"
-        "encoder_layers = 1\nmax_len = 32\n"
+        "max_len = 32\n"
         "[train]\nlearning_rate = 0.01\nepochs = 2\nbatch_size = 4\n")
     return path
 

@@ -177,8 +177,7 @@ TOK = Tokenizer.build([" ".join(WORDS)], max_len=16)
 
 
 def year_model(seed):
-    cfg = ModelConfig(dim=6, gcn_hidden=4, gcn_out=3, gcn_layers=1,
-                      encoder_layers=1, max_len=16)
+    cfg = ModelConfig(dim=6, gcn_hidden=4, gcn_out=3, gcn_layers=1, max_len=16)
     return Model(TOK, feature_dim=3, config=cfg, seed=seed)
 
 
@@ -352,8 +351,7 @@ def per_cell_matrix(models, test_sets_by_year, tokenizer):
 
 
 class TestOnePassPerModel:
-    @pytest.mark.parametrize("mode", ["mean", "attn"])
-    def test_matches_per_cell_encoding(self, monkeypatch, mode):
+    def test_matches_per_cell_encoding(self, monkeypatch):
         years = (2019, 2020, 2021)
         tok = ScriptedTokenizer(TOK.vocab, max_len=16)
         tests = scripted_test_sets(years)
@@ -362,8 +360,7 @@ class TestOnePassPerModel:
         assert len({tuple(s) for s in entity_seqs}) < len(entity_seqs)
         models = [(key, y, Model(tok, feature_dim=3, config=ModelConfig(
                       dim=6, gcn_hidden=4, gcn_out=3, gcn_layers=1,
-                      encoder_mode=mode, encoder_layers=1, max_len=16),
-                      seed=seed))
+                      max_len=16), seed=seed))
                   for seed, (key, y) in enumerate(
                       (key, y) for key in ("continual", "new") for y in years)]
         ranked = {}

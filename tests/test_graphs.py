@@ -12,12 +12,12 @@ from templink.graphs import (AdjacencyMatrix, FeatureMatrix, VocabFilter,
                              build_structure_graph, embed_descriptions,
                              save_adjacency, save_feature_matrix,
                              sym_normalize)
-from templink.records import EntityIndex, EntityRecord, RelationTriple
+from templink.records import EntityIndex, EntityRecord
 from templink.textenc import Tokenizer, split_text
 
 
 def triple(h, t, r="P1"):
-    return RelationTriple(h, r, t)
+    return (h, r, t)
 
 
 class TestStructureGraph:
@@ -42,7 +42,7 @@ class TestStructureGraph:
         ts = [triple("Q0", "Q3"), triple("Q2", "Q5"), triple("Q1", "Q4")]
         fwd = build_structure_graph(ts, idx)
         rev = build_structure_graph(
-            [triple(t.tail_qid, t.head_qid) for t in reversed(ts)], idx)
+            [triple(t, h) for h, _, t in reversed(ts)], idx)
         assert fwd.edges.tolist() == rev.edges.tolist()
 
     def test_self_loop_dropped(self):

@@ -231,7 +231,7 @@ class TestFusionHead:
 def tiny_model():
     tok = Tokenizer.build(["apple pie", "orange tree", "green fruit"], max_len=16)
     cfg = ModelConfig(dim=6, gcn_hidden=4, gcn_out=3, gcn_layers=1,
-                      encoder_layers=1, max_len=16)
+                      max_len=16)
     return Model(tok, feature_dim=5, config=cfg, seed=0), tok
 
 

@@ -3,7 +3,9 @@ functions and methods by name and calls its probes' APIs directly, so a
 rename in the package must fail here and not only under
 ``perfbench/run.py --trace 1``."""
 
+import configparser
 import importlib
+import logging
 from collections import Counter
 from pathlib import Path
 
@@ -68,3 +70,42 @@ def test_traced_experiment_embeds_through_the_bag_mean(monkeypatch, tmp_path):
         "pipeline.build_year_graphs", "pipeline.train_year",
         "pipeline.build_tokenizer", "graphs.embed_descriptions")] == [
         2, 2 * 2, 1, 1]
+
+
+def test_benchmark_config_loads_every_value_it_sets(monkeypatch, tmp_path,
+                                                    caplog):
+    # the benchmark's run.ini still carries retired keys; each warns, and
+    # every other key loads the value the file holds, so deleting a setting
+    # the benchmark sets (min_count, say) fails here. ``run`` is not
+    # imported: it sets BLAS variables for the process that imports it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    corpus = importlib.import_module("corpus")
+    from templink import cli
+    from templink.pipeline import parse_years
+
+    spec = corpus.CorpusSpec(
+        years=3, entities=40, new_share=0.1, words=200, zipf=1.1,
+        topic_share=0.5, desc_len=12, triples_per_entity=4.0,
+        train_mentions=20, test_mentions=10, context_len=8, min_count=3,
+        max_count=17, epochs=2, batch_size=16)
+    corpus.write_config(spec, tmp_path)
+    ini = tmp_path / "run.ini"
+    with caplog.at_level(logging.WARNING, logger="templink.cli"):
+        cfg = cli.load_config_file(ini)
+    warned = sorted(r.getMessage() for r in caplog.records)
+    retired = {("train", "gram_sample"), ("run", "mode"),
+               ("run", "categories"), ("model", "encoder_mode"),
+               ("model", "encoder_layers")}
+    assert warned == sorted(
+        f"{ini}: [{section}] {key} names no setting; ignored"
+        for section, key in retired)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(ini, encoding="utf-8")
+    holders = {"model": cfg.model, "train": cfg.train}
+    for section in parser.sections():
+        for key, text in parser.items(section):
+            if (section, key) in retired:
+                continue
+            value = getattr(holders.get(section, cfg), key)
+            want = parse_years(text) if key == "years" else type(value)(text)
+            assert value == want, (section, key)

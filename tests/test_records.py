@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from templink import records
 from templink.records import (DataError, EntityRecord, MentionRecord,
-                              RelationTriple, build_entity_index,
-                              escape_field, filter_mentions, load_entities,
-                              load_mentions, load_triples, unescape_field)
+                              build_entity_index, escape_field,
+                              filter_mentions, load_entities, load_mentions,
+                              load_triples, unescape_field)
 
 
 def write(path, text):
@@ -82,7 +82,7 @@ class TestLoadMentions:
 class TestLoadTriples:
     def test_basic_parse(self, tmp_path):
         p = write(tmp_path / "t.tsv", "Q1\tP31\tQ2\n")
-        assert load_triples(p) == [RelationTriple("Q1", "P31", "Q2")]
+        assert load_triples(p) == [("Q1", "P31", "Q2")]
 
     def test_empty_file(self, tmp_path):
         assert load_triples(write(tmp_path / "t.tsv", "")) == []
@@ -196,7 +196,7 @@ class TestRoundTrip:
         assert load_mentions(p, 2020) == ms
 
     def test_triple_roundtrip(self, tmp_path):
-        ts = [RelationTriple("Q1", "P1", "Q2"), RelationTriple("Q3", "P9", "Q1")]
+        ts = [("Q1", "P1", "Q2"), ("Q3", "P9", "Q1")]
         p = tmp_path / "t.tsv"
         records.save_triples(ts, p)
         assert load_triples(p) == ts
@@ -260,8 +260,7 @@ SAVERS = {
                   MentionRecord("", "x", "", "Q2", "continual", 2020)],
                  b"Q1\tnew\tl\tm\tr\\n\nQ2\tcontinual\t\tx\t\n"),
     "triples": (records.save_triples,
-                [RelationTriple("Q1", "P1", "Q2"),
-                 RelationTriple("Q3", "P9", "Q1")],
+                [("Q1", "P1", "Q2"), ("Q3", "P9", "Q1")],
                 b"Q1\tP1\tQ2\nQ3\tP9\tQ1\n"),
 }
 

@@ -42,7 +42,7 @@ def tiny_model(snapshot, seed=0, gcn_layers=1):
               for m in snapshot.mentions]
     tok = Tokenizer.build(texts, max_len=16)
     cfg = ModelConfig(dim=6, gcn_hidden=4, gcn_out=3, gcn_layers=gcn_layers,
-                      encoder_layers=1, max_len=16)
+                      max_len=16)
     return Model(tok, feature_dim=snapshot.feature_matrix.m, config=cfg,
                  seed=seed)
 
@@ -253,8 +253,7 @@ def sparse_snapshot():
     texts = [e.title + " " + e.description for e in entities]
     texts += [m.context_left + " " + m.mention for m in mentions]
     tok = Tokenizer.build(texts + ["unused words only here"], max_len=16)
-    cfg = ModelConfig(dim=6, gcn_hidden=4, gcn_out=3, gcn_layers=2,
-                      encoder_layers=1, max_len=16)
+    cfg = ModelConfig(dim=6, gcn_hidden=4, gcn_out=3, gcn_layers=2, max_len=16)
     return snap, tok, cfg
 
 
@@ -404,7 +403,7 @@ class TestTrain:
         # of its first-step value
         cfg = RunConfig(data_dir=str(pair_data), out_dir=str(tmp_path / "out"),
                         years=[2019], min_count=2, max_count=5, k=5,
-                        model=ModelConfig(dim=32, encoder_mode="mean"))
+                        model=ModelConfig(dim=32))
         corpora = load_corpora(cfg)
         tok = build_tokenizer(cfg, corpora)
         snap, = make_snapshots(cfg, corpora, [2019], tok)
@@ -513,13 +512,44 @@ class TestCheckpointRoundTrip:
         for name, p in model.params.items():
             assert loaded.params[name].data.tobytes() == p.data.tobytes()
 
+    def test_loads_checkpoint_with_encoder_settings(self, tmp_path):
+        # older checkpoints recorded the text encoder's mode and depth
+        snap = tiny_snapshot()
+        model = tiny_model(snap)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=4)
+        train(snap, model, cfg)
+        path = tmp_path / "m.ckpt"
+        save_model(path, model, cfg)
+        tensors, meta = load_checkpoint(path)
+        save_checkpoint(path, tensors, dict(meta, model_config=dict(
+            meta["model_config"], encoder_mode="mean", encoder_layers=2)))
+        loaded = load_model(path, model.tokenizer)
+        assert loaded.config == model.config
+        for name, p in model.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes()
+
+    def test_attn_checkpoint_is_data_error(self, tmp_path):
+        # its tables are not the mean encoder's; none may load into one
+        snap = tiny_snapshot()
+        model = tiny_model(snap)
+        path = tmp_path / "m.ckpt"
+        save_model(path, model, TrainConfig())
+        tensors, meta = load_checkpoint(path)
+        save_checkpoint(path, tensors, dict(meta, model_config=dict(
+            meta["model_config"], encoder_mode="attn", encoder_layers=1)))
+        with pytest.raises(DataError) as err:
+            load_model(path, model.tokenizer)
+        assert str(err.value) == (
+            f"{path}: a checkpoint of encoder mode 'attn'; the model has "
+            f"only the mean encoder")
+
     def test_header_holds_the_run_seed(self, tmp_path, toy_data):
         # the run's one seed draws the parameters and orders the batches
         cfg = RunConfig(data_dir=str(toy_data), out_dir=str(tmp_path / "out"),
                         years=[2019], seed=3, k=3, min_count=2, max_count=5,
                         embed_dim=16, model=ModelConfig(
                             dim=8, gcn_hidden=4, gcn_out=4, gcn_layers=1,
-                            encoder_layers=1, max_len=32),
+                            max_len=32),
                         train=TrainConfig(learning_rate=0.01, batch_size=4))
         corpora = load_corpora(cfg)
         tok = build_tokenizer(cfg, corpora)
