@@ -19,7 +19,7 @@ import logging
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from . import records
+from . import records, trainer
 from .checkpoint import atomic_open, read_meta
 from .evaluate import temporal_matrix
 from .graphs import (VocabFilter, build_feature_matrix, build_knn_graph,
@@ -61,10 +61,11 @@ class RunConfig:
 
     def stamp(self, data_digest: str) -> str:
         """Digest of what shapes a checkpoint: the config without its path
-        and eval-only fields, and the digest of the input data."""
+        and eval-only fields, the data digest and ``CHECKPOINT_FORMAT``."""
         shaping = {k: v for k, v in asdict(self).items() if k not in UNSTAMPED}
-        return hashlib.sha256(json.dumps([shaping, data_digest], sort_keys=True)
-                              .encode()).hexdigest()[:16]
+        return hashlib.sha256(json.dumps(
+            [shaping, data_digest, trainer.CHECKPOINT_FORMAT], sort_keys=True)
+            .encode()).hexdigest()[:16]
 
 
 def year_dir(cfg: RunConfig, year: int) -> Path:

@@ -21,6 +21,9 @@ from .textenc import Tokenizer
 
 log = logging.getLogger(__name__)
 
+# bump whenever a change moves a checkpoint's bytes
+CHECKPOINT_FORMAT = 2
+
 
 class NumericError(Exception):
     """A loss term went non-finite during training."""
@@ -223,7 +226,7 @@ def save_model(path, model: Model, config: TrainConfig, extra: dict = None):
     """Write the model's parameters and the config that rebuilds it over the
     run's tokenizer (which the checkpoint does not hold)."""
     meta = {
-        "format": "ckpt-v1",
+        "format": CHECKPOINT_FORMAT,
         "model_config": asdict(model.config),
         "train_config": asdict(config),
         "feature_dim": model.gcn.params["gcn.wf.l0"].data.shape[0],
@@ -235,30 +238,19 @@ def save_model(path, model: Model, config: TrainConfig, extra: dict = None):
 
 def load_model(path, tokenizer: Tokenizer) -> Model:
     """Rebuild a Model over ``tokenizer`` from a checkpoint file, each
-    parameter the checkpoint's tensor of its name; tensors that are not
-    model parameters (such as ``opt.*`` moments in older files) and the
-    keys older files carry (the tokenizer vocabulary, ``fusion_frozen``,
-    the model config's ``seed``, ``encoder_layers`` and ``encoder_mode =
-    "mean"``) are ignored. A checkpoint of another encoder mode, one whose
+    parameter the checkpoint's tensor of its name. A checkpoint whose
     embedding tables do not have ``tokenizer.vocab_size`` rows, or whose
     tensors are missing or misshapen for its config, is a ``DataError``."""
     tensors, meta = load_checkpoint(path)
-    config = meta["model_config"]
-    mode = config.pop("encoder_mode", "mean")
-    if mode != "mean":
-        raise DataError(f"{path}: a checkpoint of encoder mode {mode!r}; "
-                        f"the model has only the mean encoder")
     emb = tensors.get("m_enc.emb")  # a missing one fails as Model builds
     if emb is not None and len(emb) != tokenizer.vocab_size:
         raise DataError(
             f"{path}: the checkpoint's embedding tables have {len(emb)} "
             f"rows, but the run's tokenizer has vocab_size "
             f"{tokenizer.vocab_size}")
-    for key in ("seed", "encoder_layers"):
-        config.pop(key, None)
     try:
-        return Model(tokenizer, meta["feature_dim"], ModelConfig(**config),
-                     tensors=tensors)
+        return Model(tokenizer, meta["feature_dim"],
+                     ModelConfig(**meta["model_config"]), tensors=tensors)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
 

@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import json
 import logging
 import os
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from checks import bundled_results_path
-from templink import pipeline, records, tape, textenc
+from templink import pipeline, records, tape, textenc, trainer
 from templink.checkpoint import load_checkpoint, read_meta, save_checkpoint
 from templink.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, OutputLock,
                           UsageError, load_config_file, main, make_parser,
@@ -23,6 +25,7 @@ from templink.textenc import Tokenizer
 from templink.trainer import TrainConfig
 
 GOLDEN = Path(__file__).parent / "golden"
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
 class TestParseYears:
@@ -747,6 +750,36 @@ class TestResumeStamp:
         _, lines = resume_lines("--k", "4")
         assert lines == [f"skipping {p}: stamp {k4} unchanged" for p in ckpts]
 
+    def test_format_bump_retrains_every_checkpoint(self, tmp_path, toy_data,
+                                                   monkeypatch, caplog):
+        # a change that moves checkpoint bytes bumps CHECKPOINT_FORMAT; no
+        # checkpoint an older format wrote is then current
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
+        assert main(["experiment", "--config", str(ini)]) == EXIT_OK
+        old = header_stamps(out)[0]
+        files = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        monkeypatch.setattr(trainer, "CHECKPOINT_FORMAT",
+                            trainer.CHECKPOINT_FORMAT + 1)
+        assert main(["eval", "--config", str(ini)]) == EXIT_DATA
+        assert {p: p.read_bytes() for p in out.rglob("*")
+                if p.is_file()} == files
+
+        caplog.set_level(logging.INFO, logger="templink.pipeline")
+        assert main(["train", "--config", str(ini)]) == EXIT_OK
+        new = header_stamps(out)[0]
+        assert new != old
+        ckpts = [out / "checkpoints" / f"{c}_{y}.ckpt"
+                 for y in (2019, 2020) for c in ("continual", "new")]
+        assert [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith(("skipping", "training"))] == [
+            f"training {p}: stamp changed {old} -> {new}" for p in ckpts]
+        assert main(["eval", "--config", str(ini)]) == EXIT_OK
+        fresh = tmp_path / "fresh"
+        fresh_ini = write_experiment_ini(tmp_path / "fresh.ini", toy_data, fresh)
+        assert main(["experiment", "--config", str(fresh_ini)]) == EXIT_OK
+        assert run_artifacts(out) == run_artifacts(fresh)
+
     def test_changed_k_equals_fresh_run(self, tmp_path, toy_data):
         out = tmp_path / "out"
         ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
@@ -1043,12 +1076,18 @@ print(json.dumps([code, sorted(m for m in sys.modules
 """
 
 
-def scipy_modules_after(argv) -> list:
+def child_env(**variables) -> dict:
+    """This process's environment with ``variables`` set and templink's
+    sources on PYTHONPATH."""
     src = str(Path(textenc.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, **variables, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def scipy_modules_after(argv) -> list:
     run = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv],
-                         capture_output=True, text=True, env=env, check=True)
+                         capture_output=True, text=True, env=child_env(),
+                         check=True)
     code, loaded = json.loads(run.stdout.splitlines()[-1])
     assert code == EXIT_OK, run.stderr
     return loaded
@@ -1067,3 +1106,34 @@ class TestOnlyTrainingImportsScipy:
                       "--table", str(bundled_results_path())],
                      ["build-graphs", "--config", ini]):
             assert scipy_modules_after(argv) == [], argv
+
+
+class TestBlasThreads:
+    def test_checkpoints_equal_at_one_and_two_threads(self, tmp_path,
+                                                      monkeypatch):
+        # year 2015 of the graph_build workload's seed-1 corpus (its spec in
+        # perfbench/run.py, cut to one year: generate draws 2015 first).
+        # Its products are above OpenBLAS's threading threshold, where a
+        # threaded gemm sums in another order. ``run`` is not imported: it
+        # sets BLAS variables for the process that imports it
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        corpus = importlib.import_module("corpus")
+        corpus.generate(corpus.CorpusSpec(
+            years=1, entities=1200, new_share=0.1, words=3000, zipf=1.0,
+            topic_share=0.8, desc_len=15, triples_per_entity=8,
+            train_mentions=512, test_mentions=200, context_len=4,
+            min_count=4, max_count=60, epochs=2, batch_size=128), 1, tmp_path)
+        ckpts = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            env = child_env(OPENBLAS_NUM_THREADS=threads,
+                            OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "templink.cli", "train",
+                            "--config", str(tmp_path / "run.ini"),
+                            "--out-dir", str(out)],
+                           capture_output=True, env=env, check=True)
+            ckpts[threads] = {
+                p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in (out / "checkpoints").glob("*.ckpt")}
+        assert sorted(ckpts["1"]) == ["continual_2015.ckpt", "new_2015.ckpt"]
+        assert ckpts["1"] == ckpts["2"]

@@ -1,12 +1,14 @@
+import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from checks import OutOfPlaceAdam
 from templink import tape, trainer
-from templink.checkpoint import load_checkpoint, save_checkpoint
+from templink.checkpoint import load_checkpoint, read_meta, save_checkpoint
 from templink.graphs import AdjacencyMatrix, FeatureMatrix, sym_normalize
 from templink.model import Model, ModelConfig
 from templink.pipeline import (RunConfig, build_tokenizer, load_corpora,
@@ -18,6 +20,7 @@ from templink.trainer import (Adam, NumericError, Snapshot, TrainConfig,
                               load_model, make_batches, save_model, train,
                               train_step)
 
+GOLDEN = Path(__file__).parent / "golden"
 WORDS = ["apple", "orange", "banana", "pear"]
 
 
@@ -441,6 +444,21 @@ class TestTrain:
         assert repr(float(fields[1])) == fields[1]
 
 
+def train_toy_checkpoint(tmp_path, toy_data):
+    """(config, tokenizer, snapshot, checkpoint path) of the 2019 ``new``
+    checkpoint ``train_year`` writes on the toy data at seed 3."""
+    cfg = RunConfig(data_dir=str(toy_data), out_dir=str(tmp_path / "out"),
+                    years=[2019], seed=3, k=3, min_count=2, max_count=5,
+                    embed_dim=16, model=ModelConfig(
+                        dim=8, gcn_hidden=4, gcn_out=4, gcn_layers=1,
+                        max_len=32),
+                    train=TrainConfig(learning_rate=0.01, batch_size=4))
+    corpora = load_corpora(cfg)
+    tok = build_tokenizer(cfg, corpora)
+    snap, = make_snapshots(cfg, corpora, [2019], tok)
+    return cfg, tok, snap, train_year(cfg, snap, "new", tok, stamp="s")
+
+
 class TestCheckpointRoundTrip:
     def test_params_restored(self, tmp_path):
         snap = tiny_snapshot()
@@ -450,10 +468,15 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "m.ckpt"
         save_model(path, model, cfg, extra={"year": 2020})
 
-        loaded = load_model(path, model.tokenizer)
+        # the run's own tokenizer, equal to the one trained with
+        tok = tiny_model(snap).tokenizer
+        assert tok is not model.tokenizer and tok.vocab == model.tokenizer.vocab
+        loaded = load_model(path, tok)
         assert isinstance(loaded, Model)
+        assert loaded.tokenizer is tok
         for name, p in model.params.items():
-            assert np.array_equal(loaded.params[name].data, p.data)
+            assert loaded.params[name].data.dtype == np.float32
+            assert loaded.params[name].data.tobytes() == p.data.tobytes()
         _, meta = load_checkpoint(path)
         assert TrainConfig(**meta["train_config"]) == cfg
         assert meta["year"] == 2020
@@ -476,85 +499,9 @@ class TestCheckpointRoundTrip:
         header = json.loads(path.read_bytes().split(b"\x00", 1)[0])
         assert not {"tokenizer_vocab", "tokenizer_max_len"} & set(header)
 
-    def test_loads_checkpoint_with_tokenizer_vocab(self, tmp_path):
-        # older checkpoints stored the tokenizer; the run's own is used
-        snap = tiny_snapshot()
-        model = tiny_model(snap)
-        cfg = TrainConfig(learning_rate=1e-3, batch_size=4)
-        train(snap, model, cfg)
-        path = tmp_path / "m.ckpt"
-        save_model(path, model, cfg)
-        tensors, meta = load_checkpoint(path)
-        save_checkpoint(path, tensors, dict(
-            meta, tokenizer_vocab=model.tokenizer.vocab, tokenizer_max_len=16))
-        tok = tiny_model(snap).tokenizer
-        assert tok is not model.tokenizer and tok.vocab == model.tokenizer.vocab
-        loaded = load_model(path, tok)
-        assert loaded.tokenizer is tok
-        for name, p in model.params.items():
-            assert loaded.params[name].data.dtype == np.float32
-            assert loaded.params[name].data.tobytes() == p.data.tobytes()
-
-    def test_loads_checkpoint_with_config_seeds(self, tmp_path):
-        # older checkpoints recorded the seed in the model and train config
-        snap = tiny_snapshot()
-        model = tiny_model(snap)
-        cfg = TrainConfig(learning_rate=1e-3, batch_size=4)
-        train(snap, model, cfg)
-        path = tmp_path / "m.ckpt"
-        save_model(path, model, cfg)
-        tensors, meta = load_checkpoint(path)
-        save_checkpoint(path, tensors, dict(
-            meta, model_config=dict(meta["model_config"], seed=0),
-            train_config=dict(meta["train_config"], seed=0)))
-        loaded = load_model(path, model.tokenizer)
-        assert loaded.config == model.config
-        for name, p in model.params.items():
-            assert loaded.params[name].data.tobytes() == p.data.tobytes()
-
-    def test_loads_checkpoint_with_encoder_settings(self, tmp_path):
-        # older checkpoints recorded the text encoder's mode and depth
-        snap = tiny_snapshot()
-        model = tiny_model(snap)
-        cfg = TrainConfig(learning_rate=1e-3, batch_size=4)
-        train(snap, model, cfg)
-        path = tmp_path / "m.ckpt"
-        save_model(path, model, cfg)
-        tensors, meta = load_checkpoint(path)
-        save_checkpoint(path, tensors, dict(meta, model_config=dict(
-            meta["model_config"], encoder_mode="mean", encoder_layers=2)))
-        loaded = load_model(path, model.tokenizer)
-        assert loaded.config == model.config
-        for name, p in model.params.items():
-            assert loaded.params[name].data.tobytes() == p.data.tobytes()
-
-    def test_attn_checkpoint_is_data_error(self, tmp_path):
-        # its tables are not the mean encoder's; none may load into one
-        snap = tiny_snapshot()
-        model = tiny_model(snap)
-        path = tmp_path / "m.ckpt"
-        save_model(path, model, TrainConfig())
-        tensors, meta = load_checkpoint(path)
-        save_checkpoint(path, tensors, dict(meta, model_config=dict(
-            meta["model_config"], encoder_mode="attn", encoder_layers=1)))
-        with pytest.raises(DataError) as err:
-            load_model(path, model.tokenizer)
-        assert str(err.value) == (
-            f"{path}: a checkpoint of encoder mode 'attn'; the model has "
-            f"only the mean encoder")
-
     def test_header_holds_the_run_seed(self, tmp_path, toy_data):
         # the run's one seed draws the parameters and orders the batches
-        cfg = RunConfig(data_dir=str(toy_data), out_dir=str(tmp_path / "out"),
-                        years=[2019], seed=3, k=3, min_count=2, max_count=5,
-                        embed_dim=16, model=ModelConfig(
-                            dim=8, gcn_hidden=4, gcn_out=4, gcn_layers=1,
-                            max_len=32),
-                        train=TrainConfig(learning_rate=0.01, batch_size=4))
-        corpora = load_corpora(cfg)
-        tok = build_tokenizer(cfg, corpora)
-        snap, = make_snapshots(cfg, corpora, [2019], tok)
-        path = train_year(cfg, snap, "new", tok, stamp="s")
+        cfg, tok, snap, path = train_toy_checkpoint(tmp_path, toy_data)
         meta = load_checkpoint(path)[1]
         assert (meta["seed"], meta["year"], meta["category"]) == (3, 2019, "new")
         assert "seed" not in meta["model_config"]
@@ -566,6 +513,20 @@ class TestCheckpointRoundTrip:
         loaded = load_model(path, tok)
         for name, p in model.params.items():
             assert loaded.params[name].data.tobytes() == p.data.tobytes()
+
+    def test_format_matches_golden_digest(self, tmp_path, toy_data):
+        # checkpoint_format.json maps each CHECKPOINT_FORMAT to the SHA-256
+        # of this checkpoint; the map only grows
+        path = train_toy_checkpoint(tmp_path, toy_data)[3]
+        assert read_meta(path)["format"] == trainer.CHECKPOINT_FORMAT
+        golden = json.loads((GOLDEN / "checkpoint_format.json").read_text())
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert golden.get(str(trainer.CHECKPOINT_FORMAT)) == digest, (
+            f"the toy checkpoint's SHA-256 is {digest}, not the one recorded "
+            f"for CHECKPOINT_FORMAT = {trainer.CHECKPOINT_FORMAT}: if the "
+            "change moves checkpoint bytes on purpose, bump CHECKPOINT_FORMAT "
+            "in trainer.py and add its entry to "
+            "tests/golden/checkpoint_format.json")
 
     def test_other_vocabulary_size_fails(self, tmp_path):
         snap = tiny_snapshot()
@@ -620,30 +581,3 @@ class TestCheckpointRoundTrip:
         save_checkpoint(path, tensors, meta)
         with pytest.raises(DataError, match="no tensor fusion.proj"):
             load_model(path, model.tokenizer)
-
-    def test_loads_mean_mode_checkpoint_with_pos_tables(self, tmp_path):
-        # older checkpoints carried the Adam moments and step count, and in
-        # mean mode unread positional tables; none of them is model state
-        snap = tiny_snapshot()
-        model = tiny_model(snap)
-        assert not any(name.endswith(".pos") for name in model.params)
-        cfg = TrainConfig(learning_rate=1e-3, batch_size=4)
-        opt = Adam(cfg.learning_rate)
-        for batch in make_batches(snap.mentions, 4, 0):
-            train_step(batch, snap, model, opt, cfg)
-        path = tmp_path / "m.ckpt"
-        save_model(path, model, cfg)
-        tensors, meta = load_checkpoint(path)
-        assert opt.m
-        for name in opt.m:
-            tensors[f"opt.m.{name}"] = opt.m[name]
-            tensors[f"opt.v.{name}"] = opt.v[name]
-        for prefix in ("m_enc", "e_enc"):
-            tensors[f"{prefix}.pos"] = np.ones((16, 6), dtype=np.float32)
-        save_checkpoint(path, tensors, dict(meta, step=opt.step_count))
-        loaded = load_model(path, model.tokenizer)
-        assert isinstance(loaded, Model)
-        assert set(loaded.params) == set(model.params)
-        for name, p in model.params.items():
-            assert loaded.params[name].data.dtype == np.float32
-            assert np.array_equal(loaded.params[name].data, p.data)
