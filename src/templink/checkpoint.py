@@ -50,8 +50,8 @@ def save_checkpoint(path, tensors: dict, meta: dict):
         fh.write(header_bytes)
         fh.write(b"\x00")
         for name, r, c in manifest:
-            arr = np.asarray(tensors[name], dtype="<f4").reshape(r, c)
-            fh.write(arr.tobytes(order="C"))
+            fh.write(np.ascontiguousarray(tensors[name], dtype="<f4")
+                     .reshape(r, c))
 
 
 def _read_header(fh) -> dict:

@@ -118,42 +118,48 @@ def graphs_dir(cfg: RunConfig, year: int) -> Path:
 
 def build_year_graphs(cfg: RunConfig, year: int, corpus, tokenizer: Tokenizer,
                       emb):
-    """Construct structure graph, kNN feature graph (over ``emb``, the
-    year's ``embed_descriptions`` rows) and feature matrix, and write them
-    out for inspection. The year's ``triples.tsv`` is read here and nowhere
-    else."""
+    """The year's structure graph, kNN feature graph (over ``emb``, the
+    year's ``embed_descriptions`` rows) and feature matrix; nothing is
+    written. The year's ``triples.tsv`` is read here and nowhere else."""
     entities, index, _, _ = corpus
     triples = records.load_triples(year_dir(cfg, year) / "triples.tsv")
-    out = graphs_dir(cfg, year)
-    out.mkdir(parents=True, exist_ok=True)
-
     structure = build_structure_graph(triples, index)
     feature_graph = build_knn_graph(emb, min(cfg.k, len(entities) - 1))
     fmat = build_feature_matrix(
         entities, tokenizer, VocabFilter(cfg.min_count, cfg.max_count))
-
-    index.save(out / "index.manifest")
-    save_adjacency(feature_graph, out / "feature.adj")
-    save_feature_matrix(fmat, out / "feature.mat")
-    save_adjacency(structure, out / "structure.adj")
     return structure, feature_graph, fmat
 
 
 def make_snapshots(cfg: RunConfig, corpora: dict, years, tokenizer: Tokenizer):
     """Each of ``years``' training snapshots in turn, over all its training
-    mentions, on the graphs ``build_year_graphs`` builds (and writes out)
-    for it. One ``embed_descriptions`` call embeds every year's entities;
-    a year's graphs are built only when its snapshot is asked for."""
+    mentions. One ``embed_descriptions`` call embeds every year's entities,
+    and every year's graphs are built before the first snapshot is yielded,
+    so a graph error stops the command before anything is trained and no
+    n x n kNN product runs on a heap that training has grown. A year's
+    graph files, outputs for inspection, are written just before its
+    snapshot is yielded, and the generator holds a year's graphs no longer
+    than its snapshot."""
     if not years:
         return
     emb = embed_descriptions([e for year in years for e in corpora[year][0]],
                              tokenizer, dim=cfg.embed_dim, seed=cfg.seed)
+    graphs = []
     lo = 0
     for year in years:
+        n = len(corpora[year][0])
+        graphs.append(build_year_graphs(cfg, year, corpora[year], tokenizer,
+                                        emb[lo:lo + n]))
+        lo += n
+    del emb
+    for year in years:
         entities, index, train_m, _ = corpora[year]
-        structure, feature_graph, fmat = build_year_graphs(
-            cfg, year, corpora[year], tokenizer, emb[lo:lo + len(entities)])
-        lo += len(entities)
+        structure, feature_graph, fmat = graphs.pop(0)
+        out = graphs_dir(cfg, year)
+        out.mkdir(parents=True, exist_ok=True)
+        index.save(out / "index.manifest")
+        save_adjacency(feature_graph, out / "feature.adj")
+        save_feature_matrix(fmat, out / "feature.mat")
+        save_adjacency(structure, out / "structure.adj")
         yield Snapshot(year=year, entities=entities, mentions=train_m,
                        index=index, structure=structure,
                        feature_graph=feature_graph, feature_matrix=fmat)

@@ -59,7 +59,8 @@ def unescape_field(s: str) -> str:
 
 
 def _read_rows(path, n_fields, what):
-    """Yield ``(lineno, fields)`` for each non-blank line, fields unescaped."""
+    """Yield ``(lineno, fields)`` for each non-blank line, fields unescaped
+    (only a line holding a backslash has anything to unescape)."""
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -70,7 +71,9 @@ def _read_rows(path, n_fields, what):
                 raise DataError(
                     f"{path}:{lineno}: malformed {what} line, "
                     f"expected {n_fields} fields, got {len(parts)}")
-            yield lineno, [unescape_field(p) for p in parts]
+            if "\\" in line:
+                parts = [unescape_field(p) for p in parts]
+            yield lineno, parts
 
 
 def load_entities(path, year: int) -> list[EntityRecord]:

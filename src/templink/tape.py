@@ -36,7 +36,9 @@ class Tensor:
     """Node in the computation graph.
 
     Gradients accumulate additively at fan-out; ``backward`` replays the
-    recorded graph once in reverse topological order.
+    recorded graph once in reverse topological order. A non-leaf node's
+    ``grad`` is freed once its ``_backward`` has used it; a leaf keeps its
+    gradient for the optimizer.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -84,6 +86,7 @@ class Tensor:
         for t in reversed(order):
             if t._backward is not None and t.grad is not None:
                 t._backward(t.grad)
+                t.grad = None
 
 
 def _post_order(t, seen, order):

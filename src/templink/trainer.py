@@ -238,10 +238,15 @@ def save_model(path, model: Model, config: TrainConfig, extra: dict = None):
 
 def load_model(path, tokenizer: Tokenizer) -> Model:
     """Rebuild a Model over ``tokenizer`` from a checkpoint file, each
-    parameter the checkpoint's tensor of its name. A checkpoint whose
-    embedding tables do not have ``tokenizer.vocab_size`` rows, or whose
-    tensors are missing or misshapen for its config, is a ``DataError``."""
+    parameter the checkpoint's tensor of its name. A checkpoint of another
+    ``format`` than ``CHECKPOINT_FORMAT``, whose embedding tables do not
+    have ``tokenizer.vocab_size`` rows, or whose tensors are missing or
+    misshapen for its config, is a ``DataError``."""
     tensors, meta = load_checkpoint(path)
+    if meta.get("format") != CHECKPOINT_FORMAT:
+        raise DataError(
+            f"{path}: checkpoint format {meta.get('format')!r}, but this "
+            f"version reads format {CHECKPOINT_FORMAT!r}")
     emb = tensors.get("m_enc.emb")  # a missing one fails as Model builds
     if emb is not None and len(emb) != tokenizer.vocab_size:
         raise DataError(

@@ -637,9 +637,38 @@ class TestReadsOncePerYear:
         out = tmp_path / "out"
         ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
         assert main(["experiment", "--config", str(ini)]) == EXIT_DATA
-        assert (out / "checkpoints" / "new_2019.ckpt").exists()
-        assert not (out / "graphs" / "2020" / "structure.adj").exists()
+        # every year's graphs are built before any training: neither year
+        # has a checkpoint or a graph file
+        assert [p.name for p in out.rglob("*") if p.is_file()] == [
+            "resolved_config.json"]
         assert not (out / ".lock").exists()
+
+    def test_graphs_built_before_training(self, tmp_path, toy_data,
+                                          monkeypatch):
+        # every kNN graph is built before the first training run, and a
+        # year's graph files are written only once the years before it
+        # have their checkpoints
+        events = []
+
+        def log(name, event):
+            fn = getattr(pipeline, name)
+            monkeypatch.setattr(pipeline, name, lambda *a, **kw: events.append(
+                event(*a)) or fn(*a, **kw))
+
+        log("build_knn_graph", lambda *a: "knn")
+        log("train", lambda snap, *a: f"train {snap.year}")
+        log("save_model", lambda path, *a: f"checkpoint {path.name}")
+        log("save_adjacency", lambda graph, path: f"graph {path.parent.name}")
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data,
+                                   tmp_path / "out")
+        assert main(["experiment", "--config", str(ini)]) == EXIT_OK
+        assert events == [
+            "knn", "knn", "graph 2019", "graph 2019",
+            "train 2019", "checkpoint continual_2019.ckpt",
+            "train 2019", "checkpoint new_2019.ckpt",
+            "graph 2020", "graph 2020",
+            "train 2020", "checkpoint continual_2020.ckpt",
+            "train 2020", "checkpoint new_2020.ckpt"]
 
 
 class TestPartialGraphBuild:

@@ -28,6 +28,19 @@ class TestLoadEntities:
     def test_empty_file(self, tmp_path):
         assert load_entities(write(tmp_path / "e.tsv", ""), 2020) == []
 
+    def test_mixed_escaped_and_plain_lines(self, tmp_path):
+        p = write(tmp_path / "e.tsv",
+                  "Q1\tPlain\tno escapes\n"
+                  "Q2\tTab\\there\tline\\nbreak, back\\\\slash\n"
+                  "Q3\tplain title\tunknown \\q stays\n"
+                  "Q4\tPlain again\twords\n")
+        ents = load_entities(p, 2020)
+        assert [(e.qid, e.title, e.description) for e in ents] == [
+            ("Q1", "Plain", "no escapes"),
+            ("Q2", "Tab\there", "line\nbreak, back\\slash"),
+            ("Q3", "plain title", "unknown \\q stays"),
+            ("Q4", "Plain again", "words")]
+
     def test_duplicate_qid(self, tmp_path):
         p = write(tmp_path / "e.tsv", "Q1\ta\tb\nQ1\tc\td\n")
         with pytest.raises(DataError, match="Q1"):

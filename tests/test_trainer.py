@@ -364,6 +364,28 @@ class TestTrainStep:
                    cfg)
         assert len(calls) == 4 * (gcn_layers - 1)
 
+    def test_backward_keeps_only_leaf_gradients(self, monkeypatch):
+        # once a step's backward has run, no intermediate node holds a
+        # gradient and every trainable parameter still holds its own
+        snap = tiny_snapshot()
+        model = tiny_model(snap)
+        roots = []
+        backward = tape.Tensor.backward
+        monkeypatch.setattr(tape.Tensor, "backward",
+                            lambda t, grad=None: roots.append(t) or
+                            backward(t, grad))
+        cfg = TrainConfig(learning_rate=1e-3)
+        train_step(snap.mentions[:4], snap, model, Adam(cfg.learning_rate),
+                   cfg)
+        nodes = []
+        tape._post_order(roots[0], set(), nodes)
+        inner = [t for t in nodes if t._backward is not None]
+        assert len(inner) > 20
+        assert all(t.grad is None for t in inner)
+        params = [p for p in model.params.values() if p.requires_grad]
+        assert {id(p) for p in params} <= {id(t) for t in nodes}
+        assert all(p.grad is not None for p in params)
+
     def test_nonfinite_raises(self):
         snap = tiny_snapshot()
         model = tiny_model(snap)
@@ -527,6 +549,21 @@ class TestCheckpointRoundTrip:
             "change moves checkpoint bytes on purpose, bump CHECKPOINT_FORMAT "
             "in trainer.py and add its entry to "
             "tests/golden/checkpoint_format.json")
+
+    def test_other_format_is_data_error(self, tmp_path, toy_data):
+        # an older checkpoint: its format and a retired model_config key
+        _, tok, _, path = train_toy_checkpoint(tmp_path, toy_data)
+        head, payload = path.read_bytes().split(b"\x00", 1)
+        header = json.loads(head)
+        header["format"] = "ckpt-v1"
+        header["model_config"]["encoder_mode"] = "mean"
+        path.write_bytes(json.dumps(header, sort_keys=True).encode()
+                         + b"\x00" + payload)
+        with pytest.raises(DataError) as err:
+            load_model(path, tok)
+        assert str(err.value) == (
+            f"{path}: checkpoint format 'ckpt-v1', but this version reads "
+            f"format {trainer.CHECKPOINT_FORMAT!r}")
 
     def test_other_vocabulary_size_fails(self, tmp_path):
         snap = tiny_snapshot()
