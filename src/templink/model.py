@@ -44,9 +44,11 @@ class GcnStack:
                 name = f"gcn.{stack}.l{layer}"
                 self.params[name] = init(name, dims[layer], dims[layer + 1])
 
-    def _propagate(self, s_csr, sx: tape.Tensor, stack: str) -> tape.Tensor:
-        """The stack over one graph, from its layer-0 propagation S·X."""
-        z = tape.relu(tape.matmul(sx, self.params[f"gcn.{stack}.l0"]))
+    def _propagate(self, s_csr, x, stack: str) -> tape.Tensor:
+        """The stack over one graph: relu(S·(X·W0)) at layer 0, then
+        relu((S·Z)·W) at every layer above it."""
+        w0 = self.params[f"gcn.{stack}.l0"]
+        z = tape.relu(tape.spmm(s_csr, tape.spmm(x, w0)))
         for layer in range(1, self.n_layers):
             w = self.params[f"gcn.{stack}.l{layer}"]
             z = tape.relu(tape.matmul(tape.spmm(s_csr, z), w))
@@ -55,21 +57,14 @@ class GcnStack:
     def forward(self, s_f, s_r, x):
         """Returns (Z_f, Z_r, Z_sf, Z_sr), each n x out, ReLU after every layer.
 
-        ``x`` is the n x m feature tensor X, or the pair (S_f·X, S_r·X) of
-        its layer-0 propagations, which do not depend on the parameters
-        (``Snapshot.prepare`` holds that pair for a training snapshot).
-        Each graph's product is shared by its distinct and shared stacks.
+        ``x`` is the n x m feature matrix X as a CSR matrix (what
+        ``Snapshot.prepare`` holds), or a dense array or const tensor. Every
+        stack multiplies its graph at every layer; ``spmm`` raises on a
+        row-count mismatch.
         """
-        if isinstance(x, tape.Tensor):  # spmm raises on a row-count mismatch
-            x = (tape.spmm(s_f, x), tape.spmm(s_r, x))
-        sx_f, sx_r = x
-        if s_f.shape[0] != sx_f.data.shape[0] or s_r.shape[0] != sx_r.data.shape[0]:
-            raise ValueError("graph size does not match feature matrix rows")
-        z_f = self._propagate(s_f, sx_f, "wf")
-        z_r = self._propagate(s_r, sx_r, "wr")
-        z_sf = self._propagate(s_f, sx_f, "ws")
-        z_sr = self._propagate(s_r, sx_r, "ws")
-        return z_f, z_r, z_sf, z_sr
+        x = x.data if isinstance(x, tape.Tensor) else x
+        return (self._propagate(s_f, x, "wf"), self._propagate(s_r, x, "wr"),
+                self._propagate(s_f, x, "ws"), self._propagate(s_r, x, "ws"))
 
 
 class FusionHead:

@@ -57,6 +57,8 @@ class RunConfig:
             raise ValueError(f"year {twice[0]} named more than once")
         if self.k < 1 or self.embed_dim < 1:
             raise ValueError("k and embed_dim must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         VocabFilter(self.min_count, self.max_count)
 
     def stamp(self, data_digest: str) -> str:

@@ -172,7 +172,8 @@ def relu(a):
 
 
 def spmm(S, z: Tensor):
-    """Sparse-dense product S @ Z for a scipy.sparse CSR matrix S;
+    """Product S @ Z, cast to Z's dtype, for S a scipy.sparse CSR matrix (a
+    normalized graph or the feature matrix) or a dense array;
     grad_Z = S.T @ grad_out."""
     z = _as_tensor(z)
     if S.shape[1] != z.data.shape[0]:

@@ -22,7 +22,7 @@ from .textenc import Tokenizer
 log = logging.getLogger(__name__)
 
 # bump whenever a change moves a checkpoint's bytes
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 
 class NumericError(Exception):
@@ -60,20 +60,16 @@ class Snapshot:
     feature_matrix: object   # FeatureMatrix
     s_r: object = None       # normalized CSR, built lazily
     s_f: object = None
-    sx: tuple = None         # (S_f·X, S_r·X) const tensors, built lazily
+    x: object = None         # feature matrix as CSR, built lazily
 
     def prepare(self):
         """Cache what no training step changes: the normalized graphs S_f
-        and S_r, and ``sx``, the pair (S_f·X, S_r·X) of layer-0
-        propagations of the feature matrix X that ``GcnStack.forward``
-        takes in place of X. Each is one CSR product, summed in float64 in
-        the order of the sparse-dense product and cast to float32."""
+        and S_r and the feature matrix X as CSR, the three sparse matrices
+        ``GcnStack.forward`` multiplies by."""
         if self.s_r is None:
             self.s_r = sym_normalize(self.structure)
             self.s_f = sym_normalize(self.feature_graph)
-            x = self.feature_matrix.to_csr()
-            self.sx = tuple(tape.const((s @ x).astype(np.float32).toarray())
-                            for s in (self.s_f, self.s_r))
+            self.x = self.feature_matrix.to_csr()
         return self
 
 
@@ -198,7 +194,7 @@ def train_step(batch, snapshot: Snapshot, model: Model, optimizer: Adam,
                                  for r in gold_rows])
 
     z_f, z_r, z_sf, z_sr = model.gcn.forward(snapshot.s_f, snapshot.s_r,
-                                             snapshot.sx)
+                                             snapshot.x)
     y_e_fused = model.fusion.fuse(y_e, z_f, z_r, z_sf, z_sr, gold_rows)
 
     scores = tape.matmul(y_m, tape.transpose(y_e_fused))

@@ -224,7 +224,7 @@ def fused_entity_table(model, snapshot) -> np.ndarray:
     y_e = model.encode_entities([model.tokenizer.render_entity(e)
                                  for e in snapshot.entities])
     z_f, z_r, z_sf, z_sr = model.gcn.forward(snapshot.s_f, snapshot.s_r,
-                                             snapshot.sx)
+                                             snapshot.x)
     rows = list(range(len(snapshot.entities)))
     return model.fusion.fuse(y_e, z_f, z_r, z_sf, z_sr, rows).data.copy()
 

@@ -218,6 +218,8 @@ class TestConfigFile:
         (None, ["--years", "2019,2020,2019"]),
         (None, ["--k", "0"]),
         (None, ["--min-count", "9", "--max-count", "5"]),
+        (("[run]\n", "[run]\nseed = -1\n"), []),
+        (None, ["--seed", "-1"]),
     ], ids=["negative_learning_rate", "nan_learning_rate", "zero_batch_size",
             "missing_section_header", "zero_gcn_layers", "zero_gcn_hidden",
             "zero_dim", "short_max_len", "negative_grad_clip",
@@ -225,7 +227,8 @@ class TestConfigFile:
             "min_count_above_max_count", "zero_k", "zero_embed_dim",
             "no_years", "no_years_flag", "repeated_year",
             "repeated_year_flag", "zero_k_flag",
-            "min_count_above_max_count_flags"])
+            "min_count_above_max_count_flags", "negative_seed",
+            "negative_seed_flag"])
     def test_invalid_value_is_usage_error(self, tmp_path, toy_data, edit,
                                           flags):
         out = tmp_path / "out"

@@ -304,11 +304,14 @@ class TestSnapshotPrepare:
     @pytest.mark.parametrize("n,m,seed", [(40, 25, 0), (300, 120, 1),
                                           (1200, 850, 2)])
     def test_products_equal_dense_spmm(self, n, m, seed):
+        # prepare caches the CSR X and the normalized graphs, and no dense
+        # n x m product of them
         snap = random_snapshot(n, m, seed).prepare()
-        x = tape.const(snap.feature_matrix.to_dense(np.float32))
-        for sx, s in zip(snap.sx, (snap.s_f, snap.s_r)):
-            assert not sx.requires_grad and sx.data.dtype == np.float32
-            assert sx.data.tobytes() == tape.spmm(s, x).data.tobytes()
+        x = snap.feature_matrix.to_csr()
+        assert snap.x.format == "csr" and snap.x.dtype == x.dtype
+        assert snap.x.shape == (n, m) and (snap.x != x).nnz == 0
+        assert not any(isinstance(v, (np.ndarray, tape.Tensor))
+                       for v in vars(snap).values())
         assert (snap.s_f != sym_normalize(snap.feature_graph)).nnz == 0
 
 
@@ -352,17 +355,24 @@ class TestTrainStep:
 
     @pytest.mark.parametrize("gcn_layers", [1, 2, 3])
     def test_spmm_only_above_layer_0(self, monkeypatch, gcn_layers):
-        # layer 0 is propagated once per snapshot, by prepare
-        snap = tiny_snapshot().prepare()
+        # a step multiplies X·W0 and then its graph at layer 0, and its
+        # graph then W at every layer above, by spmm: 4 + 4·layers spmm
+        # calls, and no matmul operand as wide as the feature matrix (m = 7)
+        snap = replace(tiny_snapshot(), feature_matrix=FeatureMatrix(
+            n=4, m=7, ones=[(0, 0), (1, 6), (2, 3), (3, 0), (3, 5)],
+            column_tokens=list(range(7)))).prepare()
         model = tiny_model(snap, gcn_layers=gcn_layers)
-        calls = []
-        spmm = tape.spmm
+        calls, widths = [], []
+        spmm, matmul = tape.spmm, tape.matmul
         monkeypatch.setattr(tape, "spmm",
                             lambda s, z: calls.append(s) or spmm(s, z))
+        monkeypatch.setattr(tape, "matmul", lambda a, b: widths.extend(
+            (a.shape[-1], b.shape[-1])) or matmul(a, b))
         cfg = TrainConfig(learning_rate=1e-3)
         train_step(snap.mentions[:4], snap, model, Adam(cfg.learning_rate),
                    cfg)
-        assert len(calls) == 4 * (gcn_layers - 1)
+        assert len(calls) == 4 + 4 * gcn_layers
+        assert widths and 7 not in widths
 
     def test_backward_keeps_only_leaf_gradients(self, monkeypatch):
         # once a step's backward has run, no intermediate node holds a
