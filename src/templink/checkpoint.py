@@ -75,22 +75,17 @@ def read_meta(path) -> dict:
 
 
 def load_checkpoint(path):
-    """Returns (tensors dict of float32 arrays, meta dict). A payload
-    shorter or longer than its manifest is a ``ValueError`` naming the
-    file."""
+    """Returns (tensors dict of float32 arrays, meta dict), each tensor read
+    from the file straight into its own array. A payload shorter or longer
+    than its manifest is a ``ValueError`` naming the file."""
     with open(path, "rb") as fh:
         meta = _read_header(fh)
-        payload = fh.read()
-    manifest = meta.pop("manifest")
-    tensors = {}
-    off = 0
-    for name, r, c in manifest:
-        if off + 4 * r * c > len(payload):
-            raise ValueError(f"{path}: checkpoint ends inside tensor {name} "
-                             f"({r} x {c})")
-        arr = np.frombuffer(payload, dtype="<f4", count=r * c, offset=off)
-        tensors[name] = arr.reshape(r, c).copy()
-        off += 4 * r * c
-    if off != len(payload):
-        raise ValueError(f"{path}: trailing bytes in checkpoint")
+        tensors = {}
+        for name, r, c in meta.pop("manifest"):
+            arr = tensors[name] = np.empty((r, c), dtype="<f4")
+            if fh.readinto(arr) != arr.nbytes:
+                raise ValueError(f"{path}: checkpoint ends inside tensor "
+                                 f"{name} ({r} x {c})")
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes in checkpoint")
     return tensors, meta

@@ -187,6 +187,20 @@ def spmm(S, z: Tensor):
     return Tensor(out_data, parents=(z,), backward=bwd)
 
 
+def _scatter_add(n_rows, idx, values, dtype):
+    """The (n_rows, width) ``dtype`` array ``np.add.at`` gives when it adds
+    ``values[i]`` (of shape ``idx.shape + (width,)``) onto row ``idx[i]`` of
+    zeros. It runs one ``np.add.at`` over the flattened array, at positions
+    ``row * width + col``: each element gets the same additions in the same
+    order, so the bits are equal, and the 1-D form is several times faster."""
+    width = values.shape[-1]
+    out = np.zeros((n_rows, width), dtype=dtype)
+    flat = (np.asarray(idx, dtype=np.intp)[..., None] * width
+            + np.arange(width)).ravel()
+    np.add.at(out.ravel(), flat, values.ravel())
+    return out
+
+
 def gather_rows(table, idx):
     """Rows ``table[idx]``; backward scatter-adds into the table."""
     table = _as_tensor(table)
@@ -195,9 +209,8 @@ def gather_rows(table, idx):
 
     def bwd(g):
         if table.requires_grad:
-            full = np.zeros_like(table.data)
-            np.add.at(full, idx, g)
-            table._accumulate(full)
+            table._accumulate(_scatter_add(len(table.data), idx, g,
+                                           table.dtype))
 
     return Tensor(out_data, parents=(table,), backward=bwd)
 
@@ -285,13 +298,11 @@ def mean_bags(table, bags: Bags):
             later = np.repeat(np.arange(len(lens))[::-1], lens)
             pairs, pair_of = np.unique(later * n_rows + bags.ids,
                                        return_inverse=True)
-            sums = np.zeros((len(pairs), dim), dtype=g.dtype)
-            np.add.at(sums, pair_of,
-                      np.repeat(g / lens[:, None].astype(g.dtype), lens, axis=0))
+            sums = _scatter_add(len(pairs), pair_of, np.repeat(
+                g / lens[:, None].astype(g.dtype), lens, axis=0), g.dtype)
             rows, row_of = np.unique(pairs % n_rows, return_inverse=True)
-            values = np.zeros((len(rows), dim), dtype=table.dtype)
-            np.add.at(values, row_of, sums)
-            table._accumulate(RowGrad(rows, values))
+            table._accumulate(RowGrad(rows, _scatter_add(
+                len(rows), row_of, sums, table.dtype)))
 
     return Tensor(out_data, parents=(table,), backward=bwd)
 

@@ -73,6 +73,39 @@ class Snapshot:
         return self
 
 
+class _LiveRows:
+    """Adam moments of the rows of one table that have had a gradient (the
+    live rows), in the order they first had one: live row ``order[i]`` has
+    moments ``m[i]`` and ``v[i]``, and ``slot[r]`` is i, or -1 while row r
+    is not live. The arrays grow by doubling; their first ``n`` entries are
+    in use, and m and v are zero past them."""
+
+    __slots__ = ("slot", "order", "m", "v", "n")
+
+    def __init__(self, data):
+        self.slot = np.full(len(data), -1, dtype=np.intp)
+        self.order = np.empty(0, dtype=np.intp)
+        self.m = np.zeros((0,) + data.shape[1:], data.dtype)
+        self.v = np.zeros_like(self.m)
+        self.n = 0
+
+    def admit(self, rows):
+        """Append those of the distinct ``rows`` not yet live, each with
+        m = v = 0."""
+        new = rows[self.slot[rows] < 0]
+        n, end = self.n, self.n + len(new)
+        if end > len(self.order):
+            cap = min(max(2 * len(self.order), end), len(self.slot))
+            for name in ("order", "m", "v"):
+                held = getattr(self, name)
+                grown = np.zeros((cap,) + held.shape[1:], held.dtype)
+                grown[:n] = held[:n]
+                setattr(self, name, grown)
+        self.order[n:end] = new
+        self.slot[new] = np.arange(n, end)
+        self.n = end
+
+
 class Adam:
     """Adaptive-moment optimizer, beta=(0.9, 0.999), eps=1e-8, no decay.
     ``step`` updates each parameter's ``data`` in place, so a reference to
@@ -80,21 +113,23 @@ class Adam:
     gradient's stored values in place too (``train_step`` zeroes every
     gradient before the next backward).
 
-    Moments are kept for live rows only: ``rows[name]`` is the sorted array
-    of the rows of parameter ``name`` that have ever had a gradient (every
-    row, once a dense gradient came), and ``m[name]`` and ``v[name]`` are
-    float32 (live rows x ...) arrays in that row order. A row enters with
-    m = v = 0. A ``tape.RowGrad`` gradient updates the live rows, with
-    g = 0 on those it leaves out. A row never live has m = v = g = 0, which
-    the dense update maps to m = v = 0 and p - 0 = p (-0.0 included), so
-    skipping it is exact."""
+    A parameter whose gradients have all been ``tape.RowGrad``s keeps
+    moments for its live rows only, in ``live[name]`` (a ``_LiveRows``),
+    in the order the rows went live. A row enters with m = v = 0, and a
+    RowGrad updates every live row, with g = 0 on those it leaves out. A
+    row never live has m = v = g = 0, which the dense update maps to
+    m = v = 0 and p - 0 = p (-0.0 included), so skipping it is exact. Once
+    a dense gradient comes or every row is live, the moments move, in row
+    order, to ``m[name]`` and ``v[name]``, float32 arrays of the
+    parameter's shape, as a dense-only parameter's are from its first
+    step."""
 
     def __init__(self, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {}
         self.v = {}
-        self.rows = {}
+        self.live = {}
         self.step_count = 0
 
     def step(self, params: dict, clip: float = 0.0):
@@ -115,39 +150,38 @@ class Adam:
         for name, g in sorted(grads.items()):
             p = params[name]
             sparse = isinstance(g, tape.RowGrad)
-            live = self._make_live(name, p.data, g.rows if sparse
-                                   else np.arange(len(p.data)))
-            m, v = self.m[name], self.v[name]
-            if len(live) == len(p.data):  # every row live: update in place
-                self._update(p.data, m, v, g.dense(len(live)) if sparse
-                             else g, bias1, bias2)
+            live = self._live(name, p.data, g.rows if sparse else None)
+            if live is None:  # every row live: update in place
+                self._update(p.data, self.m[name], self.v[name],
+                             g.dense(len(p.data)) if sparse else g,
+                             bias1, bias2)
                 continue
-            g_live = np.zeros(m.shape, g.values.dtype)
-            g_live[np.searchsorted(live, g.rows)] = g.values
-            p_live = p.data[live]
-            self._update(p_live, m, v, g_live, bias1, bias2)
-            p.data[live] = p_live
+            n = live.n
+            rows = live.order[:n]
+            g_live = np.zeros((n,) + g.values.shape[1:], g.values.dtype)
+            g_live[live.slot[g.rows]] = g.values
+            p_live = p.data[rows]
+            self._update(p_live, live.m[:n], live.v[:n], g_live, bias1, bias2)
+            p.data[rows] = p_live
 
-    def _make_live(self, name, data, rows):
-        """The live rows of parameter ``name`` (whose value is ``data``)
-        after the sorted distinct ``rows`` join them, each new row with
-        m = v = 0."""
-        live = self.rows.get(name)
+    def _live(self, name, data, rows):
+        """The ``_LiveRows`` of parameter ``name`` (whose value is ``data``)
+        after the distinct ``rows`` (None for every row) go live, or None
+        once every row is live, with ``m[name]`` and ``v[name]`` then in
+        row order."""
+        if name in self.m:
+            return None
+        live = self.live.get(name)
         if live is None:
-            live = np.array([], dtype=np.int64)
-            self.m[name] = np.zeros((0,) + data.shape[1:], data.dtype)
-            self.v[name] = np.zeros((0,) + data.shape[1:], data.dtype)
-        elif len(live) == len(data):
+            live = self.live[name] = _LiveRows(data)
+        live.admit(np.arange(len(data)) if rows is None else rows)
+        if live.n < len(data):
             return live
-        grown = np.union1d(live, rows)
-        if len(grown) > len(live):
-            at = np.searchsorted(grown, live)
-            for moments in (self.m, self.v):
-                full = np.zeros((len(grown),) + data.shape[1:], data.dtype)
-                full[at] = moments[name]
-                moments[name] = full
-            self.rows[name] = live = grown
-        return live
+        for moments, held in ((self.m, live.m), (self.v, live.v)):
+            moments[name] = np.zeros(data.shape, data.dtype)
+            moments[name][live.order] = held
+        del self.live[name]
+        return None
 
     def _update(self, p, m, v, g, bias1, bias2):
         """One float32 Adam update of the arrays ``p``, ``m`` and ``v`` in

@@ -1140,21 +1140,29 @@ class TestOnlyTrainingImportsScipy:
             assert scipy_modules_after(argv) == [], argv
 
 
+def perfbench_year_2015(monkeypatch, tmp_path, **spec):
+    """Write year 2015 of a perfbench workload's seed-1 corpus and its run
+    config ``run.ini`` into ``tmp_path``: ``spec`` is the workload's
+    CorpusSpec in perfbench/run.py but ``years``, cut to one (generate
+    draws 2015 first). ``run`` is not imported: it sets BLAS variables for
+    the process that imports it."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    corpus = importlib.import_module("corpus")
+    corpus.generate(corpus.CorpusSpec(years=1, **spec), 1, tmp_path)
+    return tmp_path / "run.ini"
+
+
 class TestBlasThreads:
     def test_checkpoints_equal_at_one_and_two_threads(self, tmp_path,
                                                       monkeypatch):
-        # year 2015 of the graph_build workload's seed-1 corpus (its spec in
-        # perfbench/run.py, cut to one year: generate draws 2015 first).
-        # Its products are above OpenBLAS's threading threshold, where a
-        # threaded gemm sums in another order. ``run`` is not imported: it
-        # sets BLAS variables for the process that imports it
-        monkeypatch.syspath_prepend(str(PERFBENCH))
-        corpus = importlib.import_module("corpus")
-        corpus.generate(corpus.CorpusSpec(
-            years=1, entities=1200, new_share=0.1, words=3000, zipf=1.0,
-            topic_share=0.8, desc_len=15, triples_per_entity=8,
+        # year 2015 of the graph_build workload's seed-1 corpus. Its
+        # products are above OpenBLAS's threading threshold, where a
+        # threaded gemm sums in another order
+        perfbench_year_2015(
+            monkeypatch, tmp_path, entities=1200, new_share=0.1, words=3000,
+            zipf=1.0, topic_share=0.8, desc_len=15, triples_per_entity=8,
             train_mentions=512, test_mentions=200, context_len=4,
-            min_count=4, max_count=60, epochs=2, batch_size=128), 1, tmp_path)
+            min_count=4, max_count=60, epochs=2, batch_size=128)
         ckpts = {}
         for threads in ("1", "2"):
             out = tmp_path / f"out{threads}"
@@ -1169,3 +1177,28 @@ class TestBlasThreads:
                 for p in (out / "checkpoints").glob("*.ckpt")}
         assert sorted(ckpts["1"]) == ["continual_2015.ckpt", "new_2015.ckpt"]
         assert ckpts["1"] == ckpts["2"]
+
+
+class TestVocabularyScaleGolden:
+    def test_train_matches_golden_digests(self, tmp_path, monkeypatch):
+        # year 2015 of the text_train workload's seed-1 corpus: embedding
+        # tables of 17,019 rows, of which each step's gradient touches a
+        # small part. The checkpoints and loss curves of
+        # ``templink train`` must keep the digests of this checkpoint
+        # format (tests/golden/README.md)
+        ini = perfbench_year_2015(
+            monkeypatch, tmp_path, entities=400, new_share=0.25,
+            words=100000, zipf=0.6, topic_share=0.5, desc_len=60,
+            triples_per_entity=3, train_mentions=400, test_mentions=300,
+            context_len=12, min_count=5, max_count=60)
+        out = tmp_path / "out"
+        subprocess.run([sys.executable, "-m", "templink.cli", "train",
+                        "--config", str(ini), "--out-dir", str(out)],
+                       capture_output=True, env=child_env(), check=True)
+        golden = json.loads((GOLDEN / "text_train_2015.json").read_text())
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in (out / "checkpoints").iterdir()} == golden[
+                    str(trainer.CHECKPOINT_FORMAT)]
+        manifest = read_meta(out / "checkpoints" / "new_2015.ckpt")["manifest"]
+        assert {n: r for n, r, _ in manifest if n.endswith(".emb")} == {
+            "e_enc.emb": 17019, "m_enc.emb": 17019}

@@ -340,6 +340,34 @@ class TestGatherRows:
         assert not (np.signbit(table.grad) & (table.grad == 0)).any()
 
 
+class TestScatterAdd:
+    @pytest.mark.parametrize("contiguous", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("idx", [[], [3], [0, 2, 3, 5], [0, 2, 2, 5, 2],
+                                     [5, 1, 1, 0, 5, 5]])
+    def test_bits_equal_add_at(self, idx, dtype, contiguous):
+        # values column 0 gets 1, big and -big at a row's first, second and
+        # third occurrence: added in that order they give 0, in reverse 1.
+        # Every third value of the other columns is -0.0
+        rng = np.random.default_rng(len(idx))
+        wide = rng.normal(size=(len(idx), 7)).astype(dtype)
+        wide.flat[::3] = -0.0
+        big = 2 / np.finfo(dtype).eps
+        for i, row in enumerate(idx):
+            wide[i, 1] = (1.0, big, -big)[idx[:i].count(row) % 3]
+        values = wide[:, 1:5]
+        if contiguous:
+            values = values.copy()
+        elif len(idx) > 1:
+            assert not values.flags.c_contiguous
+        want = np.zeros((6, 4), dtype=dtype)
+        np.add.at(want, np.asarray(idx, dtype=np.intp), values)
+        got = tape._scatter_add(6, idx, values, dtype)
+        assert got.dtype == dtype and got.shape == (6, 4)
+        assert got.tobytes() == want.tobytes()
+        assert values.tobytes() == wide[:, 1:5].tobytes()  # input untouched
+
+
 def _op_cases():
     """{tape function: (parameters, loss)}, one gradient check per op."""
     s = sp.csr_matrix(np.array([[0.5, 0.5, 0.0],

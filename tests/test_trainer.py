@@ -163,8 +163,9 @@ class TestAdam:
         # RowGrads but a dense gradient at step 4; the reference gets every
         # gradient densely. Steps 0-2 are clipped. Rows 40-44 of "a" have a
         # gradient at step 0 only, rows 45-49 never; row 49 holds -0.0.
-        # Moments are stored for live rows only, so they are scattered into
-        # full arrays to compare with the reference's.
+        # Moments are stored for live rows only, in the order the rows went
+        # live, so they are scattered into full arrays to compare with the
+        # reference's.
         rng = np.random.default_rng(4)
         init = {"a": rng.normal(size=(50, 8)).astype(np.float32),
                 "b": rng.normal(size=(8, 3)).astype(np.float32),
@@ -176,6 +177,7 @@ class TestAdam:
         (opt, params), (ref, ref_params) = sides
         clipped = []
         ever = {n: np.zeros(len(v), dtype=bool) for n, v in init.items()}
+        first_seen = {n: [] for n in init}
         for step in range(8):
             scale = 10.0 if step < 3 else 1e-3
             rows = np.sort(rng.choice(40, size=12, replace=False))
@@ -196,6 +198,9 @@ class TestAdam:
                 for g in grads.values())) > 1.0)
             for name, g in grads.items():
                 dense = isinstance(g, np.ndarray)
+                first_seen[name] += [r for r in (range(len(init[name])) if dense
+                                                 else g.rows)
+                                     if not ever[name][r]]
                 ever[name][slice(None) if dense else g.rows] = True
                 ref_params[name].grad = g.copy() if dense else g.dense(
                     len(init[name]))
@@ -206,18 +211,51 @@ class TestAdam:
                 assert params[name].data.dtype == np.float32
                 assert (params[name].data.tobytes()
                         == ref_params[name].data.tobytes()), (step, name)
-                live = opt.rows[name]
-                assert live.tolist() == np.flatnonzero(ever[name]).tolist()
-                for moments, ref_moments in ((opt.m, ref.m), (opt.v, ref.v)):
-                    assert len(moments[name]) == len(live), (step, name)
-                    full = np.zeros_like(init[name])
-                    full[live] = moments[name]
-                    assert full.tobytes() == ref_moments[name].tobytes()
+                live = opt.live.get(name)
+                if live is None:  # every row live: moments in row order
+                    assert ever[name].all(), (step, name)
+                    held = {"m": opt.m[name], "v": opt.v[name]}
+                else:
+                    rows = live.order[:live.n]
+                    assert rows.tolist() == first_seen[name], (step, name)
+                    slots = np.full(len(init[name]), -1)
+                    slots[rows] = np.arange(live.n)
+                    assert live.slot.tolist() == slots.tolist()
+                    held = {}
+                    for key in ("m", "v"):
+                        assert not getattr(live, key)[live.n:].any()
+                        held[key] = np.zeros_like(init[name])
+                        held[key][rows] = getattr(live, key)[:live.n]
+                for key, ref_moments in (("m", ref.m), ("v", ref.v)):
+                    assert (held[key].tobytes()
+                            == ref_moments[name].tobytes()), (step, name)
         assert clipped == [True] * 3 + [False] * 5
         assert params["a"].data[45:].tobytes() == init["a"][45:].tobytes()
         assert ever["a"][40:45].all() and 10 < ever["a"].sum() < 45
-        assert ever["c"].all() and len(opt.m["c"]) == 30
+        assert "a" in opt.live and "a" not in opt.m
+        assert ever["c"].all() and "c" not in opt.live and len(opt.m["c"]) == 30
         assert (params["a"].data[40:45] != init["a"][40:45]).all()
+
+    def test_no_new_row_keeps_the_moment_buffers(self):
+        # rows enter at steps 0, 1 and 3; the buffers grow by doubling, so
+        # step 3's two new rows fit, and step 2 admits none
+        p = tape.param(np.ones((20, 3), dtype=np.float32))
+        opt = Adam(lr=0.1)
+        held = []
+        for rows in ([4, 7, 9, 12, 15], [1, 7], [4, 9], [0, 2, 9]):
+            rows = np.array(rows)
+            p.grad = tape.RowGrad(rows, np.full((len(rows), 3), 0.5,
+                                                dtype=np.float32))
+            opt.step({"p": p})
+            live = opt.live["p"]
+            held.append((live.n, live.order, live.m, live.v))
+        assert [n for n, *_ in held] == [5, 6, 6, 8]
+        assert [len(order) for _, order, *_ in held] == [5, 10, 10, 10]
+        # steps 2 and 3 keep the arrays step 1 grew
+        for later in held[2:]:
+            assert all(a is b for a, b in zip(later[1:], held[1][1:]))
+        assert all(a is not b for a, b in zip(held[1][1:], held[0][1:]))
+        assert held[3][1][:8].tolist() == [4, 7, 9, 12, 15, 1, 0, 2]
 
 
 class DensifyingAdam(Adam):
@@ -512,6 +550,42 @@ class TestCheckpointRoundTrip:
         _, meta = load_checkpoint(path)
         assert TrainConfig(**meta["train_config"]) == cfg
         assert meta["year"] == 2020
+
+    def test_tensors_are_own_float32_arrays(self, tmp_path):
+        tensors = {"a": np.arange(6, dtype=np.float32).reshape(2, 3),
+                   "b": np.zeros((0, 4), dtype=np.float32),
+                   "c": np.array([[-0.0], [1.5], [np.inf]], dtype=np.float32)}
+        save_checkpoint(tmp_path / "t.ckpt", tensors, {"year": 2020})
+        loaded, meta = load_checkpoint(tmp_path / "t.ckpt")
+        assert meta == {"year": 2020} and list(loaded) == ["a", "b", "c"]
+        for name, arr in loaded.items():
+            assert arr.dtype == np.float32 and arr.shape == tensors[name].shape
+            assert arr.flags.owndata and arr.flags.writeable
+            assert arr.tobytes() == tensors[name].tobytes()
+
+    @pytest.mark.parametrize("cut, tensor", [(4, "c (3 x 1)"),
+                                             (12, "c (3 x 1)"),
+                                             (13, "a (2 x 3)")])
+    def test_short_payload_names_the_tensor(self, tmp_path, cut, tensor):
+        # 12 bytes cut leave "c" without a byte; 13 end inside "a"
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, {"a": np.ones((2, 3), dtype=np.float32),
+                               "b": np.ones((0, 4), dtype=np.float32),
+                               "c": np.ones((3, 1), dtype=np.float32)}, {})
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == (f"{path}: checkpoint ends inside tensor "
+                                  f"{tensor}")
+
+    @pytest.mark.parametrize("extra", [1, 4, 70000])
+    def test_trailing_bytes_fail(self, tmp_path, extra):
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, {"a": np.ones((2, 3), dtype=np.float32)}, {})
+        path.write_bytes(path.read_bytes() + b"\x00" * extra)
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: trailing bytes in checkpoint"
 
     def test_manifest_names_exactly_the_params(self, tmp_path):
         snap = tiny_snapshot()
