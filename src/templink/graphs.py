@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 import zlib
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, compress
 
 import numpy as np
 
@@ -137,6 +138,38 @@ def build_structure_graph(triples, index) -> AdjacencyMatrix:
     return AdjacencyMatrix(n=len(index), edges=pairs)
 
 
+def _seed_words(keys) -> np.ndarray:
+    """Row r is ``np.random.SeedSequence(keys[r]).generate_state(4,
+    np.uint64)`` for an array of uint32 keys, the state PCG64(key) seeds
+    from. A key below 2**32 is one entropy word, and numpy's seeding of one
+    word is a fixed run of wrapping uint32 hash-and-mix steps, the same for
+    every key, so each step runs once over all keys. The constants are
+    those of numpy's ``bit_generator.pyx`` (pool of 4 words)."""
+
+    def hasher(hash_const, mult):
+        def hashmix(value):
+            nonlocal hash_const
+            value = value ^ hash_const
+            hash_const = hash_const * mult & 0xFFFFFFFF
+            value = value * hash_const
+            return value ^ value >> 16
+        return hashmix
+
+    pool = np.zeros((4, len(keys)), dtype=np.uint32)
+    pool[0] = keys
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in pool]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src])
+                pool[dst] = mixed ^ mixed >> 16
+    hashmix = hasher(0x8B51F9DD, 0x58F38DED)
+    state = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    return np.column_stack([lo | hi << 32
+                            for lo, hi in zip(state[::2], state[1::2])])
+
+
 def embed_descriptions(entities, tokenizer, dim: int = 64,
                        seed: int = 0) -> np.ndarray:
     """n x d seeded feature-hashing embedding of each entity's title and
@@ -147,23 +180,41 @@ def embed_descriptions(entities, tokenizer, dim: int = 64,
     token's vector is drawn from a PCG64 generator seeded with CRC32(token)
     mixed with the global seed, so embeddings are stable across processes
     and runs, and each row depends on its own entity alone. Each distinct
-    token is drawn once per call, into a float64 table the call drops.
-    Every token of the texts must be in the tokenizer's vocabulary.
+    token is drawn once per call, into a float64 table the call drops:
+    numpy's own PCG64 seeds from the token's ``_seed_words`` row, the state
+    ``PCG64(key)`` would derive. Every token of the texts must be in the
+    tokenizer's vocabulary.
     """
-    number = {}  # token id -> row of the vector table, in first-seen order
-    bags = [[number.setdefault(i, len(number))
-             for i in tokenizer.token_ids(e.title)
-             + tokenizer.token_ids(e.description)]
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    seqs = [tokenizer.token_ids(e.title) + tokenizer.token_ids(e.description)
             for e in entities]
+    ids, rows = np.unique(np.fromiter(chain.from_iterable(seqs), np.intp),
+                          return_inverse=True)
+    vocab = tokenizer.vocab
+    vocab_ids = np.fromiter(vocab.values(), np.intp, len(vocab))
+    hit = np.isin(vocab_ids, ids)
+    token_of = dict(zip(vocab_ids[hit].tolist(), compress(vocab, hit.tolist())))
     mix = seed * 0x9E3779B1 & 0xFFFFFFFF
-    token_of = {i: tok for tok, i in tokenizer.vocab.items()}
-    vectors = np.empty((len(number), dim))
-    for row, i in enumerate(number):
-        key = zlib.crc32(token_of[i].encode("utf-8")) ^ mix
-        vectors[row] = np.random.Generator(np.random.PCG64(key)).standard_normal(dim)
+    keys = np.fromiter((zlib.crc32(token_of[i].encode("utf-8"))
+                        for i in ids.tolist()), np.uint32, len(ids)) ^ mix
+    words = iter(_seed_words(keys))
+
+    class NextWords(ISeedSequence):  # hands each PCG64 its token's state
+        def generate_state(self, n_words, dtype=np.uint32):
+            return next(words)
+
+    seed_seq = NextWords()
+    vectors = np.empty((len(ids), dim))
+    for vector in vectors:
+        Generator(PCG64(seed_seq)).standard_normal(out=vector)
+    flat = rows.tolist()
+    starts = [0, *accumulate(map(len, seqs))]
+    has = [i for i, seq in enumerate(seqs) if seq]
     out = np.zeros((len(entities), dim), dtype=np.float32)
-    has = [i for i, bag in enumerate(bags) if bag]
-    out[has] = tape.mean_bags(vectors, tape.Bags([bags[i] for i in has])).data
+    out[has] = tape.mean_bags(vectors, tape.Bags(
+        [flat[starts[i]:starts[i + 1]] for i in has])).data
     return out
 
 

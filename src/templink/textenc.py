@@ -42,16 +42,17 @@ class Tokenizer:
 
     @classmethod
     def build(cls, texts, max_len: int = 128):
-        """Vocabulary of the sorted tokens of ``texts``. While each distinct
-        text is split, its tokens are numbered in first-seen order; the
-        numbers become vocabulary ids once every text is split."""
-        number = {}  # token -> first-seen number
-        seen = {t: [number.setdefault(tok, len(number)) for tok in split_text(t)]
-                for t in dict.fromkeys(texts)}
-        vocab = {tok: N_SPECIAL + i for i, tok in enumerate(sorted(number))}
-        id_of = [vocab[tok] for tok in number]  # indexed by first-seen number
+        """Vocabulary of the sorted tokens of ``texts``, each distinct text
+        split once. Equal tokens share the string first split, so the
+        splits held until every text is split cost a pointer per token."""
+        texts = list(dict.fromkeys(texts))
+        first = {}  # token -> the string first split
+        splits = [list(map(first.setdefault, tokens, tokens))
+                  for tokens in map(split_text, texts)]
+        vocab = {tok: N_SPECIAL + i for i, tok in enumerate(sorted(first))}
         tokenizer = cls(vocab, max_len=max_len)
-        tokenizer._ids = {t: [id_of[n] for n in ns] for t, ns in seen.items()}
+        tokenizer._ids = {t: list(map(vocab.__getitem__, tokens))
+                          for t, tokens in zip(texts, splits)}
         return tokenizer
 
     @property

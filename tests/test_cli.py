@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from checks import bundled_results_path
-from templink import pipeline, records, tape, textenc, trainer
+from templink import graphs, pipeline, records, tape, textenc, trainer
 from templink.checkpoint import load_checkpoint, read_meta, save_checkpoint
 from templink.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, OutputLock,
                           UsageError, load_config_file, main, make_parser,
@@ -576,22 +576,30 @@ class TestReadsOncePerYear:
                       load_config_file(ini)).values()
                   for e in entities
                   for tok in textenc.split_text(e.title + " " + e.description)}
-        seeds = []
-        pcg, embed = np.random.PCG64, pipeline.embed_descriptions
+        keys, seeded = [], []
+        seed_words, pcg = graphs._seed_words, np.random.PCG64
+        embed = pipeline.embed_descriptions
+
+        def words(k):
+            keys.extend(k.tolist())
+            return seed_words(k)
 
         def counted(*args, **kwargs):
             monkeypatch.setattr(np.random, "PCG64",
-                                lambda key: seeds.append(key) or pcg(key))
+                                lambda seq: seeded.append(seq) or pcg(seq))
             try:
                 return embed(*args, **kwargs)
             finally:
                 monkeypatch.setattr(np.random, "PCG64", pcg)
 
+        monkeypatch.setattr(graphs, "_seed_words", words)
         monkeypatch.setattr(pipeline, "embed_descriptions", counted)
         for command in ("build-graphs", "experiment"):
-            seeds.clear()
+            keys.clear()
+            seeded.clear()
             assert main([command, "--config", str(ini)]) == EXIT_OK, command
-            assert len(seeds) == len(set(seeds)) == len(tokens), command
+            assert len(keys) == len(set(keys)) == len(tokens), command
+            assert len(seeded) == len(keys), command
 
     def test_one_embedding_call_per_command(self, tmp_path, toy_data,
                                             monkeypatch):
@@ -1126,6 +1134,17 @@ def scipy_modules_after(argv) -> list:
 
 
 class TestOnlyTrainingImportsScipy:
+    def test_importing_the_cli_loads_neither_numpy_random_nor_scipy(self):
+        # resume and eval draw nothing; numpy.random alone adds about 10 ms
+        # to every command
+        run = subprocess.run(
+            [sys.executable, "-c", "import json, sys, templink.cli; "
+             "print(json.dumps(sorted(m for m in sys.modules if m in "
+             "('numpy.random', 'scipy') or m.startswith(('numpy.random.', "
+             "'scipy.')))))"],
+            capture_output=True, text=True, env=child_env(), check=True)
+        assert json.loads(run.stdout) == []
+
     def test_commands_without_training_load_no_scipy(self, tmp_path, toy_data):
         # criterion 9's toy config; the cold run shows the probe sees scipy
         ini = str(write_experiment_ini(tmp_path / "run.ini", toy_data,
@@ -1199,6 +1218,11 @@ class TestVocabularyScaleGolden:
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in (out / "checkpoints").iterdir()} == golden[
                     str(trainer.CHECKPOINT_FORMAT)]
+        # the kNN graph over the year's description embedding: a
+        # vocabulary-scale check of each token's PCG64 draw
+        assert hashlib.sha256((out / "graphs" / "2015" / "feature.adj")
+                              .read_bytes()).hexdigest() == (
+            "c59ae80af00bef5bfd5c246333fc7688ecfc27bc4b6b3c0f03740a93329542a2")
         manifest = read_meta(out / "checkpoints" / "new_2015.ckpt")["manifest"]
         assert {n: r for n, r, _ in manifest if n.endswith(".emb")} == {
             "e_enc.emb": 17019, "m_enc.emb": 17019}

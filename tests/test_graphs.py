@@ -279,6 +279,17 @@ class TestEmbedDescriptions:
         assert got.tobytes() == want.tobytes()
         assert not got[1].any()
 
+    def test_seed_words_equal_numpy_seed_sequence(self):
+        # a numpy release that changes SeedSequence fails here, not as
+        # vectors that no longer equal PCG64(key)'s
+        keys = np.concatenate([[0, 1, 2**31, 2**32 - 1], np.random.default_rng(
+            0).integers(0, 2**32, 10_000)]).astype(np.uint32)
+        want = np.array([np.random.SeedSequence(k).generate_state(4, np.uint64)
+                         for k in keys.tolist()])
+        got = graphs._seed_words(keys)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want)
+
     def test_deterministic_across_calls(self):
         ents = [EntityRecord("Q1", "apple", "sweet fruit", 2020)]
         a = embed_descriptions(ents, tokenizer_of(ents), dim=16, seed=3)
