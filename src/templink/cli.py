@@ -201,8 +201,7 @@ def _emit_matrices(cfg: RunConfig, matrices: dict, baseline) -> None:
     for category, matrix in matrices.items():
         reporting.write_gap_matrix_csv(matrix, out / f"gap_matrix_{category}.csv")
         reporting.write_aggregate_csv(matrix, out / f"aggregate_{category}.csv")
-    reporting.write_recall_vs_gap_plot(matrices, out / "recall_vs_gap.svg",
-                                       metric=1)
+    reporting.write_recall_vs_gap_plot(matrices, out / "recall_vs_gap.svg")
     if cfg.baseline:
         for category, matrix in matrices.items():
             reporting.write_boost_csv(matrix, baseline, category,

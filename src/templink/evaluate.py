@@ -143,8 +143,6 @@ def aggregate_gap(matrix: GapMatrix, mode: str) -> dict:
                 if mode == "forward_only" and t2 < t1:
                     continue
                 cells.append(matrix.cell(t1, t2))
-        if not cells:
-            continue
         out[gap] = {n: float(np.mean([c.recall[n] for c in cells]))
                     for n in RECALL_NS}
     return out

@@ -13,6 +13,7 @@ Graph artifacts and checkpoints land under the run's output directory.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import logging
@@ -174,15 +175,21 @@ def checkpoint_path(cfg: RunConfig, year: int, category: str) -> Path:
 def train_year(cfg: RunConfig, snapshot: Snapshot, category: str,
                tokenizer: Tokenizer, stamp: str) -> Path:
     """Train one (snapshot year, category) checkpoint on the snapshot's
-    mentions of that category; its header records ``stamp``."""
+    mentions of that category; its header records ``stamp``. The loss
+    curve goes beside it, in ``loss_curve_<category>_<year>.csv``."""
     year = snapshot.year
     path = checkpoint_path(cfg, year, category)
     snapshot = replace(snapshot.prepare(), mentions=[
         m for m in snapshot.mentions if m.category == category])
     model = Model(tokenizer, snapshot.feature_matrix.m, cfg.model, cfg.seed)
     path.parent.mkdir(parents=True, exist_ok=True)
-    train(snapshot, model, cfg.train, cfg.seed, out_dir=path.parent,
-          curve_name=f"loss_curve_{category}_{year}.csv")
+    curve = train(snapshot, model, cfg.train, cfg.seed)
+    with atomic_open(path.parent / f"loss_curve_{category}_{year}.csv",
+                     text=True) as fh:
+        w = csv.writer(fh)
+        w.writerow(["step", "L_e", "L_s", "L_d", "L_total"])
+        for step, *losses in curve:
+            w.writerow([step] + [repr(v) for v in losses])
     save_model(path, model, cfg.train, extra={
         "year": year, "category": category, "seed": cfg.seed, "stamp": stamp})
     log.info("checkpoint %s", path)

@@ -1,5 +1,5 @@
-"""Report emission: gap-matrix / boost / aggregate CSVs, simple SVG line
-charts, and boost arithmetic over a transcribed results table.
+"""Report emission: gap-matrix / boost / aggregate CSVs, the recall vs gap
+SVG chart, and boost arithmetic over a transcribed results table.
 
 All outputs are byte-stable across runs: CSVs use repr() for floats and
 plots are hand-written SVG with no timestamps or generated ids.
@@ -81,11 +81,12 @@ def _average_boosts(cells: dict) -> dict:
             for cat, gap in groups}
 
 
-def recompute_boost(table, ours_model="TIGER", baseline_model="SpEL"):
-    """Per-cell boost recomputed from the table's raw recall values, plus
-    per-(category, gap) averages of those recomputed cells."""
-    ours = table[ours_model]
-    base = table[baseline_model]
+def recompute_boost(table):
+    """Per-cell boost of TIGER over SpEL recomputed from the table's raw
+    recall values, plus per-(category, gap) averages of those recomputed
+    cells."""
+    ours = table["TIGER"]
+    base = table["SpEL"]
     cells = {key: boost(value, base[key]) for key, value in ours.items()
              if key[0] != "ave" and key in base}
     return cells, _average_boosts(cells)
@@ -140,76 +141,63 @@ def write_boost_csv(matrix: GapMatrix, baseline: dict, category: str, path):
                             repr(100.0 * (ours - base))])
 
 
-def svg_line_plot(series: dict, path, title: str, x_label: str, y_label: str,
-                  width=640, height=420):
-    """Minimal deterministic SVG line chart; one polyline per named series."""
-    pad = 56
+def write_recall_vs_gap_plot(matrices_by_category: dict, path):
+    """Deterministic SVG chart of recall@1 against year gap, aggregated over
+    both gap directions: one polyline per training category (continual in
+    blue, new in red)."""
+    w, h, pad = 640, 420, 56
+    series = {}
+    for category, matrix in sorted(matrices_by_category.items()):
+        agg = aggregate_gap(matrix, "forward_and_backward")
+        series[category] = [(gap, agg[gap][1]) for gap in sorted(agg)]
     xs = sorted({x for pts in series.values() for x, _ in pts})
     ys = [y for pts in series.values() for _, y in pts]
-    if not xs or not ys:
+    if not xs:
         raise ValueError("nothing to plot")
-    x_lo, x_hi = min(xs), max(xs)
+    x_lo, x_hi = xs[0], max(xs[-1], xs[0] + 1)  # gaps are ints
     y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1
     if y_hi == y_lo:
         y_hi = y_lo + 1
 
     def px(x):
-        return pad + (x - x_lo) / (x_hi - x_lo) * (width - 2 * pad)
+        return pad + (x - x_lo) / (x_hi - x_lo) * (w - 2 * pad)
 
     def py(y):
-        return height - pad - (y - y_lo) / (y_hi - y_lo) * (height - 2 * pad)
+        return h - pad - (y - y_lo) / (y_hi - y_lo) * (h - 2 * pad)
 
-    colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
-    dashes = ["none", "6,3"]
+    font = 'font-family="sans-serif"'
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
-        f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
-        f'y2="{height - pad}" stroke="black"/>',
-        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" '
-        f'stroke="black"/>',
-        f'<text x="{width / 2:.1f}" y="{height - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{x_label}</text>',
-        f'<text x="16" y="{height / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {height / 2:.1f})">{y_label}</text>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+        f'viewBox="0 0 {w} {h}">',
+        f'<rect width="{w}" height="{h}" fill="white"/>',
+        f'<text x="320.0" y="20" text-anchor="middle" {font} font-size="14">'
+        'recall@1 vs year gap (forward_and_backward)</text>',
+        f'<line x1="{pad}" y1="{h - pad}" x2="{w - pad}" y2="{h - pad}" '
+        'stroke="black"/>',
+        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{h - pad}" '
+        'stroke="black"/>',
+        f'<text x="320.0" y="{h - 12}" text-anchor="middle" {font} '
+        'font-size="12">year gap</text>',
+        f'<text x="16" y="210.0" text-anchor="middle" {font} font-size="12" '
+        'transform="rotate(-90 16 210.0)">recall@1</text>',
     ]
     for x in xs:
-        parts.append(f'<text x="{px(x):.2f}" y="{height - pad + 16}" '
-                     f'text-anchor="middle" font-family="sans-serif" '
-                     f'font-size="10">{x:g}</text>')
+        parts.append(f'<text x="{px(x):.2f}" y="{h - pad + 16}" '
+                     f'text-anchor="middle" {font} font-size="10">'
+                     f'{x:g}</text>')
     for frac in (0.0, 0.5, 1.0):
         y = y_lo + frac * (y_hi - y_lo)
         parts.append(f'<text x="{pad - 6}" y="{py(y):.2f}" text-anchor="end" '
-                     f'font-family="sans-serif" font-size="10">{y:.3f}</text>')
-    for i, (name, pts) in enumerate(sorted(series.items())):
-        pts = sorted(pts)
+                     f'{font} font-size="10">{y:.3f}</text>')
+    colors = {"continual": "#1f77b4", "new": "#d62728"}
+    for category, pts in series.items():
         coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
-        color = colors[i % len(colors)]
-        dash = dashes[(i // len(colors)) % len(dashes)]
+        color = colors[category]
         parts.append(f'<polyline points="{coords}" fill="none" '
                      f'stroke="{color}" stroke-width="2" '
-                     f'stroke-dasharray="{dash}"/>')
-        parts.append(f'<text x="{width - pad + 4}" '
-                     f'y="{py(pts[-1][1]):.2f}" font-family="sans-serif" '
-                     f'font-size="10" fill="{color}">{name}</text>')
+                     'stroke-dasharray="none"/>')
+        parts.append(f'<text x="{w - pad + 4}" y="{py(pts[-1][1]):.2f}" '
+                     f'{font} font-size="10" fill="{color}">{category}</text>')
     parts.append("</svg>")
     with atomic_open(path, text=True) as fh:
         fh.write("\n".join(parts) + "\n")
-
-
-def write_recall_vs_gap_plot(matrices_by_category: dict, path, metric: int = 1):
-    """One curve per training category (continual/new) of recall@metric vs
-    gap, aggregated over both gap directions."""
-    mode = "forward_and_backward"
-    series = {}
-    for category, matrix in sorted(matrices_by_category.items()):
-        agg = aggregate_gap(matrix, mode)
-        series[category] = [(gap, agg[gap][metric]) for gap in sorted(agg)]
-    svg_line_plot(series, path, title=f"recall@{metric} vs year gap ({mode})",
-                  x_label="year gap", y_label=f"recall@{metric}")

@@ -4,15 +4,13 @@ model (a checkpoint holds no optimizer state)."""
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, asdict
-from pathlib import Path
 
 import numpy as np
 
 from . import tape
-from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .graphs import sym_normalize
 from .model import (Model, ModelConfig, consistency_loss, distinct_loss,
                     total_loss)
@@ -113,20 +111,21 @@ class Adam:
     gradient's stored values in place too (``train_step`` zeroes every
     gradient before the next backward).
 
-    A parameter whose gradients have all been ``tape.RowGrad``s keeps
-    moments for its live rows only, in ``live[name]`` (a ``_LiveRows``),
-    in the order the rows went live. A row enters with m = v = 0, and a
-    RowGrad updates every live row, with g = 0 on those it leaves out. A
-    row never live has m = v = g = 0, which the dense update maps to
-    m = v = 0 and p - 0 = p (-0.0 included), so skipping it is exact. Once
-    a dense gradient comes or every row is live, the moments move, in row
-    order, to ``m[name]`` and ``v[name]``, float32 arrays of the
-    parameter's shape, as a dense-only parameter's are from its first
-    step."""
+    A parameter's first gradient fixes its moment layout for good. After
+    a dense one, ``m[name]`` and ``v[name]`` are float32 arrays of the
+    parameter's shape, and a later ``tape.RowGrad`` is made dense. After a
+    RowGrad, ``live[name]`` (a ``_LiveRows``) holds the moments of the rows
+    that have had a gradient (the live rows) in the order they went live,
+    and a later dense gradient counts as a RowGrad over every row. A row
+    enters with m = v = 0; a gradient updates every live row, with g = 0 on
+    those it leaves out. A row never live has m = v = g = 0, which the
+    dense update maps to m = v = 0 and p - 0 = p (-0.0 included), so
+    skipping it is exact."""
 
-    def __init__(self, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {}
         self.v = {}
         self.live = {}
@@ -145,57 +144,47 @@ class Adam:
                     g *= factor
         self.step_count += 1
         t = self.step_count
-        bias1 = np.float32(1.0 - self.beta1 ** t)
-        bias2 = np.float32(1.0 - self.beta2 ** t)
+        bias1 = np.float32(1.0 - self.BETA1 ** t)
+        bias2 = np.float32(1.0 - self.BETA2 ** t)
         for name, g in sorted(grads.items()):
             p = params[name]
             sparse = isinstance(g, tape.RowGrad)
-            live = self._live(name, p.data, g.rows if sparse else None)
-            if live is None:  # every row live: update in place
+            live = self.live.get(name)
+            if live is None and name not in self.m:  # the first gradient
+                if sparse:
+                    live = self.live[name] = _LiveRows(p.data)
+                else:
+                    self.m[name] = np.zeros(p.data.shape, p.data.dtype)
+                    self.v[name] = np.zeros(p.data.shape, p.data.dtype)
+            if live is None:
                 self._update(p.data, self.m[name], self.v[name],
                              g.dense(len(p.data)) if sparse else g,
                              bias1, bias2)
                 continue
+            rows, values = ((g.rows, g.values) if sparse
+                            else (np.arange(len(p.data)), g))
+            live.admit(rows)
             n = live.n
-            rows = live.order[:n]
-            g_live = np.zeros((n,) + g.values.shape[1:], g.values.dtype)
-            g_live[live.slot[g.rows]] = g.values
-            p_live = p.data[rows]
+            order = live.order[:n]
+            g_live = np.zeros((n,) + values.shape[1:], values.dtype)
+            g_live[live.slot[rows]] = values
+            p_live = p.data[order]
             self._update(p_live, live.m[:n], live.v[:n], g_live, bias1, bias2)
-            p.data[rows] = p_live
-
-    def _live(self, name, data, rows):
-        """The ``_LiveRows`` of parameter ``name`` (whose value is ``data``)
-        after the distinct ``rows`` (None for every row) go live, or None
-        once every row is live, with ``m[name]`` and ``v[name]`` then in
-        row order."""
-        if name in self.m:
-            return None
-        live = self.live.get(name)
-        if live is None:
-            live = self.live[name] = _LiveRows(data)
-        live.admit(np.arange(len(data)) if rows is None else rows)
-        if live.n < len(data):
-            return live
-        for moments, held in ((self.m, live.m), (self.v, live.v)):
-            moments[name] = np.zeros(data.shape, data.dtype)
-            moments[name][live.order] = held
-        del self.live[name]
-        return None
+            p.data[order] = p_live
 
     def _update(self, p, m, v, g, bias1, bias2):
         """One float32 Adam update of the arrays ``p``, ``m`` and ``v`` in
         place, from the gradient ``g``."""
-        update = (1 - self.beta1) * g
-        m *= self.beta1
+        update = (1 - self.BETA1) * g
+        m *= self.BETA1
         m += update
-        denom = (1 - self.beta2) * g
+        denom = (1 - self.BETA2) * g
         denom *= g
-        v *= self.beta2
+        v *= self.BETA2
         v += denom
         np.divide(v, bias2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += np.float32(self.eps)
+        denom += np.float32(self.EPS)
         np.divide(m, bias1, out=update)
         update *= np.float32(self.lr)
         update /= denom
@@ -291,7 +280,7 @@ def load_model(path, tokenizer: Tokenizer) -> Model:
 
 
 def train(snapshot: Snapshot, model: Model, config: TrainConfig,
-          seed: int = 0, out_dir=None, curve_name="loss_curve.csv"):
+          seed: int = 0):
     """Full training run, updating ``model`` in place, batches shuffled from
     ``seed``; returns the loss curve rows (step, L_e, L_s, L_d, L_total)."""
     snapshot.prepare()
@@ -306,12 +295,4 @@ def train(snapshot: Snapshot, model: Model, config: TrainConfig,
             step += 1
             curve.append((step, breakdown["L_e"], breakdown["L_s"],
                           breakdown["L_d"], breakdown["L_total"]))
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with atomic_open(out_dir / curve_name, text=True) as fh:
-            w = csv.writer(fh)
-            w.writerow(["step", "L_e", "L_s", "L_d", "L_total"])
-            for row in curve:
-                w.writerow([row[0]] + [repr(v) for v in row[1:]])
     return curve

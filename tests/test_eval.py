@@ -1,5 +1,6 @@
 import weakref
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +17,7 @@ from templink.model import Model, ModelConfig
 from templink.records import EntityIndex, EntityRecord, MentionRecord
 from templink.reporting import (BaselineFormatError, load_baseline_csv,
                                 load_results_table, printed_average_boost,
-                                recompute_boost, svg_line_plot,
-                                write_aggregate_csv, write_boost_csv,
+                                recompute_boost, write_aggregate_csv, write_boost_csv,
                                 write_gap_matrix_csv, write_recall_vs_gap_plot)
 from templink.textenc import CLS, Tokenizer
 
@@ -492,9 +492,14 @@ class TestCsvWriters:
 
 class TestSvg:
     def test_parses_and_stable(self, tmp_path):
-        series = {"a": [(0, 0.9), (1, 0.8)], "b": [(0, 0.7), (1, 0.75)]}
-        svg_line_plot(series, tmp_path / "p.svg", "t", "x", "y")
-        svg_line_plot(series, tmp_path / "q.svg", "t", "x", "y")
+        two_years = GapMatrix(years=[2019, 2020])
+        for t1 in two_years.years:
+            for t2 in two_years.years:
+                two_years.cells[(t1, t2)] = report_for(
+                    t1, t2, 0.75 if t1 == t2 else 0.6)
+        matrices = {"continual": matrix_2019_2022(), "new": two_years}
+        write_recall_vs_gap_plot(matrices, tmp_path / "p.svg")
+        write_recall_vs_gap_plot(matrices, tmp_path / "q.svg")
         assert ((tmp_path / "p.svg").read_bytes()
                 == (tmp_path / "q.svg").read_bytes())
         root = ET.parse(tmp_path / "p.svg").getroot()
@@ -504,7 +509,7 @@ class TestSvg:
 
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            svg_line_plot({}, tmp_path / "p.svg", "t", "x", "y")
+            write_recall_vs_gap_plot({}, tmp_path / "p.svg")
 
     def test_recall_vs_gap_plot(self, tmp_path):
         m = matrix_2019_2022()
@@ -513,3 +518,10 @@ class TestSvg:
         root = ET.parse(tmp_path / "r.svg").getroot()
         polylines = [e for e in root.iter() if e.tag.endswith("polyline")]
         assert len(polylines) == 2
+
+    def test_matches_golden(self, tmp_path):
+        m = matrix_2019_2022()
+        write_recall_vs_gap_plot({"continual": m, "new": m},
+                                 tmp_path / "r.svg")
+        golden = Path(__file__).parent / "golden" / "recall_vs_gap.svg"
+        assert (tmp_path / "r.svg").read_bytes() == golden.read_bytes()

@@ -163,9 +163,10 @@ class TestAdam:
         # RowGrads but a dense gradient at step 4; the reference gets every
         # gradient densely. Steps 0-2 are clipped. Rows 40-44 of "a" have a
         # gradient at step 0 only, rows 45-49 never; row 49 holds -0.0.
-        # Moments are stored for live rows only, in the order the rows went
-        # live, so they are scattered into full arrays to compare with the
-        # reference's.
+        # "a" and "c" keep moments for live rows only, in the order the rows
+        # went live ("c" with every row live from step 4), so they are
+        # scattered into full arrays to compare with the reference's; "b"
+        # keeps them in row order from its first step.
         rng = np.random.default_rng(4)
         init = {"a": rng.normal(size=(50, 8)).astype(np.float32),
                 "b": rng.normal(size=(8, 3)).astype(np.float32),
@@ -212,8 +213,8 @@ class TestAdam:
                 assert (params[name].data.tobytes()
                         == ref_params[name].data.tobytes()), (step, name)
                 live = opt.live.get(name)
-                if live is None:  # every row live: moments in row order
-                    assert ever[name].all(), (step, name)
+                assert (live is None) == (name == "b"), (step, name)
+                if live is None:  # dense from the first step: row order
                     held = {"m": opt.m[name], "v": opt.v[name]}
                 else:
                     rows = live.order[:live.n]
@@ -233,7 +234,7 @@ class TestAdam:
         assert params["a"].data[45:].tobytes() == init["a"][45:].tobytes()
         assert ever["a"][40:45].all() and 10 < ever["a"].sum() < 45
         assert "a" in opt.live and "a" not in opt.m
-        assert ever["c"].all() and "c" not in opt.live and len(opt.m["c"]) == 30
+        assert ever["c"].all() and opt.live["c"].n == 30 and "c" not in opt.m
         assert (params["a"].data[40:45] != init["a"][40:45]).all()
 
     def test_no_new_row_keeps_the_moment_buffers(self):
@@ -487,26 +488,17 @@ class TestTrain:
         final = np.mean([r[1] for r in curve[-16:]])
         assert final < 0.1 * initial
 
-    def test_runs_byte_identical(self, tmp_path):
-        cfg = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=3)
-        outs = []
-        for run in ("a", "b"):
-            snap = tiny_snapshot()
-            model = tiny_model(snap)
-            train(snap, model, cfg, seed=5, out_dir=tmp_path / run)
-            save_model(tmp_path / run / "m.ckpt", model, cfg)
-            outs.append(run)
-        assert ((tmp_path / "a" / "m.ckpt").read_bytes()
-                == (tmp_path / "b" / "m.ckpt").read_bytes())
-        assert ((tmp_path / "a" / "loss_curve.csv").read_bytes()
-                == (tmp_path / "b" / "loss_curve.csv").read_bytes())
+    def test_runs_byte_identical(self, tmp_path, toy_data):
+        ckpts = [train_toy_checkpoint(tmp_path / run, toy_data)[3]
+                 for run in ("a", "b")]
+        curves = [p.with_name("loss_curve_new_2019.csv") for p in ckpts]
+        assert ckpts[0].read_bytes() == ckpts[1].read_bytes()
+        assert curves[0].read_bytes() == curves[1].read_bytes()
 
-    def test_curve_csv_format(self, tmp_path):
-        snap = tiny_snapshot()
-        model = tiny_model(snap)
-        cfg = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=8)
-        train(snap, model, cfg, out_dir=tmp_path)
-        lines = (tmp_path / "loss_curve.csv").read_text().splitlines()
+    def test_curve_csv_format(self, tmp_path, toy_data):
+        path = train_toy_checkpoint(tmp_path, toy_data)[3]
+        lines = path.with_name("loss_curve_new_2019.csv").read_text(
+            ).splitlines()
         assert lines[0] == "step,L_e,L_s,L_d,L_total"
         fields = lines[1].split(",")
         assert fields[0] == "1"
