@@ -1,13 +1,13 @@
-"""Checkpoint file: JSON manifest + little-endian float32 tensor payload.
-
-Layout: one UTF-8 JSON header line (sorted keys) holding the model and
-train config and an ordered tensor manifest of (name, rows, cols); then a
-NUL byte; then the raw float32 values in manifest order. Deterministic
-byte-for-byte given identical state.
+"""Artifact writers (``atomic_open``, and ``write_csv`` and ``write_json``
+over it) and the checkpoint file: one UTF-8 JSON header line (sorted keys)
+holding the model and train config and an ordered tensor manifest of (name,
+rows, cols); then a NUL byte; then the raw float32 values in manifest
+order. Deterministic byte-for-byte given identical state.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import tempfile
@@ -33,6 +33,20 @@ def atomic_open(path, text=False):
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def write_csv(path, header, rows):
+    """Write ``header``, then each of ``rows``, as CSV via ``atomic_open``."""
+    with atomic_open(path, text=True) as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_json(path, obj):
+    """Write ``obj`` as sorted-key JSON, indent 1, through ``atomic_open``."""
+    with atomic_open(path, text=True) as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 def save_checkpoint(path, tensors: dict, meta: dict):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import logging
 import os
 import sys
@@ -19,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from . import pipeline, records, reporting
-from .checkpoint import atomic_open
+from .checkpoint import write_json
 from .pipeline import RunConfig, parse_years
 from .records import DataError
 from .trainer import NumericError
@@ -41,10 +40,6 @@ SECTION_OF = {"data_dir": "paths", "out_dir": "paths", "baseline": "paths",
               "years": "run", "seed": "run", "model": "model", "train": "train"}
 
 
-def _cast(name: str, default, text: str):
-    return parse_years(text) if name == "years" else type(default)(text)
-
-
 def _from_ini(parser, cls, section: str, section_of: dict):
     """A ``cls`` built through its constructor from the INI keys named after
     its fields, each read from ``section_of.get(name, section)`` and cast by
@@ -59,7 +54,8 @@ def _from_ini(parser, cls, section: str, section_of: dict):
         elif (text := parser.get(where, f.name, fallback=None)) is not None:
             parser.remove_option(where, f.name)
             try:
-                values[f.name] = _cast(f.name, default, text)
+                values[f.name] = (parse_years(text) if f.name == "years"
+                                  else type(default)(text))
             except ValueError as exc:
                 raise ValueError(f"[{where}] {f.name}: {exc}") from exc
     return cls(**values)
@@ -85,11 +81,11 @@ def load_config_file(path) -> RunConfig:
 
 
 def apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    changes = {name: getattr(args, name) for name in
-               ("data_dir", "out_dir", "seed", "k", "min_count", "max_count",
-                "baseline") if getattr(args, name, None) is not None}
-    if getattr(args, "years", None) is not None:
-        changes["years"] = parse_years(args.years)
+    """``cfg`` with each field that a parsed flag of the same name set."""
+    changes = {f.name: value for f in fields(RunConfig)
+               if (value := getattr(args, f.name, None)) is not None}
+    if "years" in changes:
+        changes["years"] = parse_years(changes["years"])
     return replace(cfg, **changes)
 
 
@@ -243,9 +239,7 @@ def cmd_report(args) -> int:
                                   for (c, g), v in sorted(printed_ave.items())},
     }
     with OutputLock(args.out_dir):
-        with atomic_open(Path(args.out_dir) / "table_boost.json",
-                         text=True) as fh:
-            fh.write(json.dumps(result, indent=1, sort_keys=True) + "\n")
+        write_json(Path(args.out_dir) / "table_boost.json", result)
     for key in sorted(printed_ave):
         print(f"ave boost {key[0]} gap {key[1]}: {printed_ave[key]:.2f}")
     return EXIT_OK

@@ -116,15 +116,9 @@ class Model:
                             c.gcn_layers, seed=seed * 4 + 3, tensors=tensors)
         self.fusion = FusionHead(c.gcn_out, c.dim, seed=seed * 4 + 4,
                                  tensors=tensors)
-
-    @property
-    def params(self) -> dict:
-        out = {}
-        out.update(self.mention_encoder.params)
-        out.update(self.entity_encoder.params)
-        out.update(self.gcn.params)
-        out["fusion.proj"] = self.fusion.proj
-        return out
+        self.params = {**self.mention_encoder.params,
+                       **self.entity_encoder.params, **self.gcn.params,
+                       "fusion.proj": self.fusion.proj}
 
     def encode_mentions(self, seqs) -> tape.Tensor:
         """Mention encodings of ``Tokenizer.render_mention`` sequences."""

@@ -13,7 +13,6 @@ Graph artifacts and checkpoints land under the run's output directory.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import logging
@@ -21,7 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import records, trainer
-from .checkpoint import atomic_open, read_meta
+from .checkpoint import read_meta, write_csv, write_json
 from .evaluate import temporal_matrix
 from .graphs import (VocabFilter, build_feature_matrix, build_knn_graph,
                      build_structure_graph, embed_descriptions, save_adjacency,
@@ -123,8 +122,14 @@ def build_year_graphs(cfg: RunConfig, year: int, corpus, tokenizer: Tokenizer,
                       emb):
     """The year's structure graph, kNN feature graph (over ``emb``, the
     year's ``embed_descriptions`` rows) and feature matrix; nothing is
-    written. The year's ``triples.tsv`` is read here and nowhere else."""
+    written. The year's ``triples.tsv`` is read here and nowhere else. An
+    entity with no title or description tokens is a ``DataError``."""
     entities, index, _, _ = corpus
+    has_text = emb.any(axis=1)
+    if not has_text.all():
+        raise records.DataError(
+            f"{year_dir(cfg, year) / 'entities.tsv'}: no title or description "
+            f"text for entity {entities[has_text.argmin()].qid}")
     triples = records.load_triples(year_dir(cfg, year) / "triples.tsv")
     structure = build_structure_graph(triples, index)
     feature_graph = build_knn_graph(emb, min(cfg.k, len(entities) - 1))
@@ -184,12 +189,9 @@ def train_year(cfg: RunConfig, snapshot: Snapshot, category: str,
     model = Model(tokenizer, snapshot.feature_matrix.m, cfg.model, cfg.seed)
     path.parent.mkdir(parents=True, exist_ok=True)
     curve = train(snapshot, model, cfg.train, cfg.seed)
-    with atomic_open(path.parent / f"loss_curve_{category}_{year}.csv",
-                     text=True) as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "L_e", "L_s", "L_d", "L_total"])
-        for step, *losses in curve:
-            w.writerow([step] + [repr(v) for v in losses])
+    write_csv(path.parent / f"loss_curve_{category}_{year}.csv",
+              ["step", "L_e", "L_s", "L_d", "L_total"],
+              ([step] + [repr(v) for v in losses] for step, *losses in curve))
     save_model(path, model, cfg.train, extra={
         "year": year, "category": category, "seed": cfg.seed, "stamp": stamp})
     log.info("checkpoint %s", path)
@@ -252,10 +254,8 @@ def write_resolved_config(cfg: RunConfig, version: str) -> str:
     out.mkdir(parents=True, exist_ok=True)
     digest = data_digest(cfg)
     stamp = cfg.stamp(digest)
-    resolved = dict(asdict(cfg), version=version, data_digest=digest,
-                    stamp=stamp)
-    with atomic_open(out / "resolved_config.json", text=True) as fh:
-        fh.write(json.dumps(resolved, sort_keys=True, indent=1) + "\n")
+    write_json(out / "resolved_config.json", dict(
+        asdict(cfg), version=version, data_digest=digest, stamp=stamp))
     return stamp
 
 

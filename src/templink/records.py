@@ -12,6 +12,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .checkpoint import atomic_open
@@ -92,19 +93,22 @@ def load_entities(path, year: int) -> list[EntityRecord]:
     return records
 
 
+def _mention(path, lineno, row, year):
+    """The checked mention record of ``row``, its fields in TSV order."""
+    gold_qid, category, left, mention, right = row
+    if category not in CATEGORIES:
+        raise DataError(f"{path}:{lineno}: unknown category {category!r}")
+    if not mention:
+        raise DataError(f"{path}:{lineno}: empty mention span")
+    return MentionRecord(context_left=left, mention=mention,
+                         context_right=right, gold_qid=gold_qid,
+                         category=category, year=year)
+
+
 def load_mentions(path, year: int) -> list[MentionRecord]:
     """Parse ``gold_qid \\t category \\t context_left \\t mention \\t context_right``."""
-    records = []
-    for lineno, row in _read_rows(path, 5, "mention"):
-        gold_qid, category, left, mention, right = row
-        if category not in CATEGORIES:
-            raise DataError(f"{path}:{lineno}: unknown category {category!r}")
-        if not mention:
-            raise DataError(f"{path}:{lineno}: empty mention span")
-        records.append(MentionRecord(context_left=left, mention=mention,
-                                     context_right=right, gold_qid=gold_qid,
-                                     category=category, year=year))
-    return records
+    return [_mention(path, lineno, row, year)
+            for lineno, row in _read_rows(path, 5, "mention")]
 
 
 def load_triples(path) -> list[tuple]:
@@ -118,25 +122,24 @@ def load_triples(path) -> list[tuple]:
     return triples
 
 
-def save_entities(records, path):
+def _write_rows(rows, path):
+    """Write each row, a tuple of text fields, as one escaped TSV line."""
     with atomic_open(path, text=True) as fh:
-        for r in records:
-            fh.write("\t".join(escape_field(f)
-                               for f in (r.qid, r.title, r.description)) + "\n")
+        for row in rows:
+            fh.write("\t".join(map(escape_field, row)) + "\n")
+
+
+def save_entities(records, path):
+    _write_rows(((r.qid, r.title, r.description) for r in records), path)
 
 
 def save_mentions(records, path):
-    with atomic_open(path, text=True) as fh:
-        for r in records:
-            fields = (r.gold_qid, r.category, r.context_left, r.mention,
-                      r.context_right)
-            fh.write("\t".join(escape_field(f) for f in fields) + "\n")
+    _write_rows(((r.gold_qid, r.category, r.context_left, r.mention,
+                  r.context_right) for r in records), path)
 
 
 def save_triples(triples, path):
-    with atomic_open(path, text=True) as fh:
-        for t in triples:
-            fh.write("\t".join(escape_field(f) for f in t) + "\n")
+    _write_rows(triples, path)
 
 
 class EntityIndex:
@@ -177,9 +180,20 @@ def filter_mentions(mentions, index: EntityIndex):
     return kept, dropped
 
 
+def _text(path, lineno, obj, *keys):
+    """The first non-empty value of ``obj`` under ``keys``, else ``""``; a
+    non-string one under any is a ``DataError`` naming path:lineno and key."""
+    for key in keys:
+        if not isinstance(obj.get(key, ""), str):
+            raise DataError(f"{path}:{lineno}: {key} is "
+                            f"{json.dumps(obj[key])}, not a string")
+    return next(filter(None, map(obj.get, keys)), "")
+
+
 def _read_jsonl(path):
-    """Yield (lineno, object) for each non-blank line of a JSON-lines file;
-    a line that is not a JSON object is a ``DataError`` naming path:lineno."""
+    """Yield ``(lineno, text)`` for each non-blank line of a JSON-lines file,
+    ``text(*keys)`` being ``_text`` of the line's object. A line that is not
+    a JSON object is a ``DataError`` naming path:lineno."""
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -192,7 +206,7 @@ def _read_jsonl(path):
             if not isinstance(obj, dict):
                 raise DataError(f"{path}:{lineno}: expected a JSON object, "
                                 f"got {type(obj).__name__}")
-            yield lineno, obj
+            yield lineno, partial(_text, path, lineno, obj)
 
 
 def read_jsonl_entities(src_path, year: int) -> list[EntityRecord]:
@@ -204,34 +218,28 @@ def read_jsonl_entities(src_path, year: int) -> list[EntityRecord]:
     """
     records = []
     seen = set()
-    for lineno, obj in _read_jsonl(src_path):
-        qid = obj.get("qid") or obj.get("label_qid") or obj.get("entity_qid")
+    for lineno, text in _read_jsonl(src_path):
+        qid = text("qid", "label_qid", "entity_qid")
         if not qid:
             raise DataError(f"{src_path}:{lineno}: no qid key")
         if qid in seen:
             log.info("skipping repeated qid %s at line %d", qid, lineno)
             continue
         seen.add(qid)
-        title = obj.get("title") or obj.get("label_title") or obj.get("label") or ""
-        desc = obj.get("description") or obj.get("text") or ""
-        records.append(EntityRecord(qid=qid, title=title,
-                                    description=desc, year=year))
+        records.append(EntityRecord(
+            qid=qid, title=text("title", "label_title", "label"),
+            description=text("description", "text"), year=year))
     return records
 
 
 def read_jsonl_mentions(src_path, year: int) -> list[MentionRecord]:
     """The mention records of a JSON-lines dump."""
     records = []
-    for lineno, obj in _read_jsonl(src_path):
-        gold = obj.get("gold_qid") or obj.get("label_qid") or obj.get("qid")
+    for lineno, text in _read_jsonl(src_path):
+        gold = text("gold_qid", "label_qid", "qid")
         if not gold:
             raise DataError(f"{src_path}:{lineno}: no gold qid key")
-        category = obj.get("category", "continual")
-        if category not in CATEGORIES:
-            raise DataError(f"{src_path}:{lineno}: unknown category {category!r}")
-        records.append(MentionRecord(
-            context_left=obj.get("context_left", ""),
-            mention=obj.get("mention", ""),
-            context_right=obj.get("context_right", ""),
-            gold_qid=gold, category=category, year=year))
+        records.append(_mention(src_path, lineno, (
+            gold, text("category") or "continual", text("context_left"),
+            text("mention"), text("context_right")), year))
     return records

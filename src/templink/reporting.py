@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from .checkpoint import atomic_open
+from .checkpoint import atomic_open, write_csv
 from .evaluate import (MODES, RECALL_NS, GapMatrix, aggregate_gap,
                        average_boost, boost)
 
@@ -98,25 +98,20 @@ def printed_average_boost(table):
 
 
 def write_gap_matrix_csv(matrix: GapMatrix, path):
-    with atomic_open(path, text=True) as fh:
-        w = csv.writer(fh)
-        w.writerow(["train_year", "test_year", "mentions"]
-                   + [f"recall@{n}" for n in RECALL_NS])
-        for t1 in matrix.years:
-            for t2 in matrix.years:
-                c = matrix.cell(t1, t2)
-                w.writerow([t1, t2, c.mention_count]
-                           + [repr(c.recall[n]) for n in RECALL_NS])
+    cells = ((t1, t2, matrix.cell(t1, t2))
+             for t1 in matrix.years for t2 in matrix.years)
+    write_csv(path, ["train_year", "test_year", "mentions"]
+              + [f"recall@{n}" for n in RECALL_NS],
+              ([t1, t2, c.mention_count]
+               + [repr(c.recall[n]) for n in RECALL_NS]
+               for t1, t2, c in cells))
 
 
 def write_aggregate_csv(matrix: GapMatrix, path):
-    with atomic_open(path, text=True) as fh:
-        w = csv.writer(fh)
-        w.writerow(["mode", "gap"] + [f"recall@{n}" for n in RECALL_NS])
-        for mode in MODES:
-            agg = aggregate_gap(matrix, mode)
-            for gap in sorted(agg):
-                w.writerow([mode, gap] + [repr(agg[gap][n]) for n in RECALL_NS])
+    aggs = ((mode, aggregate_gap(matrix, mode)) for mode in MODES)
+    write_csv(path, ["mode", "gap"] + [f"recall@{n}" for n in RECALL_NS],
+              ([mode, gap] + [repr(agg[gap][n]) for n in RECALL_NS]
+               for mode, agg in aggs for gap in sorted(agg)))
 
 
 def write_boost_csv(matrix: GapMatrix, baseline: dict, category: str, path):
@@ -124,21 +119,20 @@ def write_boost_csv(matrix: GapMatrix, baseline: dict, category: str, path):
     baseline keyed by (metric, gap, category). Emits both relative percent
     and percentage-point columns."""
     agg = aggregate_gap(matrix, "forward_and_backward")
-    with atomic_open(path, text=True) as fh:
-        w = csv.writer(fh)
-        w.writerow(["metric", "gap", "category", "ours", "baseline",
-                    "boost_percent", "delta_points"])
+
+    def rows():
         for gap in sorted(agg):
             for n in RECALL_NS:
                 key = (n, gap, category)
                 if key not in baseline:
                     continue
-                ours = agg[gap][n]
-                base = baseline[key]
+                ours, base = agg[gap][n], baseline[key]
                 b = boost(ours, base)
-                w.writerow([n, gap, category, repr(ours), repr(base),
-                            "missing" if b is None else repr(b),
-                            repr(100.0 * (ours - base))])
+                yield [n, gap, category, repr(ours), repr(base),
+                       "missing" if b is None else repr(b),
+                       repr(100.0 * (ours - base))]
+    write_csv(path, ["metric", "gap", "category", "ours", "baseline",
+                     "boost_percent", "delta_points"], rows())
 
 
 def write_recall_vs_gap_plot(matrices_by_category: dict, path):

@@ -70,24 +70,15 @@ class Tokenizer:
 
     def render_mention(self, mention_record) -> list:
         left = self.token_ids(mention_record.context_left)
-        span = self.token_ids(mention_record.mention)
-        right = self.token_ids(mention_record.context_right)
         budget = self.max_len - 4
-        if len(span) > budget:
-            span = span[:budget]
-        ctx_budget = budget - len(span)
-        if len(left) + len(right) > ctx_budget:
-            want_l = ctx_budget - ctx_budget // 2
-            want_r = ctx_budget // 2
-            if len(left) < want_l:
-                want_r = ctx_budget - len(left)
-                want_l = len(left)
-            elif len(right) < want_r:
-                want_l = ctx_budget - len(right)
-                want_r = len(right)
-            left = left[len(left) - want_l:] if want_l else []
-            right = right[:want_r]
-        return [CLS] + left + [M_START] + span + [M_END] + right + [SEP]
+        span = self.token_ids(mention_record.mention)[:budget]
+        right = self.token_ids(mention_record.context_right)
+        ctx = budget - len(span)
+        # half the context budget goes right, more when the left is short
+        n_right = min(len(right), max(ctx - len(left), ctx // 2))
+        n_left = min(len(left), ctx - n_right)
+        return ([CLS] + left[len(left) - n_left:] + [M_START] + span + [M_END]
+                + right[:n_right] + [SEP])
 
     def render_entity(self, entity_record) -> list:
         title = self.token_ids(entity_record.title)

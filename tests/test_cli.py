@@ -365,8 +365,17 @@ class TestIngest:
         ("--entities", '["Q2"]', "expected a JSON object, got list"),
         ("--mentions", '{"gold_qid": "Q1",', "malformed JSON"),
         ("--mentions", '"Q1"', "expected a JSON object, got str"),
+        ("--entities", '{"qid": "Q2", "title": 5}',
+         "title is 5, not a string"),
+        ("--mentions", '{"gold_qid": "Q1", "mention": ["a"]}',
+         'mention is ["a"], not a string'),
+        ("--mentions",
+         '{"gold_qid": "Q1", "mention": "a", "context_left": null}',
+         "context_left is null, not a string"),
+        ("--mentions", '{"gold_qid": "Q1"}', "empty mention span"),
     ], ids=["entities_malformed", "entities_not_object", "mentions_malformed",
-            "mentions_not_object"])
+            "mentions_not_object", "entities_number_title",
+            "mentions_list_span", "mentions_null_context", "mentions_no_span"])
     def test_bad_jsonl_line_is_data_error_naming_it(self, tmp_path, caplog,
                                                     flag, line, message):
         # a good line and a blank one before the bad line 3
@@ -387,7 +396,15 @@ class TestIngest:
 
     @pytest.mark.parametrize("flag, text", [
         ("--mentions", '["Q1"]\n'), ("--test-mentions", '["Q1"]\n'),
-        ("--triples", "Q1\tP1\n")], ids=["mentions", "test_mentions", "triples"])
+        ("--triples", "Q1\tP1\n"),
+        ("--entities", '{"qid": "Q1", "title": 5}\n'),
+        ("--mentions", '{"gold_qid": "Q1", "mention": ["a"]}\n'),
+        ("--test-mentions",
+         '{"gold_qid": "Q1", "mention": "b", "context_left": null}\n'),
+        ("--mentions", '{"gold_qid": "Q1"}\n'),
+    ], ids=["mentions", "test_mentions", "triples", "entities_number_title",
+            "mentions_list_span", "test_mentions_null_context",
+            "mentions_no_span"])
     def test_bad_input_leaves_the_year_untouched(self, tmp_path, flag, text):
         # every input is read and checked before any TSV is written
         year = tmp_path / "data" / "2020"
@@ -457,6 +474,22 @@ class TestBuildGraphs:
                      "--out-dir", str(tmp_path / "out"), "--years", "2019",
                      "--min-count", "500", "--max-count", "900"])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("command", ["build-graphs", "train"])
+    def test_entity_without_text_is_data_error_naming_it(
+            self, tmp_path, toy_data, caplog, command):
+        ents = toy_data / "2019" / "entities.tsv"
+        lines = ents.read_text().splitlines(keepends=True)
+        assert lines[3].startswith("Q4\t")
+        lines[3] = "Q4\t \t \n"
+        ents.write_text("".join(lines))
+        out = tmp_path / "out"
+        argv = [command] + toy_graphs_argv(toy_data, out)[1:]
+        assert main(argv) == EXIT_DATA
+        assert (f"{ents}: no title or description text for entity Q4"
+                in caplog.text)
+        assert not (out / "graphs").exists()
+        assert not (out / "checkpoints").exists()
 
     def test_lock_released_after_failure(self, tmp_path, toy_data):
         out = tmp_path / "out"

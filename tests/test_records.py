@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from templink import records
+from templink.checkpoint import write_csv, write_json
 from templink.records import (DataError, EntityRecord, MentionRecord,
                               build_entity_index, escape_field,
                               filter_mentions, load_entities, load_mentions,
@@ -275,6 +276,9 @@ SAVERS = {
     "triples": (records.save_triples,
                 [("Q1", "P1", "Q2"), ("Q3", "P9", "Q1")],
                 b"Q1\tP1\tQ2\nQ3\tP9\tQ1\n"),
+    "csv": (lambda rows, p: write_csv(p, ["n", "text"], rows),
+            [[1, 'a,"b"'], [2.5, "c\nd"]],
+            b'n,text\r\n1,"a,""b"""\r\n2.5,"c\nd"\r\n'),
 }
 
 
@@ -294,5 +298,16 @@ class TestAtomicSave:
         save(items, p)
         with pytest.raises(RuntimeError):
             save(failing_after(items[::-1], 1), p)
+        assert p.read_bytes() == want
+        assert [f.name for f in tmp_path.iterdir()] == [p.name]
+
+    def test_json_bytes_mode_and_failed_encode(self, tmp_path):
+        p = tmp_path / "out.json"
+        write_json(p, {"b": [1, 2.5], "a": "x"})
+        want = b'{\n "a": "x",\n "b": [\n  1,\n  2.5\n ]\n}\n'
+        assert p.read_bytes() == want
+        assert p.stat().st_mode & 0o777 == 0o600
+        with pytest.raises(TypeError):
+            write_json(p, {"a": object()})
         assert p.read_bytes() == want
         assert [f.name for f in tmp_path.iterdir()] == [p.name]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -44,7 +46,41 @@ class TestSplit:
         assert split_text(a + " " + b) == split_text(a) + split_text(b)
 
 
+def four_way_render(left, span, right, max_len):
+    """The mention template as a four-way rule on the context lengths: the
+    oracle ``render_mention`` must equal."""
+    budget = max_len - 4
+    if len(span) > budget:
+        span = span[:budget]
+    ctx_budget = budget - len(span)
+    if len(left) + len(right) > ctx_budget:
+        want_l = ctx_budget - ctx_budget // 2
+        want_r = ctx_budget // 2
+        if len(left) < want_l:
+            want_r = ctx_budget - len(left)
+            want_l = len(left)
+        elif len(right) < want_r:
+            want_l = ctx_budget - len(right)
+            want_r = len(right)
+        left = left[len(left) - want_l:] if want_l else []
+        right = right[:want_r]
+    return [CLS] + left + [M_START] + span + [M_END] + right + [SEP]
+
+
 class TestRenderMention:
+    def test_equals_four_way_rule_on_every_small_case(self):
+        vocab = {f"w{i}": N_SPECIAL + i for i in range(36)}
+
+        def words(lo, n):
+            return " ".join(f"w{lo + i}" for i in range(n))
+        for max_len in range(5, 21):
+            tok = Tokenizer(vocab, max_len=max_len)
+            for nl, ns, nr in itertools.product(range(13), repeat=3):
+                m = mention(words(0, nl), words(12, ns), words(24, nr))
+                want = four_way_render(*map(tok.token_ids, (
+                    m.context_left, m.mention, m.context_right)), max_len)
+                assert tok.render_mention(m) == want, (nl, ns, nr, max_len)
+
     def test_empty_contexts(self, tok):
         seq = tok.render_mention(mention())
         assert seq == [CLS, M_START, tok.vocab["apple"], M_END, SEP]
