@@ -3,7 +3,7 @@
 A flat ``key = value`` config file with per-module sections (INI syntax,
 values literal) sets every run, its one ``[run] seed`` included; command-line
 flags override file values. Exit codes: 0 success, 1 usage error, 2 data or
-I/O error, 3 numeric failure.
+I/O error (a training worker that dies included), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -180,13 +180,14 @@ def cmd_build_graphs(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, workers: int) -> int:
     cfg = pipeline_config(args)
     with OutputLock(cfg.out_dir):
         stamp = pipeline.write_resolved_config(cfg, __version__)
         corpora = pipeline.load_corpora(cfg)
         pipeline.train_years(cfg, corpora,
-                             pipeline.build_tokenizer(cfg, corpora), stamp)
+                             pipeline.build_tokenizer(cfg, corpora), stamp,
+                             workers)
     return EXIT_OK
 
 
@@ -216,11 +217,11 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args, workers: int) -> int:
     cfg = pipeline_config(args)
     baseline = cfg.baseline and reporting.load_baseline_csv(cfg.baseline)
     with OutputLock(cfg.out_dir):
-        matrices = pipeline.run_experiment(cfg, version=__version__)
+        matrices = pipeline.run_experiment(cfg, __version__, workers)
         _emit_matrices(cfg, matrices, baseline)
     return EXIT_OK
 
@@ -293,7 +294,9 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def main(argv=None, workers: int = 1) -> int:
+    """Run the command ``argv`` names; ``train`` and ``experiment`` train in
+    up to ``workers`` forked processes. Returns the exit code."""
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser = make_parser()
     try:
@@ -301,6 +304,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        if args.func in (cmd_train, cmd_experiment):
+            return args.func(args, workers)
         return args.func(args)
     except UsageError as exc:
         log.error("%s", exc)
@@ -314,5 +319,11 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
 
 
+def run() -> int:
+    """The program's entry point: ``main`` on ``sys.argv`` with one training
+    worker per CPU this process may run on."""
+    return main(workers=len(os.sched_getaffinity(0)))
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

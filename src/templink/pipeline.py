@@ -138,39 +138,38 @@ def build_year_graphs(cfg: RunConfig, year: int, corpus, tokenizer: Tokenizer,
     return structure, feature_graph, fmat
 
 
-def make_snapshots(cfg: RunConfig, corpora: dict, years, tokenizer: Tokenizer):
-    """Each of ``years``' training snapshots in turn, over all its training
-    mentions. One ``embed_descriptions`` call embeds every year's entities,
-    and every year's graphs are built before the first snapshot is yielded,
-    so a graph error stops the command before anything is trained and no
-    n x n kNN product runs on a heap that training has grown. A year's
-    graph files, outputs for inspection, are written just before its
-    snapshot is yielded, and the generator holds a year's graphs no longer
-    than its snapshot."""
+def make_snapshots(cfg: RunConfig, corpora: dict, years,
+                   tokenizer: Tokenizer) -> list:
+    """The training snapshots of ``years``, in order, each over all its
+    training mentions. One ``embed_descriptions`` call embeds every year's
+    entities, and every year's graphs are built before any graph file is
+    written, so a graph error stops the command before it writes a graph
+    file or trains anything. Each year's graph files, outputs for
+    inspection, are written before the list is returned."""
     if not years:
-        return
+        return []
     emb = embed_descriptions([e for year in years for e in corpora[year][0]],
                              tokenizer, dim=cfg.embed_dim, seed=cfg.seed)
-    graphs = []
+    snapshots = []
     lo = 0
     for year in years:
-        n = len(corpora[year][0])
-        graphs.append(build_year_graphs(cfg, year, corpora[year], tokenizer,
-                                        emb[lo:lo + n]))
-        lo += n
-    del emb
-    for year in years:
         entities, index, train_m, _ = corpora[year]
-        structure, feature_graph, fmat = graphs.pop(0)
-        out = graphs_dir(cfg, year)
+        structure, feature_graph, fmat = build_year_graphs(
+            cfg, year, corpora[year], tokenizer, emb[lo:lo + len(entities)])
+        lo += len(entities)
+        snapshots.append(Snapshot(
+            year=year, entities=entities, mentions=train_m, index=index,
+            structure=structure, feature_graph=feature_graph,
+            feature_matrix=fmat))
+    del emb
+    for snap in snapshots:
+        out = graphs_dir(cfg, snap.year)
         out.mkdir(parents=True, exist_ok=True)
-        index.save(out / "index.manifest")
-        save_adjacency(feature_graph, out / "feature.adj")
-        save_feature_matrix(fmat, out / "feature.mat")
-        save_adjacency(structure, out / "structure.adj")
-        yield Snapshot(year=year, entities=entities, mentions=train_m,
-                       index=index, structure=structure,
-                       feature_graph=feature_graph, feature_matrix=fmat)
+        snap.index.save(out / "index.manifest")
+        save_adjacency(snap.feature_graph, out / "feature.adj")
+        save_feature_matrix(snap.feature_matrix, out / "feature.mat")
+        save_adjacency(snap.structure, out / "structure.adj")
+    return snapshots
 
 
 def checkpoint_path(cfg: RunConfig, year: int, category: str) -> Path:
@@ -181,10 +180,12 @@ def train_year(cfg: RunConfig, snapshot: Snapshot, category: str,
                tokenizer: Tokenizer, stamp: str) -> Path:
     """Train one (snapshot year, category) checkpoint on the snapshot's
     mentions of that category; its header records ``stamp``. The loss
-    curve goes beside it, in ``loss_curve_<category>_<year>.csv``."""
+    curve goes beside it, in ``loss_curve_<category>_<year>.csv``. A
+    ``snapshot`` prepared beforehand lends its sparse matrices to every
+    category; else ``train`` prepares this category's copy."""
     year = snapshot.year
     path = checkpoint_path(cfg, year, category)
-    snapshot = replace(snapshot.prepare(), mentions=[
+    snapshot = replace(snapshot, mentions=[
         m for m in snapshot.mentions if m.category == category])
     model = Model(tokenizer, snapshot.feature_matrix.m, cfg.model, cfg.seed)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -205,10 +206,13 @@ def checkpoint_stamp(path: Path):
 
 
 def train_years(cfg: RunConfig, corpora: dict, tokenizer: Tokenizer,
-                stamp: str):
-    """Train every (year, category) checkpoint, skipping those
-    whose header holds the same ``stamp`` (``RunConfig.stamp``). A year with
-    work left gets one snapshot, shared by its categories."""
+                stamp: str, workers: int = 1):
+    """Train every (year, category) checkpoint, skipping those whose header
+    holds the same ``stamp`` (``RunConfig.stamp``); one with another stamp
+    is deleted before any graph file is written. A year with work left gets
+    one snapshot, shared by its categories and prepared here. With
+    ``workers`` > 1 and more than one job, the jobs run in up to
+    ``workers`` forked processes (``_train_in_pool``); else here, in order."""
     todo = {}  # year -> categories to train
     for year in cfg.years:
         for category in records.CATEGORIES:
@@ -220,9 +224,52 @@ def train_years(cfg: RunConfig, corpora: dict, tokenizer: Tokenizer,
             log.info("training %s: %s", path, "no checkpoint" if old is None
                      else f"stamp changed {old} -> {stamp}")
             todo.setdefault(year, []).append(category)
-    for snapshot in make_snapshots(cfg, corpora, list(todo), tokenizer):
-        for category in todo[snapshot.year]:
-            train_year(cfg, snapshot, category, tokenizer, stamp)
+            # every year's graph files are rewritten before any training, so
+            # a run that fails keeps no checkpoint they no longer match
+            path.unlink(missing_ok=True)
+    jobs = [(cfg, snapshot.prepare(), category, tokenizer, stamp)
+            for snapshot in make_snapshots(cfg, corpora, list(todo), tokenizer)
+            for category in todo[snapshot.year]]
+    if workers > 1 and len(jobs) > 1:
+        _train_in_pool(jobs, workers)
+    else:
+        for job in jobs:
+            train_year(*job)
+
+
+_JOBS = []  # the pool's ``train_year`` arguments, set in each worker
+
+
+def _adopt_jobs(jobs):
+    global _JOBS
+    _JOBS = jobs
+
+
+def _train_job(i: int):
+    train_year(*_JOBS[i])
+
+
+def _train_in_pool(jobs: list, workers: int):
+    """``train_year(*job)`` for each of ``jobs`` in a pool of
+    ``min(workers, len(jobs))`` forked processes. The jobs reach the workers
+    through fork, never pickled; only their indices are submitted. The first
+    failure cancels the jobs not yet started and is raised here once the
+    running ones end; a worker that dies is a ``ChildProcessError``."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(
+        min(workers, len(jobs)), mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt_jobs, initargs=(jobs,))
+    try:
+        for future in as_completed([pool.submit(_train_job, i)
+                                    for i in range(len(jobs))]):
+            future.result()
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(f"a training worker died: {exc}") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def evaluate_checkpoints(cfg: RunConfig, corpora: dict, tokenizer: Tokenizer,
@@ -259,12 +306,13 @@ def write_resolved_config(cfg: RunConfig, version: str) -> str:
     return stamp
 
 
-def run_experiment(cfg: RunConfig, version: str = "0"):
-    """Train per (year, category), evaluate all year pairs, return matrices."""
+def run_experiment(cfg: RunConfig, version: str = "0", workers: int = 1):
+    """Train per (year, category) in up to ``workers`` processes, evaluate
+    all year pairs, return matrices."""
     stamp = write_resolved_config(cfg, version)
     corpora = load_corpora(cfg)
     tokenizer = build_tokenizer(cfg, corpora)
-    train_years(cfg, corpora, tokenizer, stamp)
+    train_years(cfg, corpora, tokenizer, stamp, workers)
     return evaluate_checkpoints(cfg, corpora, tokenizer, stamp)
 
 

@@ -5,6 +5,7 @@ import logging
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 from dataclasses import fields, is_dataclass, replace
@@ -14,15 +15,15 @@ import numpy as np
 import pytest
 
 from checks import bundled_results_path
-from templink import graphs, pipeline, records, tape, textenc, trainer
+from templink import cli, graphs, pipeline, records, tape, textenc, trainer
 from templink.checkpoint import load_checkpoint, read_meta, save_checkpoint
-from templink.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, OutputLock,
-                          UsageError, load_config_file, main, make_parser,
-                          pipeline_config)
+from templink.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
+                          OutputLock, UsageError, load_config_file, main,
+                          make_parser, pipeline_config)
 from templink.model import ModelConfig
 from templink.pipeline import RunConfig, parse_years
 from templink.textenc import Tokenizer
-from templink.trainer import TrainConfig
+from templink.trainer import NumericError, TrainConfig
 
 GOLDEN = Path(__file__).parent / "golden"
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
@@ -689,9 +690,9 @@ class TestReadsOncePerYear:
 
     def test_graphs_built_before_training(self, tmp_path, toy_data,
                                           monkeypatch):
-        # every kNN graph is built before the first training run, and a
-        # year's graph files are written only once the years before it
-        # have their checkpoints
+        # every year's kNN graph is built, then every year's graph files
+        # are written, before the first training run; in one process the
+        # (year, category) jobs then train in order
         events = []
 
         def log(name, event):
@@ -707,10 +708,9 @@ class TestReadsOncePerYear:
                                    tmp_path / "out")
         assert main(["experiment", "--config", str(ini)]) == EXIT_OK
         assert events == [
-            "knn", "knn", "graph 2019", "graph 2019",
+            "knn", "knn", "graph 2019", "graph 2019", "graph 2020", "graph 2020",
             "train 2019", "checkpoint continual_2019.ckpt",
             "train 2019", "checkpoint new_2019.ckpt",
-            "graph 2020", "graph 2020",
             "train 2020", "checkpoint continual_2020.ckpt",
             "train 2020", "checkpoint new_2020.ckpt"]
 
@@ -769,8 +769,9 @@ def edit_entities(data, out):
 
 
 class TestResumeStamp:
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_crash_after_checkpoint_write_retrains(self, tmp_path, toy_data,
-                                                   monkeypatch):
+                                                   monkeypatch, workers):
         out = tmp_path / "out"
         ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
         assert main(["experiment", "--config", str(ini)]) == EXIT_OK
@@ -780,11 +781,14 @@ class TestResumeStamp:
             save_model(*args, **kwargs)
             raise OSError(28, "No space left on device")
 
+        # with two workers the patch reaches them through fork
         monkeypatch.setattr(pipeline, "save_model", save_then_crash)
-        assert main(["experiment", "--config", str(ini),
-                     "--k", "4"]) == EXIT_DATA
+        assert main(["experiment", "--config", str(ini), "--k", "4"],
+                    workers=workers) == EXIT_DATA
+        assert not (out / ".lock").exists()
         monkeypatch.undo()
-        assert main(["experiment", "--config", str(ini)]) == EXIT_OK
+        assert main(["experiment", "--config", str(ini)],
+                    workers=workers) == EXIT_OK
         fresh = tmp_path / "fresh"
         fresh_ini = write_experiment_ini(tmp_path / "fresh.ini", toy_data, fresh)
         assert main(["experiment", "--config", str(fresh_ini)]) == EXIT_OK
@@ -912,6 +916,82 @@ def strip_stamp(data, out):
 
 def delete_checkpoint(data, out):
     (out / "checkpoints" / "new_2020.ckpt").unlink()
+
+
+class TestTrainingWorkers:
+    """``main(argv, workers=2)`` trains the toy run's four (year, category)
+    jobs in two forked workers; a monkeypatch reaches them through fork."""
+
+    def test_same_bytes_as_one_process(self, tmp_path, toy_data):
+        runs = {}
+        for workers in (1, 2):
+            out = tmp_path / f"out{workers}"
+            ini = write_experiment_ini(tmp_path / f"{workers}.ini", toy_data,
+                                       out)
+            assert main(["experiment", "--config", str(ini)],
+                        workers=workers) == EXIT_OK
+            runs[workers] = run_artifacts(out)
+        assert len(runs[1]) == 2 * 5 + 2 * 4 + 2 * 2
+        assert runs[2] == runs[1]
+
+    def test_numeric_error_in_worker_exits_3(self, tmp_path, toy_data,
+                                             monkeypatch, caplog):
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
+
+        def blow_up(*args, **kwargs):
+            raise NumericError(f"non-finite loss in process {os.getpid()}")
+
+        monkeypatch.setattr(trainer, "train_step", blow_up)
+        with caplog.at_level(logging.ERROR):
+            assert main(["experiment", "--config", str(ini)],
+                        workers=2) == EXIT_NUMERIC
+        pids = {int(pid) for pid in re.findall(r"in process (\d+)",
+                                                caplog.text)}
+        assert len(pids) == 1 and os.getpid() not in pids
+        assert not (out / ".lock").exists()
+        assert not list(out.glob("checkpoints/*.ckpt"))
+
+    def test_killed_worker_exits_2_and_rerun_is_fresh(self, tmp_path,
+                                                     toy_data, monkeypatch,
+                                                     caplog):
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
+        parent, train = os.getpid(), pipeline.train
+
+        def die(*args, **kwargs):
+            # each worker dies before it writes a file
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train", die)
+        with caplog.at_level(logging.ERROR):
+            assert main(["experiment", "--config", str(ini)],
+                        workers=2) == EXIT_DATA
+        assert "a training worker died" in caplog.text
+        assert not (out / ".lock").exists()
+        monkeypatch.undo()
+        assert main(["experiment", "--config", str(ini)], workers=2) == EXIT_OK
+        fresh = tmp_path / "fresh"
+        fresh_ini = write_experiment_ini(tmp_path / "fresh.ini", toy_data, fresh)
+        assert main(["experiment", "--config", str(fresh_ini)]) == EXIT_OK
+        assert run_artifacts(out) == run_artifacts(fresh)
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+    def test_run_trains_in_one_worker_per_cpu(self, tmp_path, toy_data,
+                                              monkeypatch, cpus):
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data,
+                                   tmp_path / "out")
+        monkeypatch.setattr(sys, "argv", ["templink", "experiment",
+                                          "--config", str(ini)])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        pids, train = [], pipeline.train
+        monkeypatch.setattr(pipeline, "train", lambda *a, **kw: pids.append(
+            os.getpid()) or train(*a, **kw))
+        assert cli.run() == EXIT_OK
+        # a pool's workers append to their own copies of ``pids``
+        assert pids == ([os.getpid()] * 4 if len(cpus) == 1 else [])
 
 
 class TestEvalTrustsStamp:
@@ -1138,14 +1218,14 @@ class TestBaselineReadFirst:
         assert sorted(p.relative_to(out) for p in out.rglob("*")) == before
 
 
-# Runs ``templink.cli.main`` on the given argv in a fresh interpreter; the
-# last line it prints is the exit code and the scipy modules loaded.
-SCIPY_PROBE = """
+# Runs ``templink.cli.main(argv, workers)`` in a fresh interpreter, given
+# workers then argv; the last line it prints is the exit code and the
+# modules loaded.
+MODULE_PROBE = """
 import json, sys
 from templink.cli import main
-code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.partition(".")[0] == "scipy")]))
+code = main(sys.argv[2:], workers=int(sys.argv[1]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
@@ -1157,13 +1237,17 @@ def child_env(**variables) -> dict:
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
-def scipy_modules_after(argv) -> list:
-    run = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv],
-                         capture_output=True, text=True, env=child_env(),
-                         check=True)
+def modules_after(argv, workers=1) -> list:
+    run = subprocess.run(
+        [sys.executable, "-c", MODULE_PROBE, str(workers), *argv],
+        capture_output=True, text=True, env=child_env(), check=True)
     code, loaded = json.loads(run.stdout.splitlines()[-1])
     assert code == EXIT_OK, run.stderr
     return loaded
+
+
+def scipy_modules_after(argv) -> list:
+    return [m for m in modules_after(argv) if m.partition(".")[0] == "scipy"]
 
 
 class TestOnlyTrainingImportsScipy:
@@ -1190,6 +1274,23 @@ class TestOnlyTrainingImportsScipy:
                       "--table", str(bundled_results_path())],
                      ["build-graphs", "--config", ini]):
             assert scipy_modules_after(argv) == [], argv
+
+    def test_commands_without_training_start_no_pool(self, tmp_path,
+                                                     toy_data):
+        # concurrent.futures.process alone takes about 18 ms to import, and
+        # the cli itself loads neither package
+        assert not [m for m in modules_after(["--version"], 2)
+                    if m.partition(".")[0] in ("multiprocessing", "concurrent")]
+        ini = str(write_experiment_ini(tmp_path / "run.ini", toy_data,
+                                       tmp_path / "out", years="2019..2022"))
+        pool = "concurrent.futures.process"
+        assert pool in modules_after(["experiment", "--config", ini], 2)
+        for argv in (["experiment", "--config", ini],
+                     ["eval", "--config", ini],
+                     ["report", "--out-dir", str(tmp_path / "out"),
+                      "--table", str(bundled_results_path())],
+                     ["build-graphs", "--config", ini]):
+            assert pool not in modules_after(argv, 2), argv
 
 
 def perfbench_year_2015(monkeypatch, tmp_path, **spec):
