@@ -168,15 +168,10 @@ def cmd_ingest(args) -> int:
 def cmd_build_graphs(args) -> int:
     cfg = pipeline_config(args)
     with OutputLock(cfg.out_dir):
-        pipeline.write_resolved_config(cfg, __version__)
+        stamp = pipeline.write_resolved_config(cfg, __version__)
         corpora = pipeline.load_corpora(cfg)
-        tokenizer = pipeline.build_tokenizer(cfg, corpora)
-        for snap in pipeline.make_snapshots(cfg, corpora, cfg.years,
-                                            tokenizer):
-            log.info("year %d: %d entities, %d structure edges, %d knn edges, "
-                     "%d feature columns", snap.year, snap.structure.n,
-                     snap.structure.nnz, snap.feature_graph.nnz,
-                     snap.feature_matrix.m)
+        pipeline.make_snapshots(cfg, corpora, cfg.years,
+                                pipeline.build_tokenizer(cfg, corpora), stamp)
     return EXIT_OK
 
 
@@ -321,8 +316,10 @@ def main(argv=None, workers: int = 1) -> int:
 
 def run() -> int:
     """The program's entry point: ``main`` on ``sys.argv`` with one training
-    worker per CPU this process may run on."""
-    return main(workers=len(os.sched_getaffinity(0)))
+    worker per CPU this process may run on, or with one where the OS has no
+    ``os.sched_getaffinity`` (it is Linux only)."""
+    return main(workers=len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else 1)
 
 
 if __name__ == "__main__":

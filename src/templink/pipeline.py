@@ -139,13 +139,14 @@ def build_year_graphs(cfg: RunConfig, year: int, corpus, tokenizer: Tokenizer,
 
 
 def make_snapshots(cfg: RunConfig, corpora: dict, years,
-                   tokenizer: Tokenizer) -> list:
+                   tokenizer: Tokenizer, stamp: str) -> list:
     """The training snapshots of ``years``, in order, each over all its
     training mentions. One ``embed_descriptions`` call embeds every year's
-    entities, and every year's graphs are built before any graph file is
-    written, so a graph error stops the command before it writes a graph
-    file or trains anything. Each year's graph files, outputs for
-    inspection, are written before the list is returned."""
+    entities. Every year's graphs are built first, so a graph error leaves
+    the checkpoints and graph files as they were. Then each checkpoint of
+    ``years`` with another ``stamp`` in its header, which the new graph
+    files will not match, is deleted, and each year's graph files, outputs
+    for inspection, are written."""
     if not years:
         return []
     emb = embed_descriptions([e for year in years for e in corpora[year][0]],
@@ -157,11 +158,21 @@ def make_snapshots(cfg: RunConfig, corpora: dict, years,
         structure, feature_graph, fmat = build_year_graphs(
             cfg, year, corpora[year], tokenizer, emb[lo:lo + len(entities)])
         lo += len(entities)
+        log.info("year %d: %d entities, %d structure edges, %d knn edges, "
+                 "%d feature columns", year, structure.n, structure.nnz,
+                 feature_graph.nnz, fmat.m)
         snapshots.append(Snapshot(
             year=year, entities=entities, mentions=train_m, index=index,
             structure=structure, feature_graph=feature_graph,
             feature_matrix=fmat))
     del emb
+    for year in years:
+        for category in records.CATEGORIES:
+            path = checkpoint_path(cfg, year, category)
+            if (old := checkpoint_stamp(path)) not in (None, stamp):
+                log.info("deleting %s: stamp %s, not the graphs' stamp %s",
+                         path, old, stamp)
+                path.unlink()
     for snap in snapshots:
         out = graphs_dir(cfg, snap.year)
         out.mkdir(parents=True, exist_ok=True)
@@ -191,7 +202,7 @@ def train_year(cfg: RunConfig, snapshot: Snapshot, category: str,
     path.parent.mkdir(parents=True, exist_ok=True)
     curve = train(snapshot, model, cfg.train, cfg.seed)
     write_csv(path.parent / f"loss_curve_{category}_{year}.csv",
-              ["step", "L_e", "L_s", "L_d", "L_total"],
+              ["step", *trainer.LOSS_TERMS],
               ([step] + [repr(v) for v in losses] for step, *losses in curve))
     save_model(path, model, cfg.train, extra={
         "year": year, "category": category, "seed": cfg.seed, "stamp": stamp})
@@ -208,9 +219,9 @@ def checkpoint_stamp(path: Path):
 def train_years(cfg: RunConfig, corpora: dict, tokenizer: Tokenizer,
                 stamp: str, workers: int = 1):
     """Train every (year, category) checkpoint, skipping those whose header
-    holds the same ``stamp`` (``RunConfig.stamp``); one with another stamp
-    is deleted before any graph file is written. A year with work left gets
-    one snapshot, shared by its categories and prepared here. With
+    holds the same ``stamp`` (``RunConfig.stamp``). A year with work left
+    gets one snapshot, shared by its categories and prepared here, from
+    ``make_snapshots``, which also deletes the checkpoints to retrain. With
     ``workers`` > 1 and more than one job, the jobs run in up to
     ``workers`` forked processes (``_train_in_pool``); else here, in order."""
     todo = {}  # year -> categories to train
@@ -224,12 +235,9 @@ def train_years(cfg: RunConfig, corpora: dict, tokenizer: Tokenizer,
             log.info("training %s: %s", path, "no checkpoint" if old is None
                      else f"stamp changed {old} -> {stamp}")
             todo.setdefault(year, []).append(category)
-            # every year's graph files are rewritten before any training, so
-            # a run that fails keeps no checkpoint they no longer match
-            path.unlink(missing_ok=True)
-    jobs = [(cfg, snapshot.prepare(), category, tokenizer, stamp)
-            for snapshot in make_snapshots(cfg, corpora, list(todo), tokenizer)
-            for category in todo[snapshot.year]]
+    snapshots = make_snapshots(cfg, corpora, list(todo), tokenizer, stamp)
+    jobs = [(cfg, snap.prepare(), category, tokenizer, stamp)
+            for snap in snapshots for category in todo[snap.year]]
     if workers > 1 and len(jobs) > 1:
         _train_in_pool(jobs, workers)
     else:
@@ -237,12 +245,7 @@ def train_years(cfg: RunConfig, corpora: dict, tokenizer: Tokenizer,
             train_year(*job)
 
 
-_JOBS = []  # the pool's ``train_year`` arguments, set in each worker
-
-
-def _adopt_jobs(jobs):
-    global _JOBS
-    _JOBS = jobs
+_JOBS = []  # the pool's ``train_year`` arguments, filled in each worker
 
 
 def _train_job(i: int):
@@ -261,7 +264,7 @@ def _train_in_pool(jobs: list, workers: int):
 
     pool = ProcessPoolExecutor(
         min(workers, len(jobs)), mp_context=multiprocessing.get_context("fork"),
-        initializer=_adopt_jobs, initargs=(jobs,))
+        initializer=_JOBS.extend, initargs=(jobs,))
     try:
         for future in as_completed([pool.submit(_train_job, i)
                                     for i in range(len(jobs))]):

@@ -215,34 +215,26 @@ def gather_rows(table, idx):
     return Tensor(out_data, parents=(table,), backward=bwd)
 
 
-def concat_cols(tensors):
+def _concat(tensors, axis: int):
+    """``np.concatenate`` along ``axis``; backward hands each input its slice."""
     tensors = [_as_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=1)
-    widths = [t.data.shape[1] for t in tensors]
+    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    ends = np.cumsum([t.data.shape[axis] for t in tensors])
 
     def bwd(g):
-        off = 0
-        for t, w in zip(tensors, widths):
+        for t, part in zip(tensors, np.split(g, ends[:-1], axis=axis)):
             if t.requires_grad:
-                t._accumulate(g[:, off:off + w])
-            off += w
+                t._accumulate(part)
 
     return Tensor(out_data, parents=tuple(tensors), backward=bwd)
+
+
+def concat_cols(tensors):
+    return _concat(tensors, axis=1)
 
 
 def concat_rows(tensors):
-    tensors = [_as_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=0)
-    heights = [t.data.shape[0] for t in tensors]
-
-    def bwd(g):
-        off = 0
-        for t, h in zip(tensors, heights):
-            if t.requires_grad:
-                t._accumulate(g[off:off + h])
-            off += h
-
-    return Tensor(out_data, parents=tuple(tensors), backward=bwd)
+    return _concat(tensors, axis=0)
 
 
 class Bags:

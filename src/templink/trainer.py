@@ -21,6 +21,8 @@ log = logging.getLogger(__name__)
 
 # bump whenever a change moves a checkpoint's bytes
 CHECKPOINT_FORMAT = 3
+# the loss breakdown of a train step, in loss-curve column order
+LOSS_TERMS = ("L_e", "L_s", "L_d", "L_total")
 
 
 class NumericError(Exception):
@@ -224,14 +226,17 @@ def train_step(batch, snapshot: Snapshot, model: Model, optimizer: Adam,
     if len(batch) > 1:
         l_e = tape.el_loss(scores)
     else:
-        l_e = tape.const(np.float32(0.0))  # single pair: in-batch loss is 0 exactly
+        # one pair has no in-batch negative, so the loss is 0 exactly; a
+        # constant keeps the encoders and the fusion head out of the loss,
+        # where a zero gradient would still step their Adam moments
+        l_e = tape.const(np.float32(0.0))
 
     l_s = consistency_loss(z_sr, z_sf)
     l_d = distinct_loss(z_r, z_sr, z_f, z_sf)
     loss = total_loss(l_e, l_s, l_d, config.loss_a, config.loss_b)
 
-    breakdown = {"L_e": float(l_e.data), "L_s": float(l_s.data),
-                 "L_d": float(l_d.data), "L_total": float(loss.data)}
+    breakdown = {name: float(t.data)
+                 for name, t in zip(LOSS_TERMS, (l_e, l_s, l_d, loss))}
     for name, value in breakdown.items():
         if not np.isfinite(value):
             raise NumericError(f"non-finite {name} in train step: {breakdown}")
@@ -282,7 +287,7 @@ def load_model(path, tokenizer: Tokenizer) -> Model:
 def train(snapshot: Snapshot, model: Model, config: TrainConfig,
           seed: int = 0):
     """Full training run, updating ``model`` in place, batches shuffled from
-    ``seed``; returns the loss curve rows (step, L_e, L_s, L_d, L_total)."""
+    ``seed``; returns the loss curve rows (step, *``LOSS_TERMS``)."""
     snapshot.prepare()
     optimizer = Adam(config.learning_rate)
     curve = []
@@ -293,6 +298,5 @@ def train(snapshot: Snapshot, model: Model, config: TrainConfig,
         for batch in batches:
             breakdown = train_step(batch, snapshot, model, optimizer, config)
             step += 1
-            curve.append((step, breakdown["L_e"], breakdown["L_s"],
-                          breakdown["L_d"], breakdown["L_total"]))
+            curve.append((step, *breakdown.values()))
     return curve

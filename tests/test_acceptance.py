@@ -204,7 +204,7 @@ def test_criterion_5_graph_construction_golden(tmp_path):
                     embed_dim=16, seed=0)
     corpora = load_corpora(cfg)
     tok = build_tokenizer(cfg, corpora)
-    list(make_snapshots(cfg, corpora, [2019], tok))
+    list(make_snapshots(cfg, corpora, [2019], tok, stamp="s"))
     mismatches = []
     for name in ("structure.adj", "feature.adj", "feature.mat",
                  "feature.mat.cols"):
@@ -245,7 +245,7 @@ def test_criterion_6_disambiguation_by_structure(tmp_path):
                     model=ModelConfig(dim=32))
     corpora = load_corpora(cfg)
     tok = build_tokenizer(cfg, corpora)
-    snap, = make_snapshots(cfg, corpora, [2019], tok)
+    snap, = make_snapshots(cfg, corpora, [2019], tok, stamp="s")
     test_m = records.load_mentions(Path(data) / "2019" / "mentions_test.tsv",
                                    2019)
     results = {}

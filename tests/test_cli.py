@@ -857,15 +857,26 @@ class TestResumeStamp:
         assert main(["experiment", "--config", str(fresh_ini)]) == EXIT_OK
         assert run_artifacts(out) == run_artifacts(fresh)
 
-    def test_changed_k_equals_fresh_run(self, tmp_path, toy_data):
+    @pytest.mark.parametrize("then, fresh_flags", [
+        ([["experiment", "--k", "8"]], ["--k", "8"]),
+        # build-graphs under another k deletes the checkpoints its graph
+        # files no longer match, so the next experiment retrains them
+        ([["build-graphs", "--k", "8"], ["experiment"]], []),
+    ], ids=["experiment", "build_graphs"])
+    def test_changed_k_equals_fresh_run(self, tmp_path, toy_data, then,
+                                        fresh_flags):
         out = tmp_path / "out"
         ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out)
         assert main(["experiment", "--config", str(ini)]) == EXIT_OK
-        assert main(["experiment", "--config", str(ini), "--k", "8"]) == EXIT_OK
+        for command, *flags in then:
+            assert main([command, "--config", str(ini), *flags]) == EXIT_OK
+            stamp = json.loads(
+                (out / "resolved_config.json").read_text())["stamp"]
+            assert set(header_stamps(out)) <= {stamp}
         fresh = tmp_path / "fresh"
         fresh_ini = write_experiment_ini(tmp_path / "fresh.ini", toy_data, fresh)
         assert main(["experiment", "--config", str(fresh_ini),
-                     "--k", "8"]) == EXIT_OK
+                     *fresh_flags]) == EXIT_OK
         assert run_artifacts(out) == run_artifacts(fresh)
 
     def test_edited_input_retrains(self, tmp_path, toy_data):
@@ -978,20 +989,24 @@ class TestTrainingWorkers:
         assert main(["experiment", "--config", str(fresh_ini)]) == EXIT_OK
         assert run_artifacts(out) == run_artifacts(fresh)
 
-    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+    # None: an OS with no affinity call (it is Linux only) trains in-process
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}, None])
     def test_run_trains_in_one_worker_per_cpu(self, tmp_path, toy_data,
                                               monkeypatch, cpus):
         ini = write_experiment_ini(tmp_path / "run.ini", toy_data,
                                    tmp_path / "out")
         monkeypatch.setattr(sys, "argv", ["templink", "experiment",
                                           "--config", str(ini)])
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity")
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         pids, train = [], pipeline.train
         monkeypatch.setattr(pipeline, "train", lambda *a, **kw: pids.append(
             os.getpid()) or train(*a, **kw))
         assert cli.run() == EXIT_OK
         # a pool's workers append to their own copies of ``pids``
-        assert pids == ([os.getpid()] * 4 if len(cpus) == 1 else [])
+        assert pids == ([os.getpid()] * 4 if len(cpus or {0}) == 1 else [])
 
 
 class TestEvalTrustsStamp:

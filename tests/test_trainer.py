@@ -367,12 +367,20 @@ class TestTrainStep:
                           rtol=1e-5)
 
     def test_single_mention_el_term_zero(self):
+        # after a 4-mention step the encoders and the fusion head have Adam
+        # moments; a 1-mention step gives them no gradient, so they stay put
+        # while the GCN's graph losses still move its weights
         snap = tiny_snapshot()
         model = tiny_model(snap)
         cfg = TrainConfig(learning_rate=1e-3)
-        out = train_step(snap.mentions[:1], snap, model, Adam(cfg.learning_rate),
-                         cfg)
+        adam = Adam(cfg.learning_rate)
+        train_step(snap.mentions[:4], snap, model, adam, cfg)
+        before = {n: p.data.copy() for n, p in model.params.items()}
+        out = train_step(snap.mentions[:1], snap, model, adam, cfg)
         assert out["L_e"] == 0.0
+        moved = {n for n, p in model.params.items()
+                 if p.data.tobytes() != before[n].tobytes()}
+        assert moved == {"gcn.wf.l0", "gcn.wr.l0", "gcn.ws.l0"}
 
     def test_zero_weights_total_equals_el(self):
         snap = tiny_snapshot()
@@ -480,7 +488,7 @@ class TestTrain:
                         model=ModelConfig(dim=32))
         corpora = load_corpora(cfg)
         tok = build_tokenizer(cfg, corpora)
-        snap, = make_snapshots(cfg, corpora, [2019], tok)
+        snap, = make_snapshots(cfg, corpora, [2019], tok, stamp="s")
         model = Model(tok, snap.feature_matrix.m, cfg.model)
         tc = TrainConfig(learning_rate=0.05, epochs=13, batch_size=32)
         curve = train(snap, model, tc, 0)   # 16 batches/epoch -> 208 steps
@@ -517,7 +525,7 @@ def train_toy_checkpoint(tmp_path, toy_data):
                     train=TrainConfig(learning_rate=0.01, batch_size=4))
     corpora = load_corpora(cfg)
     tok = build_tokenizer(cfg, corpora)
-    snap, = make_snapshots(cfg, corpora, [2019], tok)
+    snap, = make_snapshots(cfg, corpora, [2019], tok, stamp="s")
     return cfg, tok, snap, train_year(cfg, snap, "new", tok, stamp="s")
 
 
