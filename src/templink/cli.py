@@ -179,10 +179,7 @@ def cmd_train(args, workers: int) -> int:
     cfg = pipeline_config(args)
     with OutputLock(cfg.out_dir):
         stamp = pipeline.write_resolved_config(cfg, __version__)
-        corpora = pipeline.load_corpora(cfg)
-        pipeline.train_years(cfg, corpora,
-                             pipeline.build_tokenizer(cfg, corpora), stamp,
-                             workers)
+        pipeline.train_years(cfg, pipeline.lazy_inputs(cfg), stamp, workers)
     return EXIT_OK
 
 
@@ -205,9 +202,8 @@ def cmd_eval(args) -> int:
     baseline = cfg.baseline and reporting.load_baseline_csv(cfg.baseline)
     with OutputLock(cfg.out_dir):
         stamp = cfg.stamp(pipeline.data_digest(cfg))
-        corpora = pipeline.load_corpora(cfg)
         matrices = pipeline.evaluate_checkpoints(
-            cfg, corpora, pipeline.build_tokenizer(cfg, corpora), stamp)
+            cfg, pipeline.lazy_inputs(cfg), stamp)
         _emit_matrices(cfg, matrices, baseline)
     return EXIT_OK
 

@@ -11,6 +11,9 @@ from . import tape
 RECALL_NS = (1, 2, 4, 8, 16, 32, 64)
 SCORE_BLOCK = 1 << 20  # mention-entity scores held at once while ranking
 MODES = ("forward_only", "forward_and_backward")  # gap aggregation directions
+# bump whenever a change moves a gap-matrix byte: no score record an older
+# version wrote is then current
+EVAL_FORMAT = 1
 
 
 @dataclass

@@ -8,20 +8,22 @@ On-disk layout per year under a data directory:
     <data>/<year>/mentions_test.tsv
     <data>/<year>/triples.tsv
 
-Graph artifacts and checkpoints land under the run's output directory.
+Graph artifacts, checkpoints and each checkpoint's score record land under
+the run's output directory.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from . import records, trainer
+from . import evaluate, records, trainer
 from .checkpoint import read_meta, write_csv, write_json
-from .evaluate import temporal_matrix
+from .evaluate import RECALL_NS, GapMatrix, RecallReport, temporal_matrix
 from .graphs import (VocabFilter, build_feature_matrix, build_knn_graph,
                      build_structure_graph, embed_descriptions, save_adjacency,
                      save_feature_matrix)
@@ -100,6 +102,17 @@ def load_year_corpus(cfg: RunConfig, year: int):
 def load_corpora(cfg: RunConfig) -> dict:
     """year -> ``load_year_corpus``: each year read once per command."""
     return {year: load_year_corpus(cfg, year) for year in cfg.years}
+
+
+def lazy_inputs(cfg: RunConfig):
+    """A function returning ``(corpora, tokenizer)`` of ``cfg``. Its first
+    call runs ``load_corpora`` and ``build_tokenizer``; later calls return
+    that pair. A command with nothing to train or score never calls it."""
+    @functools.cache
+    def inputs():
+        corpora = load_corpora(cfg)
+        return corpora, build_tokenizer(cfg, corpora)
+    return inputs
 
 
 def build_tokenizer(cfg: RunConfig, corpora: dict) -> Tokenizer:
@@ -216,13 +229,13 @@ def checkpoint_stamp(path: Path):
     return read_meta(path).get("stamp", "none") if path.exists() else None
 
 
-def train_years(cfg: RunConfig, corpora: dict, tokenizer: Tokenizer,
-                stamp: str, workers: int = 1):
+def train_years(cfg: RunConfig, inputs, stamp: str, workers: int = 1):
     """Train every (year, category) checkpoint, skipping those whose header
-    holds the same ``stamp`` (``RunConfig.stamp``). A year with work left
-    gets one snapshot, shared by its categories and prepared here, from
-    ``make_snapshots``, which also deletes the checkpoints to retrain. With
-    ``workers`` > 1 and more than one job, the jobs run in up to
+    holds the same ``stamp`` (``RunConfig.stamp``); ``inputs`` (see
+    ``lazy_inputs``) is called only when one is left to train. A year with
+    work left gets one snapshot, shared by its categories and prepared here,
+    from ``make_snapshots``, which also deletes the checkpoints to retrain.
+    With ``workers`` > 1 and more than one job, the jobs run in up to
     ``workers`` forked processes (``_train_in_pool``); else here, in order."""
     todo = {}  # year -> categories to train
     for year in cfg.years:
@@ -235,6 +248,9 @@ def train_years(cfg: RunConfig, corpora: dict, tokenizer: Tokenizer,
             log.info("training %s: %s", path, "no checkpoint" if old is None
                      else f"stamp changed {old} -> {stamp}")
             todo.setdefault(year, []).append(category)
+    if not todo:
+        return
+    corpora, tokenizer = inputs()
     snapshots = make_snapshots(cfg, corpora, list(todo), tokenizer, stamp)
     jobs = [(cfg, snap.prepare(), category, tokenizer, stamp)
             for snap in snapshots for category in todo[snap.year]]
@@ -275,12 +291,70 @@ def _train_in_pool(jobs: list, workers: int):
         pool.shutdown(cancel_futures=True)
 
 
-def evaluate_checkpoints(cfg: RunConfig, corpora: dict, tokenizer: Tokenizer,
-                         stamp: str) -> dict:
-    """category -> GapMatrix over every (train year, test year) pair, in one
-    pass: each checkpoint is loaded once, over ``tokenizer``, and released
-    before the next. Every checkpoint's header must hold the run's ``stamp``,
-    checked before any model is loaded; else a ``DataError``."""
+def score_path(cfg: RunConfig, year: int, category: str) -> Path:
+    return Path(cfg.out_dir) / "scores" / f"{category}_{year}.json"
+
+
+def read_scores(path: Path, key: dict, train_year: int):
+    """``(reports, None)``: the RecallReports, one per test year, of the
+    score record at ``path`` when its key (checkpoint SHA-256,
+    ``EVAL_FORMAT`` and sorted years) equals ``key``; else ``(None, why)``,
+    why the checkpoint is scored again."""
+    try:
+        record = json.loads(path.read_bytes())
+    except FileNotFoundError:
+        return None, "no record"
+    except (OSError, ValueError):
+        return None, "unreadable record"
+    if not isinstance(record, dict):
+        return None, "unreadable record"
+    if (old := record.get("eval_format")) != key["eval_format"]:
+        return None, f"format {old} -> {key['eval_format']}"
+    if (old := record.get("years")) != key["years"]:
+        return None, f"years {old} -> {key['years']}"
+    if record.get("checkpoint_sha256") != key["checkpoint_sha256"]:
+        return None, "checkpoint digest changed"
+    try:
+        reports = [_cell_report(train_year, c) for c in record["cells"]]
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return None, "unreadable record"
+    if [r.test_year for r in reports] != key["years"]:
+        return None, "unreadable record"
+    return reports, None
+
+
+def _cell_report(train_year: int, cell: dict) -> RecallReport:
+    """The RecallReport a score record's ``cell`` holds; a ``ValueError``
+    where a field is missing, extra or of another type."""
+    recall = cell["recall"]
+    if not (cell.keys() == {"test_year", "mention_count", "recall"}
+            and recall.keys() == {str(n) for n in RECALL_NS}
+            and type(cell["test_year"]) is type(cell["mention_count"]) is int
+            and all(type(v) is float for v in recall.values())):
+        raise ValueError(f"bad score cell {cell!r}")
+    return RecallReport(train_year, cell["test_year"], cell["mention_count"],
+                        {n: recall[str(n)] for n in RECALL_NS})
+
+
+def write_scores(path: Path, key: dict, reports: list):
+    """Write the score record ``read_scores`` reads: ``key`` and, per test
+    year, the report's test year, mention count and recall at each N.
+    ``float`` repr round-trips, so no value moves."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_json(path, dict(key, cells=[
+        {"test_year": r.test_year, "mention_count": r.mention_count,
+         "recall": {str(n): r.recall[n] for n in RECALL_NS}}
+        for r in reports]))
+
+
+def evaluate_checkpoints(cfg: RunConfig, inputs, stamp: str) -> dict:
+    """category -> GapMatrix over every (train year, test year) pair. Every
+    checkpoint's header must hold the run's ``stamp``, checked before any
+    score record is read; else a ``DataError``. A checkpoint whose record
+    (``score_path``) is current keeps its cells; the others are scored in
+    one ``temporal_matrix`` pass over ``inputs()`` (see ``lazy_inputs``),
+    each loaded once and released before the next, and their records are
+    written. The log says, per checkpoint, why it is scored or not."""
     paths = [(category, year, checkpoint_path(cfg, year, category))
              for category in records.CATEGORIES for year in cfg.years]
     for _, _, path in paths:
@@ -290,11 +364,36 @@ def evaluate_checkpoints(cfg: RunConfig, corpora: dict, tokenizer: Tokenizer,
             raise records.DataError(
                 f"{path}: {what}, but the run's stamp is {stamp}; run "
                 "`templink train` with this config and data first")
-    models = ((category, year, load_model(path, tokenizer))
-              for category, year, path in paths)
-    test_sets = {year: (test_m, entities, index)
-                 for year, (entities, index, _, test_m) in corpora.items()}
-    return temporal_matrix(models, test_sets, tokenizer)
+    years = sorted(cfg.years)
+    rows, todo = {}, []  # (category, train year) -> reports; records to write
+    for category, year, path in paths:
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        key = {"checkpoint_sha256": digest,
+               "eval_format": evaluate.EVAL_FORMAT, "years": years}
+        rows[category, year], why = read_scores(
+            score_path(cfg, year, category), key, year)
+        if why:
+            log.info("scoring %s: %s", path, why)
+            todo.append((category, year, path, key))
+        else:
+            log.info("not scoring %s: record current", path)
+    if todo:
+        corpora, tokenizer = inputs()
+        test_sets = {year: (test_m, entities, index)
+                     for year, (entities, index, _, test_m) in corpora.items()}
+        scored = temporal_matrix(
+            ((category, year, load_model(path, tokenizer))
+             for category, year, path, _ in todo), test_sets, tokenizer)
+        for category, year, _, key in todo:
+            reports = [scored[category].cell(year, t2) for t2 in years]
+            write_scores(score_path(cfg, year, category), key, reports)
+            rows[category, year] = reports
+    matrices = {}
+    for category, year, _ in paths:
+        matrix = matrices.setdefault(category, GapMatrix(years=years))
+        matrix.cells.update(((year, r.test_year), r)
+                            for r in rows[category, year])
+    return matrices
 
 
 def write_resolved_config(cfg: RunConfig, version: str) -> str:
@@ -311,12 +410,12 @@ def write_resolved_config(cfg: RunConfig, version: str) -> str:
 
 def run_experiment(cfg: RunConfig, version: str = "0", workers: int = 1):
     """Train per (year, category) in up to ``workers`` processes, evaluate
-    all year pairs, return matrices."""
+    all year pairs, return matrices. The corpora are read and the tokenizer
+    built only when some checkpoint is left to train or score."""
     stamp = write_resolved_config(cfg, version)
-    corpora = load_corpora(cfg)
-    tokenizer = build_tokenizer(cfg, corpora)
-    train_years(cfg, corpora, tokenizer, stamp, workers)
-    return evaluate_checkpoints(cfg, corpora, tokenizer, stamp)
+    inputs = lazy_inputs(cfg)
+    train_years(cfg, inputs, stamp, workers)
+    return evaluate_checkpoints(cfg, inputs, stamp)
 
 
 def parse_years(spec: str) -> list:

@@ -5,6 +5,7 @@ import logging
 import os
 import re
 import shlex
+import shutil
 import signal
 import subprocess
 import sys
@@ -15,7 +16,8 @@ import numpy as np
 import pytest
 
 from checks import bundled_results_path
-from templink import cli, graphs, pipeline, records, tape, textenc, trainer
+from templink import (cli, evaluate, graphs, pipeline, records, tape,
+                      textenc, trainer)
 from templink.checkpoint import load_checkpoint, read_meta, save_checkpoint
 from templink.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                           OutputLock, UsageError, load_config_file, main,
@@ -573,16 +575,25 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def drop_scores(out):
+    """Delete a run's score records, so that its next eval scores again."""
+    shutil.rmtree(out / "scores")
+
+
 class TestReadsOncePerYear:
     def test_cold_and_resumed_experiment(self, tmp_path, toy_data, monkeypatch):
         out = tmp_path / "out"
         ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out,
                                    years="2019..2021")
-        for phase, triples in (("cold", 3), ("resume", 0)):
+        # a resume with every record current reads no corpus at all
+        for phase, loads, triples in (("cold", 3, 3), ("rescore", 3, 0),
+                                      ("current", 0, 0)):
+            if phase == "rescore":
+                drop_scores(out)
             corpus = count_calls(monkeypatch, pipeline, "load_year_corpus")
             triple = count_calls(monkeypatch, records, "load_triples")
             assert main(["experiment", "--config", str(ini)]) == EXIT_OK, phase
-            assert (len(corpus), len(triple)) == (3, triples), phase
+            assert (len(corpus), len(triple)) == (loads, triples), phase
             monkeypatch.undo()
 
     def test_each_text_split_once(self, tmp_path, toy_data, monkeypatch):
@@ -595,10 +606,13 @@ class TestReadsOncePerYear:
             texts.update(t for e in entities for t in (e.title, e.description))
             texts.update(t for m in train_m + test_m
                          for t in (m.context_left, m.mention, m.context_right))
-        for phase in ("cold", "resume"):
+        for phase, split in (("cold", texts), ("rescore", texts),
+                             ("current", [])):
+            if phase == "rescore":
+                drop_scores(out)
             calls = count_calls(monkeypatch, textenc, "split_text")
             assert main(["experiment", "--config", str(ini)]) == EXIT_OK, phase
-            assert sorted(text for text, in calls) == sorted(texts), phase
+            assert sorted(text for text, in calls) == sorted(split), phase
             monkeypatch.undo()
 
     def test_each_token_vector_drawn_once(self, tmp_path, toy_data,
@@ -664,6 +678,7 @@ class TestReadsOncePerYear:
                                    years="2019..2021")
         assert main(["experiment", "--config", str(ini)]) == EXIT_OK
         corpora = pipeline.load_corpora(load_config_file(ini))
+        drop_scores(out)
         loads = count_calls(monkeypatch, pipeline, "load_model")
         renders = {name: count_calls(monkeypatch, Tokenizer, name)
                    for name in ("render_entity", "render_mention")}
@@ -673,6 +688,11 @@ class TestReadsOncePerYear:
             len(entities) for entities, _, _, _ in corpora.values())
         assert len(renders["render_mention"]) == sum(
             len(test_m) for _, _, _, test_m in corpora.values())
+        # with every record current, nothing is loaded or rendered again
+        for calls in (loads, *renders.values()):
+            calls.clear()
+        assert main(["experiment", "--config", str(ini)]) == EXIT_OK
+        assert (loads, *renders.values()) == ([], [], [])
 
     def test_second_year_graph_error_exits_2_and_unlocks(self, tmp_path,
                                                           toy_data):
@@ -755,10 +775,10 @@ class TestPartialGraphBuild:
 
 
 def run_artifacts(out) -> dict:
-    """relative path -> bytes of the graph files, checkpoints, loss curves
-    and report CSVs of a run."""
+    """relative path -> bytes of the graph files, checkpoints, loss curves,
+    score records and report CSVs of a run."""
     paths = [*out.glob("graphs/*/*"), *out.glob("checkpoints/*"),
-             *out.glob("*.csv")]
+             *out.glob("scores/*"), *out.glob("*.csv")]
     return {str(p.relative_to(out)): p.read_bytes() for p in sorted(paths)}
 
 
@@ -942,7 +962,8 @@ class TestTrainingWorkers:
             assert main(["experiment", "--config", str(ini)],
                         workers=workers) == EXIT_OK
             runs[workers] = run_artifacts(out)
-        assert len(runs[1]) == 2 * 5 + 2 * 4 + 2 * 2
+        # graph files, checkpoints and loss curves, score records, CSVs
+        assert len(runs[1]) == 2 * 5 + 2 * 4 + 4 + 2 * 2
         assert runs[2] == runs[1]
 
     def test_numeric_error_in_worker_exits_3(self, tmp_path, toy_data,
@@ -1079,6 +1100,7 @@ class TestEvalEncodesOnce:
         ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out,
                                    years="2019..2021")
         assert main(["experiment", "--config", str(ini)]) == EXIT_OK
+        drop_scores(out)
         means = count_calls(monkeypatch, tape, "mean_bags")
         packed = []
 
@@ -1093,6 +1115,11 @@ class TestEvalEncodesOnce:
         assert len(means) == 2 * 3 * 2
         # the distinct entity and mention sequences of all test years
         assert len(packed) == 2
+        # with every record current, nothing is encoded or packed
+        means.clear()
+        packed.clear()
+        assert main(["eval", "--config", str(ini)]) == EXIT_OK
+        assert (means, packed) == ([], [])
 
     def test_truncated_checkpoint_names_itself(self, tmp_path, toy_data,
                                                caplog):
@@ -1107,6 +1134,169 @@ class TestEvalEncodesOnce:
         assert (f"{path}: checkpoint ends inside tensor {name} "
                 f"({rows} x {cols})") in caplog.text
         assert report_bytes(out) == before
+
+
+# the toy run's checkpoints, in the order eval reads them
+CKPTS = [f"{c}_{y}" for c in ("continual", "new") for y in (2019, 2020)]
+
+
+def out_files(out) -> dict:
+    """relative path -> (bytes, mtime) of every file under a run's output."""
+    return {str(p.relative_to(out)): (p.read_bytes(), p.stat().st_mtime_ns)
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+class TestScoreRecords:
+    """Each checkpoint's row of its gap matrix is kept in
+    ``scores/<category>_<year>.json``, current while the checkpoint's
+    SHA-256, ``EVAL_FORMAT`` and the run's sorted years are unchanged."""
+
+    def finished_run(self, tmp_path, toy_data, years="2019..2020"):
+        out = tmp_path / "out"
+        ini = write_experiment_ini(tmp_path / "run.ini", toy_data, out, years)
+        assert main(["experiment", "--config", str(ini)]) == EXIT_OK
+        return out, ini
+
+    def scored(self, monkeypatch, caplog, argv) -> list:
+        """The checkpoint names ``argv`` loads; ``argv`` must exit 0 and log
+        one scoring line per checkpoint."""
+        loads = count_calls(monkeypatch, pipeline, "load_model")
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="templink.pipeline"):
+            assert main(argv) == EXIT_OK
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith(("scoring", "not scoring"))]
+        assert len(lines) == len(CKPTS)
+        monkeypatch.undo()
+        return sorted(path.stem for path, _ in loads)
+
+    @pytest.mark.parametrize("command", ["experiment", "eval"])
+    def test_current_records_load_nothing(self, tmp_path, toy_data,
+                                          monkeypatch, caplog, command):
+        out, ini = self.finished_run(tmp_path, toy_data)
+        before = out_files(out)
+        calls = [count_calls(monkeypatch, module, name) for module, name in (
+            (pipeline, "load_year_corpus"), (pipeline, "build_tokenizer"),
+            (pipeline, "load_model"), (tape, "mean_bags"))]
+        with caplog.at_level(logging.INFO, logger="templink.pipeline"):
+            assert main([command, "--config", str(ini)]) == EXIT_OK
+        assert calls == [[], [], [], []]
+        after = out_files(out)
+        reports = [*(f"{kind}_{c}.csv" for kind in ("gap_matrix", "aggregate")
+                     for c in ("continual", "new")), "recall_vs_gap.svg"]
+        for name in reports:
+            assert after[name][0] == before[name][0], name
+            assert after[name][1] > before[name][1], name
+        assert {n: f for n, f in after.items() if n.startswith("scores/")} == {
+            n: f for n, f in before.items() if n.startswith("scores/")}
+        assert [r.getMessage() for r in caplog.records
+                if "scoring" in r.getMessage()] == [
+            f"not scoring {out / 'checkpoints' / name}.ckpt: record current"
+            for name in CKPTS]
+
+    def test_deleted_record_scores_only_its_checkpoint(self, tmp_path,
+                                                       toy_data, monkeypatch,
+                                                       caplog):
+        out, ini = self.finished_run(tmp_path, toy_data)
+        before = run_artifacts(out)
+        record = out / "scores" / "new_2020.json"
+        record.unlink()
+        assert self.scored(monkeypatch, caplog,
+                           ["eval", "--config", str(ini)]) == ["new_2020"]
+        assert (f"scoring {out / 'checkpoints' / 'new_2020.ckpt'}: no record"
+                in caplog.text)
+        assert run_artifacts(out) == before
+
+    def test_changed_payload_byte_makes_record_stale(self, tmp_path, toy_data,
+                                                     monkeypatch, caplog):
+        out, ini = self.finished_run(tmp_path, toy_data)
+        path = out / "checkpoints" / "continual_2019.ckpt"
+        stamp = read_meta(path)["stamp"]
+        data = bytearray(path.read_bytes())
+        data[-4] ^= 1  # the lowest mantissa bit of the last float32
+        path.write_bytes(bytes(data))
+        assert read_meta(path)["stamp"] == stamp
+        assert self.scored(monkeypatch, caplog, ["eval", "--config", str(ini)]
+                           ) == ["continual_2019"]
+        assert f"scoring {path}: checkpoint digest changed" in caplog.text
+        record = json.loads((out / "scores" / "continual_2019.json").read_text())
+        assert record["checkpoint_sha256"] == hashlib.sha256(data).hexdigest()
+
+    def test_format_bump_scores_every_checkpoint(self, tmp_path, toy_data,
+                                                 monkeypatch, caplog):
+        out, ini = self.finished_run(tmp_path, toy_data)
+        before = report_bytes(out)
+        old = evaluate.EVAL_FORMAT
+        monkeypatch.setattr(evaluate, "EVAL_FORMAT", old + 1)
+        assert self.scored(monkeypatch, caplog, ["eval", "--config", str(ini)]
+                           ) == CKPTS
+        for name in CKPTS:
+            assert (f"scoring {out / 'checkpoints' / name}.ckpt: format "
+                    f"{old} -> {old + 1}") in caplog.text
+            record = json.loads((out / "scores" / f"{name}.json").read_text())
+            assert record["eval_format"] == old + 1
+        assert report_bytes(out) == before
+
+    @pytest.mark.parametrize("edit, why", [
+        (lambda text: text[:len(text) // 2], "unreadable record"),
+        (lambda text: "[]", "unreadable record"),
+        (lambda text: re.sub(r'("mention_count": \d+)', r"\1.0", text, 1),
+         "unreadable record"),
+        (lambda text: json.dumps(dict(json.loads(text), years=[2019])),
+         "years [2019] -> [2019, 2020]"),
+    ], ids=["truncated", "not_an_object", "float_count", "wrong_years"])
+    def test_bad_record_is_scored_again(self, tmp_path, toy_data, monkeypatch,
+                                        caplog, edit, why):
+        out, ini = self.finished_run(tmp_path, toy_data)
+        before = run_artifacts(out)
+        record = out / "scores" / "new_2019.json"
+        text = record.read_text()
+        assert edit(text) != text
+        record.write_text(edit(text))
+        assert self.scored(monkeypatch, caplog, ["eval", "--config", str(ini)]
+                           ) == ["new_2019"]
+        assert (f"scoring {out / 'checkpoints' / 'new_2019.ckpt'}: {why}"
+                in caplog.text)
+        assert run_artifacts(out) == before
+
+    def test_stamp_mismatch_reads_no_record(self, tmp_path, toy_data,
+                                            monkeypatch):
+        out, ini = self.finished_run(tmp_path, toy_data)
+        before = out_files(out)
+        reads = count_calls(monkeypatch, pipeline, "read_scores")
+        assert main(["eval", "--config", str(ini), "--seed", "5"]) == EXIT_DATA
+        assert reads == []
+        assert out_files(out) == before
+
+    def test_unsorted_years_same_bytes_from_records(self, tmp_path, toy_data,
+                                                    monkeypatch, caplog):
+        out, ini = self.finished_run(tmp_path, toy_data, years="2020,2019")
+        scored = report_bytes(out)
+        assert json.loads((out / "scores" / "new_2020.json").read_text())[
+            "years"] == [2019, 2020]
+        assert self.scored(monkeypatch, caplog,
+                           ["experiment", "--config", str(ini)]) == []
+        assert report_bytes(out) == scored
+
+    def test_baseline_on_finished_run_loads_no_model(self, tmp_path, toy_data,
+                                                     monkeypatch, caplog):
+        # the baseline is not in the stamp, so adding one reads only records
+        out, ini = self.finished_run(tmp_path, toy_data)
+        baseline = tmp_path / "baseline.csv"
+        baseline.write_text("metric,gap,category,value\n1,0,new,0.5\n"
+                            "16,1,continual,0.25\n")
+        corpus = count_calls(monkeypatch, pipeline, "load_year_corpus")
+        argv = ["--config", str(ini), "--baseline", str(baseline)]
+        assert self.scored(monkeypatch, caplog, ["eval", *argv]) == []
+        assert corpus == []
+        fresh = tmp_path / "fresh"
+        fresh_ini = write_experiment_ini(tmp_path / "fresh.ini", toy_data, fresh)
+        assert main(["experiment", "--config", str(fresh_ini),
+                     "--baseline", str(baseline)]) == EXIT_OK
+        boosts = {p.name: p.read_bytes() for p in out.glob("boost_*.csv")}
+        assert sorted(boosts) == ["boost_continual.csv", "boost_new.csv"]
+        assert boosts == {p.name: p.read_bytes()
+                          for p in fresh.glob("boost_*.csv")}
 
 
 class TestReadersHoldLock:
